@@ -80,19 +80,38 @@ WARMUP_STEPS = 3
 SECONDS_PER_EPOCH = 20.0
 #: Shares of ``--seconds`` given to each serving phase.
 CLOSED_LOOP_SHARE = 0.2                # per mode
-CLOSED_LOOP_WINDOW_S = 0.25
+CLOSED_LOOP_WINDOW_S = 0.2
 OPEN_LOOP_SHARE = 0.3
 #: Extra training after the first publish, one snapshot per round; the
 #: swap thread publishes these in turn.
 TAIL_ROUNDS = 2
 TAIL_STEPS = 2
 NUM_SWAPS = 15
-OPEN_LOOP_RATE = 150.0                 # requests per second
-REQUEST_SIZES = (1, 16, 256)           # users per request
-REQUEST_WEIGHTS = (0.7, 0.25, 0.05)
-CLOSED_LOOP_CYCLE = (14, 5, 1)         # requests of each size per cycle
-COLD_SHARE = 0.02                      # of open-loop requests
+#: Users per request.  The repository records no production traffic
+#: mix, so every size gets the same share of service time in both
+#: loops, and the closed loop also reports each size's capacity on its
+#: own.
+REQUEST_SIZES = (1, 16, 256)
+#: Mean ``ivf`` service time of each request size, in seconds: the
+#: per-size closed-loop capacities of the first baseline on a 2-CPU
+#: host.  The open loop sends each size at a rate inversely
+#: proportional to its cost, so each takes the same share of the time.
+IVF_REQUEST_SECONDS = (0.0005, 0.0022, 0.0185)
+#: Share of the ``ivf`` service's time the open loop fills when no swap
+#: runs: requests seldom queue behind one another, so the tail shows
+#: the swaps, not saturation.  This gives about 210 requests/s, and
+#: about 1,500 requests in a 24 s run, so the p99 rests on 15 of them.
+OPEN_LOOP_BUSY = 0.25
+#: Share of open-loop requests that are ``recommend_cold_user`` calls.
+#: The preset has no cold users to take a share from; 1 in 20 gives
+#: about 75 calls in a 24 s run, enough to time ``serve.cold_s``.
+COLD_SHARE = 0.05
 CHECK_USERS = 512
+#: ``full_hr_at_20`` must exceed this: a quarter of the baseline median
+#: (0.021), under half the lowest seed seen (0.011), and three times
+#: what random ranking gives (20 / 12,000).  A collapse of quality fails
+#: the run; the spread from seed to seed does not.
+HR_FLOOR = 0.005
 
 #: Workload name -> the TrainConfig fields it sets (everything else at
 #: its default).  ``train-minibatch`` is the production recipe of
@@ -154,6 +173,8 @@ LAYER_UNITS = {
     "eval.propagate_s": "s",
     "serve.recommend_exact_s": "s/request",
     "serve.recommend_ivf_s": "s/request",
+    **{f"serve.{mode}_b{size}_users_per_s": "users/s"
+       for mode in ("exact", "ivf") for size in REQUEST_SIZES},
     "serve.fallback_row_fraction": "ratio",
     "serve.cold_s": "s/request",
     "serve.snapshot_build_s": "s",
@@ -436,51 +457,63 @@ def _call(fn: Callable, *args):
         return error
 
 
-def closed_loop(services, duration: float, rng: np.random.Generator,
-                num_users: int, tracer: Tracer):
-    """One client per service, in alternating windows; users/s per mode.
+def closed_loop(services, duration: float, seed: int, num_users: int,
+                tracer: Tracer):
+    """One client per service; users/s per mode and per request size.
 
-    Each service gets ``duration`` seconds in total, split into
-    :data:`CLOSED_LOOP_WINDOW_S` windows taken in turn, so host load that
-    comes and goes lands on both modes alike.  Request sizes follow a
-    fixed cycle in the open loop's proportions; the users are seeded.
-    Capacity is the cycle's users over the cycle's time at the median
-    service time of each request size, which keeps bursts of load from
-    other processes on the host out of the figure.
+    Each service gets ``duration`` seconds in total, in rounds of one
+    :data:`CLOSED_LOOP_WINDOW_S` window per request size and service,
+    taken in turn, so host load that comes and goes lands on every mode
+    and size alike, and every size gets the same share of a service's
+    time.  A round's capacity is
+    the users it served over the seconds spent serving them, every
+    request counted; a mode's capacity is the median over its rounds,
+    which drops whole rounds hit by a burst of load from other
+    processes.  The n-th request of each (service, size) asks for the
+    same users in every run with this seed.
     """
-    cycle = dict(zip(REQUEST_SIZES, CLOSED_LOOP_CYCLE))
-    sizes = np.repeat(REQUEST_SIZES, CLOSED_LOOP_CYCLE)
     served: List[Tuple[np.ndarray, object]] = []
-    times = {service.retrieval: {size: [] for size in cycle}
-             for service in services}
-    for _ in range(max(1, round(duration / CLOSED_LOOP_WINDOW_S))):
-        for service in services:
-            mode = service.retrieval
-            deadline = time.perf_counter() + CLOSED_LOOP_WINDOW_S
-            sent = 0
-            while time.perf_counter() < deadline:
-                size = int(sizes[sent % sizes.size])
-                users = rng.integers(0, num_users, size=size)
-                start = time.perf_counter()
-                with tracer.span(f"serve.recommend_{mode}", users=size):
-                    result = _call(service.recommend, users, TOP_K)
-                times[mode][size].append(time.perf_counter() - start)
-                served.append((users, result))
-                sent += 1
-    rates = {}
-    for mode, by_size in times.items():
-        cycle_seconds = sum(count * statistics.median(by_size[size])
-                            for size, count in cycle.items())
-        rates[mode] = sum(size * count for size, count in cycle.items()) \
-            / cycle_seconds
-    return rates, served
+    users_served: Dict[Tuple[str, int], int] = {}
+    busy: Dict[Tuple[str, int], float] = {}
+    round_rates: Dict[str, List[float]] = {s.retrieval: [] for s in services}
+    streams = {(service.retrieval, size): np.random.default_rng(
+        [seed, 11, index, size]) for index, service in enumerate(services)
+        for size in REQUEST_SIZES}
+    round_seconds = len(REQUEST_SIZES) * CLOSED_LOOP_WINDOW_S
+    for _ in range(max(1, round(duration / round_seconds))):
+        round_users = dict.fromkeys(round_rates, 0)
+        round_busy = dict.fromkeys(round_rates, 0.0)
+        for size in REQUEST_SIZES:
+            for service in services:
+                mode = service.retrieval
+                key = (mode, size)
+                deadline = time.perf_counter() + CLOSED_LOOP_WINDOW_S
+                while time.perf_counter() < deadline:
+                    users = streams[key].integers(0, num_users, size=size)
+                    start = time.perf_counter()
+                    with tracer.span(f"serve.recommend_{mode}", users=size):
+                        result = _call(service.recommend, users, TOP_K)
+                    seconds = time.perf_counter() - start
+                    busy[key] = busy.get(key, 0.0) + seconds
+                    users_served[key] = users_served.get(key, 0) + size
+                    round_busy[mode] += seconds
+                    round_users[mode] += size
+                    served.append((users, result))
+        for mode, rates in round_rates.items():
+            rates.append(round_users[mode] / round_busy[mode])
+    by_size = {key: users_served[key] / busy[key] for key in busy}
+    rates = {mode: statistics.median(values)
+             for mode, values in round_rates.items()}
+    return rates, by_size, round_rates, served
 
 
 def open_loop_schedule(rng: np.random.Generator, duration: float,
                        snapshot: EmbeddingSnapshot):
     """Seeded arrivals: (due offset, users or None, friends or None)."""
-    gaps = rng.exponential(1.0 / OPEN_LOOP_RATE,
-                           size=int(duration * OPEN_LOOP_RATE * 2) + 16)
+    rates = (OPEN_LOOP_BUSY / len(REQUEST_SIZES)
+             / np.asarray(IVF_REQUEST_SECONDS))
+    rate = float(rates.sum())
+    gaps = rng.exponential(1.0 / rate, size=int(duration * rate * 2) + 16)
     due = np.cumsum(gaps)
     due = due[due < duration]
     social = np.flatnonzero(np.diff(np.asarray(snapshot.social_indptr)) > 0)
@@ -490,7 +523,7 @@ def open_loop_schedule(rng: np.random.Generator, duration: float,
             friends = np.asarray(snapshot.social_row(int(rng.choice(social))))
             schedule.append((float(offset), None, friends))
         else:
-            size = int(rng.choice(REQUEST_SIZES, p=REQUEST_WEIGHTS))
+            size = int(rng.choice(REQUEST_SIZES, p=rates / rate))
             schedule.append((float(offset),
                              rng.integers(0, snapshot.num_users, size=size),
                              None))
@@ -566,7 +599,8 @@ def open_loop(service: RecommendService, schedule, tracer: Tracer
 
 def serve_stage(ctx: Context, workload: str, seed: int, seconds: float,
                 workdir: Path, tracer: Tracer, checks: Checks,
-                metrics: Dict[str, float], layers: Dict[str, float]) -> None:
+                metrics: Dict[str, float], layers: Dict[str, float],
+                notes: Dict[str, object]) -> None:
     """Publish the trained model and drive both services under swaps."""
     model, split = ctx.model, ctx.split
     rng = np.random.default_rng([seed, 7])
@@ -607,14 +641,18 @@ def serve_stage(ctx: Context, workload: str, seed: int, seconds: float,
 
     ivf = RecommendService(published, retrieval="ivf")
 
-    with tracer.span("serve.closed_loop"):
-        rates, served = closed_loop((exact, ivf), seconds * CLOSED_LOOP_SHARE,
-                                    rng, first.num_users, tracer)
-    for mode, rate in rates.items():
-        metrics[f"serve_{mode}_users_per_s"] = rate
-
     duration = seconds * OPEN_LOOP_SHARE
     schedule = open_loop_schedule(rng, duration, first)
+    with tracer.span("serve.closed_loop"):
+        rates, by_size, round_rates, served = closed_loop(
+            (exact, ivf), seconds * CLOSED_LOOP_SHARE, seed, first.num_users,
+            tracer)
+    notes["closed_loop_round_users_per_s"] = round_rates
+    for mode, rate in rates.items():
+        metrics[f"serve_{mode}_users_per_s"] = rate
+    for (mode, size), rate in by_size.items():
+        layers[f"serve.{mode}_b{size}_users_per_s"] = rate
+
     offsets = [duration * (i + 1) / (NUM_SWAPS + 1) for i in range(NUM_SWAPS)]
     swapper = Swapper(store, (exact, ivf), sources, offsets,
                       time.perf_counter() + 0.05, tracer)
@@ -629,6 +667,7 @@ def serve_stage(ctx: Context, workload: str, seed: int, seconds: float,
         swapper.join()
     served += done
     latencies_ms = [1000.0 * v for v in latencies]
+    notes["open_loop_requests"] = len(latencies_ms)
     metrics["serve_p50_ms"] = _percentile(latencies_ms, 50)
     metrics["serve_p99_ms"] = _percentile(latencies_ms, 99)
     metrics["swap_visible_s"] = (statistics.median(swapper.visible)
@@ -723,8 +762,12 @@ def run_workload(workload: str, seed: int, seconds: float, trace: bool,
     used = instrument.delta(counters, instrument.snapshot())
     arena_after = arena.get_arena().stats()
     metrics["train_triples_per_s"] = triples / train_seconds
+    layers["engine.train_normalizations"] = used.get("normalizations", 0.0)
     checks.count("training losses finite", len(losses),
                  sum(not math.isfinite(v) for v in losses))
+    normalized = used.get("normalizations", 0.0)
+    checks.check("no adjacency normalizations during training",
+                 normalized == 0, f"{normalized:g} normalizations")
     notes["losses"] = losses
     if trace:
         _engine_layers(layers, used, arena_before, arena_after, tracer)
@@ -732,13 +775,12 @@ def run_workload(workload: str, seed: int, seconds: float, trace: bool,
     with tracer.span("eval.full_ranking"):
         full = evaluate_full_ranking(ctx.model, ctx.split, ks=(TOP_K,))
     metrics["full_hr_at_20"] = full[f"full-hr@{TOP_K}"]
-    chance = TOP_K / ctx.graph.num_items
-    checks.check("full HR@20 above twice random ranking",
-                 metrics["full_hr_at_20"] > 2 * chance,
-                 f"{metrics['full_hr_at_20']:.4f} vs chance {chance:.4f}")
+    checks.check(f"full HR@20 above {HR_FLOOR}",
+                 metrics["full_hr_at_20"] > HR_FLOOR,
+                 f"{metrics['full_hr_at_20']:.4f}")
 
     serve_stage(ctx, workload, seed, seconds, workdir, tracer, checks,
-                metrics, layers)
+                metrics, layers, notes)
     if trace:
         _span_layers(layers, tracer)
     metrics["peak_rss_mb"] = _peak_rss_mb()
@@ -755,7 +797,6 @@ def _engine_layers(layers, used, arena_before, arena_after,
     for kernel in ("memory_mixture", "memory_mixture_backward",
                    "gather_rows", "gathered_rowwise_dot"):
         layers[f"engine.{kernel}.s"] = used.get(f"seconds.{kernel}", 0.0)
-    layers["engine.train_normalizations"] = used.get("normalizations", 0.0)
     layers["engine.arena.hits"] = arena_after["hits"] - arena_before["hits"]
     layers["engine.arena.misses"] = (arena_after["misses"]
                                      - arena_before["misses"])

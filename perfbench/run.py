@@ -79,6 +79,22 @@ def _l3_bytes() -> int:
     return 0
 
 
+def _cpu_ticks() -> list:
+    """The aggregate ``cpu`` line of ``/proc/stat``; empty if unreadable."""
+    for line in _read("/proc/stat").splitlines():
+        if line.startswith("cpu "):
+            return [int(v) for v in line.split()[1:]]
+    return []
+
+
+def steal_share(before: list, after: list) -> float:
+    """Share of CPU time the hypervisor gave to other guests in between."""
+    if len(before) < 8 or len(after) < 8:
+        return float("nan")
+    delta = [b - a for a, b in zip(before, after)]
+    return delta[7] / max(sum(delta), 1)
+
+
 def _git_sha() -> str:
     head = _read(str(ROOT / ".git" / "HEAD")).strip()
     if head.startswith("ref: "):
@@ -136,11 +152,13 @@ def run_one(args) -> int:
     wanted = benchmark_metrics(args.trace)
     workdir = Path(tempfile.mkdtemp(prefix="run-", dir=OUT))
     started = time.time()
+    ticks = _cpu_ticks()
     try:
         result = pipeline.run_workload(args.workload, args.seed, args.seconds,
                                        bool(args.trace), workdir)
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
+    host["cpu_steal_share"] = steal_share(ticks, _cpu_ticks())
     values = result.layers if args.trace else result.end_to_end
     units = pipeline.LAYER_UNITS if args.trace else pipeline.E2E_UNITS
 
