@@ -2,7 +2,7 @@
 
 Run from the repository root::
 
-    python3 perfbench/run.py --workload train-full --seed 0 --seconds 24 --trace 0
+    python3 perfbench/run.py --workload train-full --seed 0 --seconds 30 --trace 0
     python3 perfbench/run.py --workload all          # every workload, both modes
 
 One run prints a human-readable report (host, every metric with its
@@ -41,7 +41,7 @@ OUT = HERE / "out"
 #: re-checking a claim on inputs not used while writing it.
 DEFAULT_SEED = 0
 HELD_OUT_SEED = 7919
-DEFAULT_SECONDS = 24
+DEFAULT_SECONDS = 30
 
 ENGINE_POLICY = {"REPRO_ENGINE_DTYPE": "float32",
                  "REPRO_ENGINE_INDEX_DTYPE": "int32"}
