@@ -7,10 +7,6 @@ Commands
 ``compare``    run several models under the identical protocol (mini Table II)
 ``experiment`` regenerate one paper artifact (table1..4, fig4..10)
 ``generate``   write a synthetic dataset to disk (.npz or text directory)
-``serve-bench`` run the sweep-8 serving A/B (exact vs IVF vs LSH retrieval)
-``parallel-bench`` run the sweep-9 multi-process training sweep
-``locality-bench`` run the sweep-10 reorder × blocked-spmm locality sweep
-``compile-bench`` run the sweep-11 eager vs step-compiled training steps
 """
 
 from __future__ import annotations
@@ -125,127 +121,6 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _cmd_serve_bench(args) -> int:
-    from repro.engine import use_dtype
-    from repro.experiments.engine_bench import (
-        EngineBenchResults,
-        merge_serving_section,
-        run_serving_bench,
-    )
-
-    with use_dtype(args.dtype):
-        section = run_serving_bench(
-            preset=args.preset, k=args.k, block_size=args.block_size,
-            num_queries=args.num_queries, train_epochs=args.train_epochs,
-            nprobe=args.nprobe, num_cells=args.num_cells,
-            num_bits=args.num_bits, seed=args.seed)
-    rendered = EngineBenchResults(dataset_name=args.preset, epochs=0)
-    rendered.serving = section
-    lines = rendered.render().splitlines()
-    start = next(i for i, line in enumerate(lines)
-                 if line.startswith("serving"))
-    print("\n".join(lines[start:]))
-    if args.output:
-        merge_serving_section(args.output, args.preset, section)
-        print(f"merged serving section into {args.output}")
-    return 0
-
-
-def _cmd_parallel_bench(args) -> int:
-    from repro.experiments.engine_bench import (
-        EngineBenchResults,
-        merge_preset_section,
-        run_parallel_bench,
-    )
-
-    section = run_parallel_bench(
-        preset=args.preset, epochs=args.epochs,
-        batches_per_epoch=args.batches_per_epoch,
-        batch_size=args.batch_size, embed_dim=args.embed_dim,
-        fanout=args.fanout, modes=tuple(args.modes),
-        worker_counts=tuple(args.workers), seed=args.seed, dtype=args.dtype)
-    rendered = EngineBenchResults(dataset_name=args.preset, epochs=args.epochs)
-    rendered.parallel = section
-    lines = rendered.render().splitlines()
-    start = next(i for i, line in enumerate(lines)
-                 if line.startswith("parallel"))
-    print("\n".join(lines[start:]))
-    if args.output:
-        merge_preset_section(args.output, args.preset, "parallel", section)
-        print(f"merged parallel section into {args.output}")
-    return 0
-
-
-def _cmd_locality_bench(args) -> int:
-    from repro.engine import use_dtype
-    from repro.experiments.engine_bench import (
-        EngineBenchResults,
-        merge_preset_section,
-        run_locality_bench,
-    )
-
-    with use_dtype(args.dtype):
-        section = run_locality_bench(
-            preset=args.preset, embed_dim=args.embed_dim,
-            num_layers=args.num_layers, strategies=tuple(args.strategies),
-            repeats=args.repeats, epochs=args.epochs,
-            batches_per_epoch=args.batches_per_epoch,
-            batch_size=args.batch_size, num_queries=args.num_queries,
-            seed=args.seed,
-            timing_only=args.timing_only if args.timing_only else None)
-    rendered = EngineBenchResults(dataset_name=args.preset, epochs=args.epochs)
-    rendered.locality = section
-    lines = rendered.render().splitlines()
-    start = next(i for i, line in enumerate(lines)
-                 if line.startswith("locality"))
-    print("\n".join(lines[start:]))
-    if args.output:
-        merge_preset_section(args.output, args.preset, "locality", section)
-        print(f"merged locality section into {args.output}")
-    return 0
-
-
-def _cmd_compile_bench(args) -> int:
-    from repro.engine import use_dtype
-    from repro.experiments.engine_bench import (
-        _COMPILE_TUNED,
-        EngineBenchResults,
-        merge_preset_section,
-        run_compile_bench,
-    )
-
-    # Start from the per-preset tuned knobs (the dims the committed
-    # artifact was recorded with) and let explicit flags override them.
-    kwargs = dict(_COMPILE_TUNED.get(args.preset, {}))
-    if args.model is not None:
-        kwargs["model_name"] = args.model
-    if args.embed_dim is not None:
-        kwargs["embed_dim"] = args.embed_dim
-    if args.batch_size is not None:
-        kwargs["batch_size"] = args.batch_size
-    if args.repeats is not None:
-        kwargs["repeats"] = args.repeats
-    if args.steps_per_round is not None:
-        kwargs["steps_per_round"] = args.steps_per_round
-    if args.memory_units is not None:
-        kwargs["model_kwargs"] = dict(kwargs.get("model_kwargs", {}),
-                                      num_memory_units=args.memory_units)
-    with use_dtype(args.dtype):
-        section = run_compile_bench(
-            preset=args.preset, num_layers=args.num_layers,
-            seed=args.seed, **kwargs)
-    rendered = EngineBenchResults(dataset_name=args.preset, epochs=0)
-    rendered.compile = section
-    lines = rendered.render().splitlines()
-    start = next(i for i, line in enumerate(lines)
-                 if line.startswith("compile"))
-    print("\n".join(lines[start:]))
-    if args.output:
-        merge_preset_section(args.output, args.preset, "compile", section)
-        print(f"merged compile section into {args.output}")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="DGNN (ICDE 2023) reproduction toolkit")
@@ -282,94 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
     generate.add_argument("--seed", type=int, default=0)
     generate.set_defaults(func=_cmd_generate)
 
-    serve = commands.add_parser(
-        "serve-bench",
-        help="sweep-8 serving A/B: exact vs IVF vs LSH retrieval")
-    serve.add_argument("--preset", default="medium", choices=sorted(PRESETS))
-    serve.add_argument("--k", type=int, default=20)
-    serve.add_argument("--block-size", type=int, default=512)
-    serve.add_argument("--num-queries", type=int, default=4096)
-    serve.add_argument("--train-epochs", type=int, default=0,
-                       help="briefly train before snapshotting (ANN recall "
-                            "needs trained cluster structure)")
-    serve.add_argument("--nprobe", type=int, default=8)
-    serve.add_argument("--num-cells", type=int, default=None,
-                       help="IVF cells (default ~sqrt(num_items))")
-    serve.add_argument("--num-bits", type=int, default=7)
-    serve.add_argument("--dtype", default="float32",
-                       choices=["float32", "float64"])
-    serve.add_argument("--seed", type=int, default=0)
-    serve.add_argument("--output", default=None,
-                       help="BENCH_engine.json to merge the section into")
-    serve.set_defaults(func=_cmd_serve_bench)
-
-    par = commands.add_parser(
-        "parallel-bench",
-        help="sweep-9 multi-process training: epoch rate and fleet PSS "
-             "vs worker count")
-    par.add_argument("--preset", default="medium", choices=sorted(PRESETS))
-    par.add_argument("--epochs", type=int, default=2)
-    par.add_argument("--batches-per-epoch", type=int, default=4)
-    par.add_argument("--batch-size", type=int, default=512)
-    par.add_argument("--embed-dim", type=int, default=32)
-    par.add_argument("--fanout", type=int, default=10)
-    par.add_argument("--modes", nargs="+", default=["hogwild", "sync"],
-                     choices=["hogwild", "sync"])
-    par.add_argument("--workers", type=int, nargs="+", default=[1, 2],
-                     help="worker counts to ladder through (0 = the "
-                          "single-process reference, always run)")
-    par.add_argument("--dtype", default="float32",
-                     choices=["float32", "float64"])
-    par.add_argument("--seed", type=int, default=0)
-    par.add_argument("--output", default=None,
-                     help="BENCH_engine.json to merge the section into")
-    par.set_defaults(func=_cmd_parallel_bench)
-
-    loc = commands.add_parser(
-        "locality-bench",
-        help="sweep-10 cache-locality pass: node reordering × blocked spmm")
-    loc.add_argument("--preset", default="medium", choices=sorted(PRESETS))
-    loc.add_argument("--embed-dim", type=int, default=64)
-    loc.add_argument("--num-layers", type=int, default=2)
-    loc.add_argument("--strategies", nargs="+",
-                     default=["identity", "degree", "rcm"],
-                     choices=["identity", "degree", "rcm"])
-    loc.add_argument("--repeats", type=int, default=7)
-    loc.add_argument("--epochs", type=int, default=2)
-    loc.add_argument("--batches-per-epoch", type=int, default=2)
-    loc.add_argument("--batch-size", type=int, default=1024)
-    loc.add_argument("--num-queries", type=int, default=2048)
-    loc.add_argument("--timing-only", action="store_true",
-                     help="skip the epoch and serving legs (forced on at "
-                          "xlarge)")
-    loc.add_argument("--dtype", default="float32",
-                     choices=["float32", "float64"])
-    loc.add_argument("--seed", type=int, default=0)
-    loc.add_argument("--output", default=None,
-                     help="BENCH_engine.json to merge the section into")
-    loc.set_defaults(func=_cmd_locality_bench)
-
-    comp = commands.add_parser(
-        "compile-bench",
-        help="sweep-11 step compiler: eager vs tape-replay training steps")
-    comp.add_argument("--preset", default="medium", choices=sorted(PRESETS))
-    comp.add_argument("--model", default=None, choices=available_models(),
-                      help="override the preset's tuned model "
-                           "(default: the tuned choice, else dgnn)")
-    comp.add_argument("--embed-dim", type=int, default=None,
-                      help="override the preset's tuned embedding width")
-    comp.add_argument("--num-layers", type=int, default=2)
-    comp.add_argument("--memory-units", type=int, default=None,
-                      help="override the preset's tuned dgnn memory units")
-    comp.add_argument("--batch-size", type=int, default=None)
-    comp.add_argument("--steps-per-round", type=int, default=None)
-    comp.add_argument("--repeats", type=int, default=None)
-    comp.add_argument("--dtype", default="float32",
-                      choices=["float32", "float64"])
-    comp.add_argument("--seed", type=int, default=0)
-    comp.add_argument("--output", default=None,
-                      help="BENCH_engine.json to merge the section into")
-    comp.set_defaults(func=_cmd_compile_bench)
     return parser
 
 

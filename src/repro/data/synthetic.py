@@ -298,7 +298,7 @@ def medium(seed: int = 0, **overrides) -> InteractionDataset:
 
 
 def large(seed: int = 0, **overrides) -> InteractionDataset:
-    """Large-scale profile for the minibatch-vs-full-graph benchmark.
+    """Large-scale profile: the preset ``perfbench`` trains and serves.
 
     Big enough that full-graph propagation per BPR batch is clearly
     dominated by nodes outside the batch's neighbourhood — the regime
@@ -445,11 +445,11 @@ def generate_dataset_chunked(config: SyntheticConfig,
 
 
 def xlarge(seed: int = 0, **overrides) -> InteractionDataset:
-    """Memory-scale profile: 1M+ nodes for the peak-RSS benchmark.
+    """Memory-scale profile: 1M+ nodes.
 
     220k users + 800k items + 32 relation nodes = 1,020,032 graph nodes.
-    Built with :func:`generate_dataset_chunked`; only used by the opt-in
-    memory sweep (sweep 7), never by the tier-1 suite.
+    Built with :func:`generate_dataset_chunked`; never used by the
+    tier-1 suite.
     """
     config = SyntheticConfig(
         num_users=220_000, num_items=800_000, num_relations=32,

@@ -82,24 +82,15 @@ class KernelBackend:
 
     # -- public, instrumented entry points -----------------------------
     def spmm(self, matrix: sp.csr_matrix, dense: np.ndarray,
-             out: Optional[np.ndarray] = None,
-             accumulate: bool = False) -> np.ndarray:
+             out: Optional[np.ndarray] = None) -> np.ndarray:
         """``matrix @ dense`` for a CSR matrix and an ``(n, d)`` array.
 
         ``out``, when given, receives the product in place (it is fully
         overwritten).  When omitted and an arena step scope is active,
-        the result buffer is checked out of the pool.  ``accumulate``
-        requires ``out`` and computes ``out += matrix @ dense`` instead
-        — the fused form of a propagation sum like ``social·U + Y·I``,
-        which skips one zeroing pass and the separate elementwise add.
-        Per output element the new terms extend the existing value in
-        ascending column order, so flat and blocked paths stay bitwise
-        identical to each other under ``accumulate`` as well.
+        the result buffer is checked out of the pool.
         """
-        if accumulate and out is None:
-            raise ValueError("spmm(accumulate=True) requires an out= buffer")
         start = time.perf_counter()
-        out = self._spmm(matrix, dense, out=out, accumulate=accumulate)
+        out = self._spmm(matrix, dense, out=out)
         width = dense.shape[1] if dense.ndim > 1 else 1
         item = dense.dtype.itemsize
         index_bytes = matrix.indices.dtype.itemsize + matrix.data.dtype.itemsize
@@ -283,7 +274,7 @@ class KernelBackend:
 
     # -- kernels to implement ------------------------------------------
     def _spmm(self, matrix: sp.csr_matrix, dense: np.ndarray,
-              out=None, accumulate: bool = False) -> np.ndarray:
+              out=None) -> np.ndarray:
         raise NotImplementedError
 
     def _gathered_rowwise_dot(self, a, a_indices, b, b_indices) -> np.ndarray:
@@ -324,11 +315,11 @@ class NaiveBackend(KernelBackend):
     name = "naive"
 
     def _spmm(self, matrix: sp.csr_matrix, dense: np.ndarray,
-              out=None, accumulate: bool = False) -> np.ndarray:
+              out=None) -> np.ndarray:
         indptr, indices, data = matrix.indptr, matrix.indices, matrix.data
         out = _out_buffer((matrix.shape[0],) + dense.shape[1:],
                           np.result_type(matrix.dtype, dense.dtype),
-                          out, zero=not accumulate)
+                          out, zero=True)
         for row in range(matrix.shape[0]):
             start, stop = indptr[row], indptr[row + 1]
             for position in range(start, stop):
@@ -441,7 +432,7 @@ class FastBackend(KernelBackend):
     name = "fast"
 
     def _spmm(self, matrix: sp.csr_matrix, dense: np.ndarray,
-              out=None, accumulate: bool = False) -> np.ndarray:
+              out=None) -> np.ndarray:
         dtype = np.result_type(matrix.dtype, dense.dtype)
         out_shape = (matrix.shape[0],) + dense.shape[1:]
         block_bytes = locality.get_spmm_block()
@@ -457,25 +448,19 @@ class FastBackend(KernelBackend):
             # matches csr_matvecs on sorted indices, so the result is
             # bitwise identical to the flat path below.
             return locality.blocked_spmm(matrix, dense, out,
-                                         block_bytes=block_bytes,
-                                         accumulate=accumulate)
+                                         block_bytes=block_bytes)
         if (_csr_tools is not None and dense.ndim == 2
                 and matrix.dtype == dense.dtype == out.dtype
                 and matrix.indices.dtype == matrix.indptr.dtype
                 and dense.flags.c_contiguous and out.flags.c_contiguous):
             # scipy's own __matmul__ bottoms out in csr_matvecs on a
             # zeroed result, so writing through it is bitwise identical
-            # to `matrix @ dense` — minus the fresh allocation.  The
-            # kernel sums into its output, which is exactly the
-            # ``accumulate`` contract when the zeroing is skipped.
-            if not accumulate:
-                out[...] = 0
+            # to `matrix @ dense` — minus the fresh allocation.
+            out[...] = 0
             _csr_tools.csr_matvecs(
                 matrix.shape[0], matrix.shape[1], dense.shape[1],
                 matrix.indptr, matrix.indices, matrix.data,
                 dense.ravel(), out.ravel())
-        elif accumulate:
-            out += matrix @ dense
         else:
             out[...] = matrix @ dense
         return out
@@ -633,22 +618,19 @@ class ThreadedBackend(FastBackend):
         return np.unique(bounds)
 
     def _spmm(self, matrix: sp.csr_matrix, dense: np.ndarray,
-              out=None, accumulate: bool = False) -> np.ndarray:
+              out=None) -> np.ndarray:
         if self.workers == 1 or matrix.nnz < self.min_parallel_nnz:
-            return super()._spmm(matrix, dense, out=out,
-                                 accumulate=accumulate)
+            return super()._spmm(matrix, dense, out=out)
         bounds = self._row_blocks(matrix.indptr, self.workers)
         if len(bounds) < 3:  # degenerate split — single block
-            return super()._spmm(matrix, dense, out=out,
-                                 accumulate=accumulate)
+            return super()._spmm(matrix, dense, out=out)
         out = _out_buffer((matrix.shape[0],) + dense.shape[1:],
                           np.result_type(matrix.dtype, dense.dtype),
                           out, zero=False)
         block_bytes = locality.get_spmm_block()
         if (block_bytes is not None
                 and locality.can_block_spmm(matrix, dense, out)):
-            return self._spmm_blocked_parallel(matrix, dense, out, block_bytes,
-                                               accumulate=accumulate)
+            return self._spmm_blocked_parallel(matrix, dense, out, block_bytes)
         indptr, indices, data = matrix.indptr, matrix.indices, matrix.data
 
         def run_block(lo: int, hi: int) -> None:
@@ -656,10 +638,7 @@ class ThreadedBackend(FastBackend):
             block = sp.csr_matrix(
                 (data[s0:s1], indices[s0:s1], indptr[lo:hi + 1] - s0),
                 shape=(hi - lo, matrix.shape[1]), copy=False)
-            if accumulate:
-                out[lo:hi] += block @ dense
-            else:
-                out[lo:hi] = block @ dense
+            out[lo:hi] = block @ dense
 
         futures = [self._executor().submit(run_block, int(lo), int(hi))
                    for lo, hi in zip(bounds[:-1], bounds[1:])]
@@ -669,8 +648,7 @@ class ThreadedBackend(FastBackend):
 
     def _spmm_blocked_parallel(self, matrix: sp.csr_matrix,
                                dense: np.ndarray, out: np.ndarray,
-                               block_bytes: int,
-                               accumulate: bool = False) -> np.ndarray:
+                               block_bytes: int) -> np.ndarray:
         """Cache-blocked spmm with row blocks fanned across the pool.
 
         Each cached CSC row block writes a disjoint slice of ``out``, so
@@ -685,16 +663,14 @@ class ThreadedBackend(FastBackend):
         blocks = locality.block_cache().get(matrix, block_rows)
         if blocks.num_blocks == 1:
             return locality.blocked_spmm(matrix, dense, out,
-                                         block_bytes=block_bytes,
-                                         accumulate=accumulate)
+                                         block_bytes=block_bytes)
         flat_dense = dense.ravel()
 
         def run_block(position: int) -> None:
             lo = int(blocks.bounds[position])
             hi = int(blocks.bounds[position + 1])
             locality.apply_piece(blocks.pieces[position], hi - lo, width,
-                                 flat_dense, out[lo:hi],
-                                 accumulate=accumulate)
+                                 flat_dense, out[lo:hi])
 
         futures = [self._executor().submit(run_block, position)
                    for position in range(blocks.num_blocks)]

@@ -67,11 +67,10 @@ class DtypeCheckingBackend(KernelBackend):
         self.inner = inner if inner is not None else get_backend()
         self.name = f"dtypecheck({self.inner.name})"
 
-    def _spmm(self, matrix, dense, out=None, accumulate=False):
+    def _spmm(self, matrix, dense, out=None):
         _check("spmm", "matrix", matrix)
         _check("spmm", "dense", dense)
-        result = self.inner._spmm(matrix, dense, out=out,
-                                  accumulate=accumulate)
+        result = self.inner._spmm(matrix, dense, out=out)
         _check("spmm", "result", result)
         return result
 

@@ -3,11 +3,11 @@
 Every sparse kernel dispatched through :mod:`repro.engine.backends` and
 every adjacency normalization performed by :mod:`repro.engine.adjcache`
 reports here: call counts, nonzeros processed, per-kernel dense-FLOP and
-bytes-moved estimates and wall-clock seconds (:func:`roofline` turns a
-snapshot into per-kernel GFLOP/s / GB/s / intensity coordinates).  The counters are process-global and
-monotonic; consumers take :func:`snapshot` deltas around the region they
-care about (the :class:`~repro.train.trainer.Trainer` does this per
-epoch, :mod:`repro.experiments.efficiency` per model run), which is how
+bytes-moved estimates and wall-clock seconds.  The counters are
+process-global and monotonic; consumers take :func:`snapshot` deltas
+around the region they care about (the
+:class:`~repro.train.trainer.Trainer` does this per epoch,
+:mod:`repro.experiments.efficiency` per model run), which is how
 Table-IV-style numbers come from real kernel counters instead of
 outer-loop timing.
 """
@@ -40,8 +40,7 @@ class KernelCounters:
 
         ``flops`` is a dense-equivalent FLOP estimate and ``bytes_moved``
         a best-effort memory-traffic model (operands read + results
-        written once, ignoring cache reuse) — together they place each
-        kernel on a roofline (:func:`roofline`).
+        written once, ignoring cache reuse).
         """
         self.calls[name] = self.calls.get(name, 0) + 1
         self.seconds[name] = self.seconds.get(name, 0.0) + seconds
@@ -121,33 +120,6 @@ def delta(before: Dict[str, float],
     """Per-key difference ``after - before`` over the union of keys."""
     keys = set(before) | set(after)
     return {key: after.get(key, 0.0) - before.get(key, 0.0) for key in keys}
-
-
-def roofline(flat: Dict[str, float]) -> Dict[str, Dict[str, float]]:
-    """Per-kernel roofline coordinates from a flat snapshot (or delta).
-
-    For every kernel that recorded wall-clock time, returns achieved
-    ``gflops_per_sec``, ``gbytes_per_sec`` and the arithmetic intensity
-    ``flops_per_byte`` — enough to see at a glance whether a kernel sits
-    on the memory-bound or compute-bound side of the machine's roof.
-    Entries without traffic estimates report zeros for the ratios.
-    """
-    kernels: Dict[str, Dict[str, float]] = {}
-    for key, value in flat.items():
-        if not key.startswith("seconds."):
-            continue
-        name = key[len("seconds."):]
-        seconds = float(value)
-        flops = float(flat.get(f"flops.{name}", 0.0))
-        moved = float(flat.get(f"bytes.{name}", 0.0))
-        kernels[name] = {
-            "calls": float(flat.get(f"calls.{name}", 0.0)),
-            "seconds": seconds,
-            "gflops_per_sec": (flops / seconds / 1e9) if seconds > 0 else 0.0,
-            "gbytes_per_sec": (moved / seconds / 1e9) if seconds > 0 else 0.0,
-            "flops_per_byte": (flops / moved) if moved > 0 else 0.0,
-        }
-    return kernels
 
 
 @contextlib.contextmanager

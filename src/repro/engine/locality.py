@@ -268,17 +268,14 @@ def build_blocks(matrix: sp.csr_matrix, block_rows: int) -> CscBlocks:
 
 
 def apply_piece(piece: BlockPiece, num_rows: int, width: int,
-                flat_dense: np.ndarray, tile: np.ndarray,
-                accumulate: bool = False) -> None:
+                flat_dense: np.ndarray, tile: np.ndarray) -> None:
     """Run one block's kernel: ``tile[...] = block_rows @ dense``.
 
-    ``tile`` is fully overwritten (or, with ``accumulate``, added into —
-    the underlying matvecs kernels sum into their output).  Accumulation
-    order per output row is ascending column index under both kinds —
-    bitwise equal to the flat kernel.
+    ``tile`` is fully overwritten.  Accumulation order per output row is
+    ascending column index under both kinds — bitwise equal to the flat
+    kernel.
     """
-    if not accumulate:
-        tile[...] = 0
+    tile[...] = 0
     if piece.num_cols == 0:
         return
     if piece.kind == "csc":
@@ -360,15 +357,11 @@ def can_block_spmm(matrix, dense: np.ndarray,
 
 
 def blocked_spmm(matrix: sp.csr_matrix, dense: np.ndarray, out: np.ndarray,
-                 block_bytes: Optional[int] = None,
-                 accumulate: bool = False) -> np.ndarray:
+                 block_bytes: Optional[int] = None) -> np.ndarray:
     """Row-block CSC spmm: ``out[...] = matrix @ dense``, bitwise.
 
     The caller must have validated the operands with
-    :func:`can_block_spmm`.  ``out`` is fully overwritten, or — with
-    ``accumulate`` — receives ``out += matrix @ dense``, each output
-    element extending its existing value with new terms in ascending
-    column order (bitwise equal to the flat accumulating kernel).
+    :func:`can_block_spmm`.  ``out`` is fully overwritten.
     """
     if block_bytes is None:
         block_bytes = get_spmm_block()
@@ -381,8 +374,7 @@ def blocked_spmm(matrix: sp.csr_matrix, dense: np.ndarray, out: np.ndarray,
     for (lo, hi), piece in zip(
             zip(blocks.bounds[:-1], blocks.bounds[1:]), blocks.pieces):
         tile = out[int(lo):int(hi)]
-        apply_piece(piece, int(hi - lo), width, flat_dense, tile,
-                    accumulate=accumulate)
+        apply_piece(piece, int(hi - lo), width, flat_dense, tile)
     return out
 
 

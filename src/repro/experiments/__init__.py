@@ -42,15 +42,6 @@ from repro.experiments.efficiency import (
     run_efficiency_comparison,
     run_convergence_comparison,
 )
-from repro.experiments.engine_bench import (
-    EngineBenchResults,
-    run_dtype_sweep,
-    run_engine_suite,
-    run_engine_throughput,
-    run_memory_kernel_bench,
-    run_minibatch_bench,
-    run_thread_sweep,
-)
 from repro.experiments.embedding_viz import (
     EmbeddingVizResults,
     run_embedding_visualization,
@@ -78,13 +69,6 @@ __all__ = [
     "ConvergenceResults",
     "run_efficiency_comparison",
     "run_convergence_comparison",
-    "EngineBenchResults",
-    "run_dtype_sweep",
-    "run_engine_suite",
-    "run_engine_throughput",
-    "run_minibatch_bench",
-    "run_memory_kernel_bench",
-    "run_thread_sweep",
     "EmbeddingVizResults",
     "run_embedding_visualization",
     "MemoryVizResults",

@@ -28,8 +28,9 @@ their ``seed`` (k-means init and hyperplane draws come from a local
 identical cells and identical served results.  Tuning knobs —
 ``num_cells``/``nprobe`` for IVF (recall rises with ``nprobe``, cost
 with candidate volume ≈ ``nprobe/num_cells``), ``num_bits``/``nprobe``
-for LSH — are exposed through ``RecommendService`` and the sweep-8 CLI
-(``python -m repro serve-bench``).
+for LSH — are exposed through ``RecommendService``.  ``perfbench``
+measures IVF's users/s and recall@20 against exact serving at its
+default knobs (see ``perfbench/README.md``).
 """
 
 from __future__ import annotations

@@ -26,7 +26,7 @@ In ``"exact"`` mode the results are *bitwise identical* to
 the snapshot stores the embeddings uncast, the mask content is the
 same CSR, and ties break identically.  The ANN modes are deterministic
 given the index's build seed but trade that exactness for sublinear
-cost (recall against exact is measured and gated in sweep 8).  Knobs:
+cost (recall@20 against exact is gated by ``perfbench``).  Knobs:
 ``retrieval``, ``block_size``, and the index parameters forwarded to
 :mod:`repro.serve.ann`; buffer pooling follows the engine arena policy
 (``REPRO_ENGINE_ARENA*`` — see ``docs/operations.md``).
@@ -35,7 +35,7 @@ cost (recall against exact is measured and gated in sweep 8).  Knobs:
 from __future__ import annotations
 
 import threading
-from typing import Dict, NamedTuple, Optional, Sequence
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -224,8 +224,6 @@ class RecommendService:
         results = np.empty((len(user_ids), k), dtype=np.int64)
         if len(user_ids) == 0:
             return results
-        self.stats["requests"] += 1
-        self.stats["users"] += len(user_ids)
 
         if self.cold_dispatch:
             cold = snapshot.cold_user_mask(user_ids)
@@ -234,18 +232,26 @@ class RecommendService:
         warm_pos = np.flatnonzero(~cold)
         cold_pos = np.flatnonzero(cold)
 
+        fallback_rows = 0
         for start in range(0, len(warm_pos), self.block_size):
             block_pos = warm_pos[start:start + self.block_size]
             block_users = user_ids[block_pos]
             if state.index is None:
                 block_top = self._recommend_exact(state, block_users, k)
             else:
-                block_top = self._recommend_ann(state, block_users, k)
+                block_top, fallback = self._recommend_ann(state, block_users,
+                                                          k)
+                fallback_rows += fallback
             results[block_pos] = block_top
         if cold_pos.size:
-            self.stats["cold_users"] += int(cold_pos.size)
             results[cold_pos] = self._recommend_cold(state,
                                                      user_ids[cold_pos], k)
+        # Concurrent callers share ``stats``: one locked update per call.
+        with self._lock:
+            self.stats["requests"] += 1
+            self.stats["users"] += len(user_ids)
+            self.stats["cold_users"] += int(cold_pos.size)
+            self.stats["fallback_rows"] += fallback_rows
         return results
 
     def recommend_cold_user(self, friend_ids: Sequence[int],
@@ -282,7 +288,8 @@ class RecommendService:
         return top
 
     def _recommend_ann(self, state: _ServingState, block_users: np.ndarray,
-                       k: int) -> np.ndarray:
+                       k: int) -> Tuple[np.ndarray, int]:
+        """ANN top-``k`` for one block, plus its exact-fallback row count."""
         snapshot, index = state.snapshot, state.index
         b = len(block_users)
         user_block = np.ascontiguousarray(snapshot.user_emb[block_users])
@@ -293,8 +300,7 @@ class RecommendService:
                          np.diff(indptr)[np.clip(probes, 0, None)], 0)
         max_len = int(sizes.max()) if sizes.size else 0
         if max_len == 0:
-            self.stats["fallback_rows"] += b
-            return self._recommend_exact(state, block_users, k)
+            return self._recommend_exact(state, block_users, k), b
 
         dtype = snapshot.user_emb.dtype
         cand_scores = arena.empty((b, nprobe, max_len), dtype)
@@ -330,8 +336,7 @@ class RecommendService:
             # the whole block goes exact.
             arena.release(cand_scores)
             arena.release(cand_ids)
-            self.stats["fallback_rows"] += b
-            return self._recommend_exact(state, block_users, k)
+            return self._recommend_exact(state, block_users, k), b
         if self.mask_train and state.train_keys.size:
             keys = block_users[:, None] * snapshot.num_items + flat_ids
             pos = np.clip(np.searchsorted(state.train_keys, keys), 0,
@@ -349,10 +354,9 @@ class RecommendService:
         # fewer than k unmasked candidates — rescore those rows exactly.
         short = ~np.isfinite(top_scores).all(axis=-1)
         if short.any():
-            self.stats["fallback_rows"] += int(short.sum())
             top_ids[short] = self._recommend_exact(state, block_users[short],
                                                    k)
-        return top_ids
+        return top_ids, int(short.sum())
 
     # -- cold path -----------------------------------------------------
     def _cold_vector(self, state: _ServingState,

@@ -25,6 +25,7 @@ name in one ``os.rename``, and only then does the ``LATEST`` pointer
 move (written via temp-file + ``os.replace``).  A reader following
 ``load_latest()`` therefore never observes a half-written snapshot,
 and a crashed publisher leaves at worst an orphaned temp directory.
+Embedding tables with a NaN or infinity are refused before staging.
 
 Determinism: persistence is bytes-exact — a published-and-reloaded
 snapshot compares ``np.array_equal`` to the arrays it was built from,
@@ -62,7 +63,7 @@ _LATEST = "LATEST"
 
 
 class SnapshotIntegrityError(RuntimeError):
-    """A persisted snapshot failed checksum or metadata validation."""
+    """A snapshot failed checksum, metadata or finite-value validation."""
 
 
 def _relabel_csr(matrix: sp.csr_matrix, map_rows, map_cols) -> sp.csr_matrix:
@@ -311,7 +312,14 @@ class SnapshotStore:
         """Persist ``snapshot`` as the next version and move LATEST.
 
         Returns the assigned version name (also set on the snapshot).
+        Raises :class:`SnapshotIntegrityError` before writing anything if
+        either embedding table holds a NaN or infinity, so a diverged
+        model never reaches the request path.
         """
+        for name in ("user_emb", "item_emb"):
+            if not np.isfinite(getattr(snapshot, name)).all():
+                raise SnapshotIntegrityError(
+                    f"refusing to publish: {name} has non-finite values")
         versions = self.versions()
         next_number = (int(versions[-1][1:]) + 1) if versions else 1
         while True:

@@ -96,6 +96,10 @@ class TestPresets:
         for name, factory in PRESETS.items():
             ds = factory(seed=0)
             assert ds.name == name if name != "tiny" else True
+            if name == "xlarge":
+                # The memory-scale preset's point: a 1M+ node graph.
+                nodes = ds.num_users + ds.num_items + ds.num_relations
+                assert nodes >= 1_000_000
 
     def test_density_orderings_match_table1(self):
         # Ciao is densest in interactions and social ties, Yelp sparsest.

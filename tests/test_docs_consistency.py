@@ -5,16 +5,20 @@ README's example table matches the files on disk, that DESIGN.md's
 per-experiment index names real bench files, that docs/operations.md
 stays in lockstep with the code's configuration surface (every
 ``REPRO_*`` environment variable and every ``TrainConfig`` field, in
-both directions), and that every relative markdown link and internal
-anchor in README.md and docs/ resolves — all offline.
+both directions), that every ``python -m repro <command>`` in README.md
+and docs/ names a registered CLI subcommand, and that every relative
+markdown link and internal anchor in README.md and docs/ resolves — all
+offline.
 """
 
+import argparse
 import dataclasses
 import re
 from pathlib import Path
 
 import pytest
 
+from repro.cli import build_parser
 from repro.train import TrainConfig
 
 ROOT = Path(__file__).parent.parent
@@ -156,6 +160,21 @@ class TestOperationsTrainConfig:
         assert not phantom, (
             f"docs/operations.md documents TrainConfig fields that do "
             f"not exist: {sorted(phantom)}")
+
+
+class TestCliCommands:
+    def test_documented_commands_are_registered(self):
+        subparsers = next(action for action in build_parser()._actions
+                          if isinstance(action, argparse._SubParsersAction))
+        registered = set(subparsers.choices)
+        problems = []
+        for doc in [ROOT / "README.md"] + sorted((ROOT / "docs").glob("*.md")):
+            for command in re.findall(r"python -m repro\s+([\w-]+)",
+                                      doc.read_text()):
+                if command not in registered:
+                    problems.append(f"{doc.name}: {command}")
+        assert not problems, (f"documented commands the CLI does not "
+                              f"register: {problems}")
 
 
 # ----------------------------------------------------------------------

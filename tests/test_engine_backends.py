@@ -15,6 +15,7 @@ from repro.autograd import Tensor, gradcheck, no_grad, ops
 from repro.engine import (
     available_backends,
     get_backend,
+    instrument,
     set_backend,
     tolerances,
     use_backend,
@@ -212,3 +213,24 @@ class TestModelParity:
                 losses[backend] = float(loss.data)
         for backend in ALL_BACKENDS[1:]:
             assert abs(losses["naive"] - losses[backend]) < _parity_atol()
+
+    def test_kernel_call_counts_match_across_backends(self, tiny_graph):
+        # An identical DGNN training step must dispatch the identical
+        # kernel sequence whichever backend runs it: backends differ in
+        # how a kernel computes, never in which kernels a step calls.
+        calls = {}
+        for backend in ALL_BACKENDS:
+            rng = np.random.default_rng(7)
+            users, positives, negatives = _batch(tiny_graph, rng)
+            with use_backend(backend), instrument.track() as used:
+                model = create_model("dgnn", tiny_graph, embed_dim=8, seed=0)
+                optimizer = Adam(model.parameters(), lr=0.01)
+                loss = model.bpr_loss(users, positives, negatives)
+                loss.backward()
+                optimizer.step()
+            calls[backend] = {key: value for key, value in used.items()
+                              if key.startswith("calls.") and value}
+        assert calls["naive"]["calls.spmm"] > 0
+        assert calls["naive"]["calls.memory_mixture"] > 0
+        for backend in ALL_BACKENDS[1:]:
+            assert calls[backend] == calls["naive"], backend

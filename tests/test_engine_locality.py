@@ -1,7 +1,6 @@
 """Cache-locality kernels: blocked spmm parity, cache behavior, knobs.
 
-The contract under test is the one the locality sweep and
-``check_regression`` rely on: with blocking enabled, the engine's spmm
+The contract under test: with blocking enabled, the engine's spmm
 output is *bitwise* identical to the flat kernel (the CSC column walk
 visits each output row's terms in the same sorted-index order CSR
 does), the chunked gather matches ``np.take`` exactly, and the
@@ -146,49 +145,6 @@ def test_build_blocks_falls_back_to_csr_on_scattered_matrix():
     out = np.empty((8192, 8))
     locality.blocked_spmm(matrix, dense, out, block_bytes=32 * 1024)
     np.testing.assert_array_equal(out, matrix @ dense)
-
-
-def test_accumulate_spmm_bitwise_across_flat_and_blocked():
-    # The fused propagation sum: out starts at A@d0, then B@d1 is
-    # accumulated in.  Flat and blocked paths must agree bitwise (each
-    # output element extends its prior value in ascending column order
-    # under both kernels).
-    a = _random_csr(3000, 2000, locality.MIN_BLOCKED_NNZ + 1, seed=7)
-    b = _random_csr(3000, 2500, locality.MIN_BLOCKED_NNZ + 1, seed=8)
-    d0 = np.random.default_rng(9).standard_normal((2000, 16))
-    d1 = np.random.default_rng(10).standard_normal((2500, 16))
-    backend = FastBackend()
-    with use_spmm_block(0):
-        flat = backend.spmm(a, d0, out=np.empty((3000, 16)))
-        backend.spmm(b, d1, out=flat, accumulate=True)
-    with use_spmm_block(64 * 1024):
-        blocked = backend.spmm(a, d0, out=np.empty((3000, 16)))
-        backend.spmm(b, d1, out=blocked, accumulate=True)
-    np.testing.assert_array_equal(blocked, flat)
-    # vs the unfused reference only to accumulation tolerance: the fused
-    # form adds b's terms one at a time rather than as one finished sum.
-    np.testing.assert_allclose(flat, a @ d0 + b @ d1, rtol=1e-9, atol=1e-9)
-
-
-def test_accumulate_spmm_requires_out_buffer():
-    matrix = _random_csr(100, 80, 400)
-    dense = np.ones((80, 4))
-    with pytest.raises(ValueError):
-        FastBackend().spmm(matrix, dense, accumulate=True)
-
-
-def test_accumulate_spmm_via_threaded_backend():
-    matrix = _random_csr(2500, 1500, locality.MIN_BLOCKED_NNZ + 1, seed=11)
-    dense = np.random.default_rng(12).standard_normal((1500, 8))
-    base = np.random.default_rng(13).standard_normal((2500, 8))
-    backend = ThreadedBackend(workers=2)
-    with use_spmm_block(0):
-        flat = base.copy()
-        backend.spmm(matrix, dense, out=flat, accumulate=True)
-    with use_spmm_block(128 * 1024):
-        blocked = base.copy()
-        backend.spmm(matrix, dense, out=blocked, accumulate=True)
-    np.testing.assert_array_equal(blocked, flat)
 
 
 def test_blocked_spmm_via_fast_backend_is_bitwise():

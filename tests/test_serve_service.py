@@ -1,5 +1,8 @@
 """RecommendService: retrieval modes, masking, cold dispatch, swap."""
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -150,6 +153,44 @@ class TestSwap:
         users = tiny_split.test_users
         np.testing.assert_array_equal(service.recommend(users, 10),
                                       fresh.recommend(users, 10))
+
+
+class _YieldingDict(dict):
+    """A dict that gives up the GIL between reading and writing a key.
+
+    CPython rarely switches threads inside ``d[k] += n``; yielding in
+    ``__getitem__`` opens that window wide, so an unlocked
+    read-modify-write loses updates almost every run.
+    """
+
+    def __getitem__(self, key):
+        value = super().__getitem__(key)
+        time.sleep(0)
+        return value
+
+
+class TestStats:
+    def test_concurrent_callers_count_exactly(self, snapshot):
+        service = RecommendService(snapshot)
+        service.stats = _YieldingDict(service.stats)
+        threads, calls, batch = 8, 200, 3
+        start = threading.Barrier(threads)
+
+        def caller(seed):
+            users = np.random.default_rng(seed).integers(
+                0, snapshot.num_users, size=(calls, batch))
+            start.wait()
+            for row in users:
+                service.recommend(row, 5)
+
+        workers = [threading.Thread(target=caller, args=(seed,))
+                   for seed in range(threads)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join()
+        assert service.stats["requests"] == threads * calls
+        assert service.stats["users"] == threads * calls * batch
 
 
 class TestDtypeDiscipline:

@@ -1,5 +1,6 @@
 """Snapshot store: publish/load lifecycle, integrity, bitwise parity."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -123,6 +124,32 @@ class TestIntegrity:
         leftovers = [p.name for p in tmp_path.iterdir()
                      if p.name.startswith(".staging")]
         assert leftovers == []
+
+    def test_publish_refuses_nan_user_table_and_keeps_latest(
+            self, snapshot, tmp_path):
+        store = SnapshotStore(tmp_path)
+        good = store.publish(snapshot)
+        before = sorted(p.name for p in tmp_path.iterdir())
+        user_emb = np.array(snapshot.user_emb, copy=True)
+        user_emb[3, 0] = np.nan
+        bad = dataclasses.replace(snapshot, user_emb=user_emb, version=None)
+        with pytest.raises(SnapshotIntegrityError, match="user_emb"):
+            store.publish(bad)
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+        assert store.versions() == [good]
+        assert store.latest_version() == good
+        assert bad.version is None
+
+    def test_publish_refuses_infinite_item_table_on_empty_store(
+            self, snapshot, tmp_path):
+        store = SnapshotStore(tmp_path)
+        item_emb = np.array(snapshot.item_emb, copy=True)
+        item_emb[-1, -1] = -np.inf
+        bad = dataclasses.replace(snapshot, item_emb=item_emb)
+        with pytest.raises(SnapshotIntegrityError, match="item_emb"):
+            store.publish(bad)
+        assert list(tmp_path.iterdir()) == []
+        assert store.latest_version() is None
 
 
 class TestServingParity:
