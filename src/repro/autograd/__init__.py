@@ -50,20 +50,8 @@ from repro.autograd.ops import (
     where,
 )
 from repro.autograd.gradcheck import gradcheck, numerical_gradient
-from repro.autograd.compile import (
-    CompiledStepper,
-    PlanOptions,
-    PlanUnsupported,
-    StepPlan,
-    TapeRecorder,
-)
 
 __all__ = [
-    "CompiledStepper",
-    "PlanOptions",
-    "PlanUnsupported",
-    "StepPlan",
-    "TapeRecorder",
     "Tensor",
     "no_grad",
     "is_grad_enabled",

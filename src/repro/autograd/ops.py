@@ -31,7 +31,6 @@ from typing import Optional, Sequence, Tuple, Union
 import numpy as np
 import scipy.sparse as sp
 
-from repro.autograd import trace
 from repro.autograd.sparse import RowSparseGrad, sparse_grads_enabled
 from repro.autograd.tensor import Tensor, as_tensor
 from repro.engine import arena
@@ -41,13 +40,6 @@ from repro.engine.precision import as_index_array
 from repro.engine.stable_math import stable_sigmoid, stable_softplus
 
 Axis = Union[None, int, Tuple[int, ...]]
-
-
-def _record(name, out, inputs, **static):
-    """Report one built op to the active tape (no-op when not tracing)."""
-    if trace.TAPE is not None:
-        trace.TAPE.record(name, out, inputs, static)
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -86,7 +78,7 @@ def add(a, b) -> Tensor:
 
         return backward
 
-    return _record("add", Tensor._make(data, (a, b), factory), (a, b))
+    return Tensor._make(data, (a, b), factory)
 
 
 def sub(a, b) -> Tensor:
@@ -101,7 +93,7 @@ def sub(a, b) -> Tensor:
 
         return backward
 
-    return _record("sub", Tensor._make(data, (a, b), factory), (a, b))
+    return Tensor._make(data, (a, b), factory)
 
 
 def mul(a, b) -> Tensor:
@@ -116,7 +108,7 @@ def mul(a, b) -> Tensor:
 
         return backward
 
-    return _record("mul", Tensor._make(data, (a, b), factory), (a, b))
+    return Tensor._make(data, (a, b), factory)
 
 
 def div(a, b) -> Tensor:
@@ -131,7 +123,7 @@ def div(a, b) -> Tensor:
 
         return backward
 
-    return _record("div", Tensor._make(data, (a, b), factory), (a, b))
+    return Tensor._make(data, (a, b), factory)
 
 
 def neg(a) -> Tensor:
@@ -144,7 +136,7 @@ def neg(a) -> Tensor:
 
         return backward
 
-    return _record("neg", Tensor._make(-a.data, (a,), factory), (a,))
+    return Tensor._make(-a.data, (a,), factory)
 
 
 def power(a, exponent: float) -> Tensor:
@@ -159,8 +151,7 @@ def power(a, exponent: float) -> Tensor:
 
         return backward
 
-    return _record("power", Tensor._make(data, (a,), factory), (a,),
-                   exponent=exponent)
+    return Tensor._make(data, (a,), factory)
 
 
 # ----------------------------------------------------------------------
@@ -193,7 +184,7 @@ def matmul(a, b) -> Tensor:
 
         return backward
 
-    return _record("matmul", Tensor._make(data, (a, b), factory), (a, b))
+    return Tensor._make(data, (a, b), factory)
 
 
 def spmm(matrix: sp.spmatrix, dense) -> Tensor:
@@ -219,8 +210,7 @@ def spmm(matrix: sp.spmatrix, dense) -> Tensor:
 
         return backward
 
-    return _record("spmm", Tensor._make(data, (dense,), factory), (dense,),
-                   matrix=matrix)
+    return Tensor._make(data, (dense,), factory)
 
 
 # ----------------------------------------------------------------------
@@ -238,8 +228,7 @@ def reshape(a, shape: Sequence[int]) -> Tensor:
 
         return backward
 
-    return _record("reshape", Tensor._make(data, (a,), factory), (a,),
-                   shape=shape)
+    return Tensor._make(data, (a,), factory)
 
 
 def transpose(a, axes: Optional[Sequence[int]] = None) -> Tensor:
@@ -257,8 +246,7 @@ def transpose(a, axes: Optional[Sequence[int]] = None) -> Tensor:
 
         return backward
 
-    return _record("transpose", Tensor._make(data, (a,), factory), (a,),
-                   axes=axes, inverse=inverse)
+    return Tensor._make(data, (a,), factory)
 
 
 def cat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -280,8 +268,7 @@ def cat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
         return backward
 
-    return _record("cat", Tensor._make(data, tensors, factory), tensors,
-                   axis=axis, offsets=offsets)
+    return Tensor._make(data, tensors, factory)
 
 
 def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -297,8 +284,7 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
         return backward
 
-    return _record("stack", Tensor._make(data, tensors, factory), tensors,
-                   axis=axis)
+    return Tensor._make(data, tensors, factory)
 
 
 def getitem(a, index) -> Tensor:
@@ -316,8 +302,7 @@ def getitem(a, index) -> Tensor:
 
         return backward
 
-    return _record("getitem", Tensor._make(data, (a,), factory), (a,),
-                   index=index)
+    return Tensor._make(data, (a,), factory)
 
 
 def gather_rows(a, indices) -> Tensor:
@@ -331,11 +316,6 @@ def gather_rows(a, indices) -> Tensor:
     """
     a = as_tensor(a)
     indices = as_index_array(indices, a.shape[0])
-    if (trace.TAPE is not None and sparse_grads_enabled()
-            and a._backward is None and not a._parents):
-        # The closure below would emit a RowSparseGrad carrier, which
-        # the replay's dense grad slots cannot represent.
-        trace.mark_unsupported("gather_rows row-sparse leaf gradient")
     data = get_backend().gather_rows(a.data, indices)
 
     def factory(out: Tensor):
@@ -353,8 +333,7 @@ def gather_rows(a, indices) -> Tensor:
 
         return backward
 
-    return _record("gather_rows", Tensor._make(data, (a,), factory), (a,),
-                   indices=indices)
+    return Tensor._make(data, (a,), factory)
 
 
 def gathered_rowwise_dot(a, b, a_indices, b_indices) -> Tensor:
@@ -389,9 +368,7 @@ def gathered_rowwise_dot(a, b, a_indices, b_indices) -> Tensor:
 
         return backward
 
-    return _record("gathered_rowwise_dot",
-                   Tensor._make(data, (a, b), factory), (a, b),
-                   a_indices=a_indices, b_indices=b_indices)
+    return Tensor._make(data, (a, b), factory)
 
 
 def memory_mixture(embeddings, gates, transforms) -> Tensor:
@@ -442,10 +419,7 @@ def memory_mixture(embeddings, gates, transforms) -> Tensor:
 
         return backward
 
-    return _record("memory_mixture",
-                   Tensor._make(data, (embeddings, gates, transforms),
-                                factory),
-                   (embeddings, gates, transforms))
+    return Tensor._make(data, (embeddings, gates, transforms), factory)
 
 
 # ----------------------------------------------------------------------
@@ -467,8 +441,7 @@ def sum(a, axis: Axis = None, keepdims: bool = False) -> Tensor:  # noqa: A001
 
         return backward
 
-    return _record("sum", Tensor._make(data, (a,), factory), (a,),
-                   axis=norm_axis, keepdims=keepdims)
+    return Tensor._make(data, (a,), factory)
 
 
 def mean(a, axis: Axis = None, keepdims: bool = False) -> Tensor:
@@ -491,8 +464,7 @@ def mean(a, axis: Axis = None, keepdims: bool = False) -> Tensor:
 
         return backward
 
-    return _record("mean", Tensor._make(data, (a,), factory), (a,),
-                   axis=norm_axis, keepdims=keepdims, count=count)
+    return Tensor._make(data, (a,), factory)
 
 
 # ----------------------------------------------------------------------
@@ -518,8 +490,7 @@ def segment_sum(a, segment_ids, num_segments: int) -> Tensor:
 
         return backward
 
-    return _record("segment_sum", Tensor._make(data, (a,), factory), (a,),
-                   segment_ids=segment_ids, num_segments=num_segments)
+    return Tensor._make(data, (a,), factory)
 
 
 def segment_softmax(scores, segment_ids, num_segments: int, eps: float = 1e-12) -> Tensor:
@@ -531,9 +502,6 @@ def segment_softmax(scores, segment_ids, num_segments: int, eps: float = 1e-12) 
     """
     scores = as_tensor(scores)
     segment_ids = as_index_array(segment_ids, num_segments)
-    # The stability shift is a data-dependent constant baked into the
-    # graph; a replayed plan would freeze stale scores.data values.
-    trace.mark_unsupported("segment_softmax data-dependent shift")
     shift = np.full(num_segments, -np.inf, dtype=scores.data.dtype)
     np.maximum.at(shift, segment_ids, scores.data)
     shift[~np.isfinite(shift)] = 0.0
@@ -558,7 +526,7 @@ def exp(a) -> Tensor:
 
         return backward
 
-    return _record("exp", Tensor._make(data, (a,), factory), (a,))
+    return Tensor._make(data, (a,), factory)
 
 
 def log(a) -> Tensor:
@@ -572,7 +540,7 @@ def log(a) -> Tensor:
 
         return backward
 
-    return _record("log", Tensor._make(data, (a,), factory), (a,))
+    return Tensor._make(data, (a,), factory)
 
 
 def sqrt(a) -> Tensor:
@@ -586,7 +554,7 @@ def sqrt(a) -> Tensor:
 
         return backward
 
-    return _record("sqrt", Tensor._make(data, (a,), factory), (a,))
+    return Tensor._make(data, (a,), factory)
 
 
 def relu(a) -> Tensor:
@@ -601,7 +569,7 @@ def relu(a) -> Tensor:
 
         return backward
 
-    return _record("relu", Tensor._make(data, (a,), factory), (a,))
+    return Tensor._make(data, (a,), factory)
 
 
 def leaky_relu(a, negative_slope: float = 0.2) -> Tensor:
@@ -617,8 +585,7 @@ def leaky_relu(a, negative_slope: float = 0.2) -> Tensor:
 
         return backward
 
-    return _record("leaky_relu", Tensor._make(data, (a,), factory), (a,),
-                   slope=slope)
+    return Tensor._make(data, (a,), factory)
 
 
 def sigmoid(a) -> Tensor:
@@ -632,7 +599,7 @@ def sigmoid(a) -> Tensor:
 
         return backward
 
-    return _record("sigmoid", Tensor._make(data, (a,), factory), (a,))
+    return Tensor._make(data, (a,), factory)
 
 
 def tanh(a) -> Tensor:
@@ -646,7 +613,7 @@ def tanh(a) -> Tensor:
 
         return backward
 
-    return _record("tanh", Tensor._make(data, (a,), factory), (a,))
+    return Tensor._make(data, (a,), factory)
 
 
 def softplus(a) -> Tensor:
@@ -660,7 +627,7 @@ def softplus(a) -> Tensor:
 
         return backward
 
-    return _record("softplus", Tensor._make(data, (a,), factory), (a,))
+    return Tensor._make(data, (a,), factory)
 
 
 def log_sigmoid(a) -> Tensor:
@@ -684,8 +651,7 @@ def softmax(a, axis: int = -1) -> Tensor:
 
         return backward
 
-    return _record("softmax", Tensor._make(data, (a,), factory), (a,),
-                   axis=axis)
+    return Tensor._make(data, (a,), factory)
 
 
 def maximum(a, b) -> Tensor:
@@ -701,7 +667,7 @@ def maximum(a, b) -> Tensor:
 
         return backward
 
-    return _record("maximum", Tensor._make(data, (a, b), factory), (a, b))
+    return Tensor._make(data, (a, b), factory)
 
 
 def where(condition: np.ndarray, a, b) -> Tensor:
@@ -717,8 +683,7 @@ def where(condition: np.ndarray, a, b) -> Tensor:
 
         return backward
 
-    return _record("where", Tensor._make(data, (a, b), factory), (a, b),
-                   condition=condition)
+    return Tensor._make(data, (a, b), factory)
 
 
 def dropout(a, rate: float, rng: np.random.Generator, training: bool = True) -> Tensor:
@@ -729,11 +694,4 @@ def dropout(a, rate: float, rng: np.random.Generator, training: bool = True) -> 
     if not 0.0 <= rate < 1.0:
         raise ValueError("dropout rate must be in [0, 1)")
     keep = (rng.random(a.shape) >= rate) / (1.0 - rate)
-    if trace.TAPE is None:
-        return mul(a, Tensor(keep))
-    # Record dropout as one first-class entry (suppressing the inner
-    # mul): the replay re-draws the mask from the same generator, so the
-    # rng stream position stays aligned with the eager loop.
-    with trace.suspended():
-        out = mul(a, Tensor(keep))
-    return _record("dropout", out, (a,), rate=float(rate), rng=rng)
+    return mul(a, Tensor(keep))

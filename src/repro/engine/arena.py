@@ -218,87 +218,6 @@ class BufferArena:
                 f"free_bytes={s['free_bytes']})")
 
 
-class PlannedArena:
-    """Slot-planned buffer block for compiled step replay.
-
-    Where :class:`BufferArena` resolves every checkout through a
-    ``(shape, dtype)`` free-list lookup, a planned arena fixes the whole
-    step's footprint once: the step compiler calls :meth:`reserve` for
-    each temporary while building the plan, then :meth:`materialize`
-    carves every slot out of one contiguous allocation.  Replay indexes
-    straight into the returned views — zero dict lookups, zero
-    per-step allocations.
-
-    Slots are aligned to ``alignment`` bytes (default 64, one cache
-    line) inside the block, and each is fully overwritten before it is
-    read — the same contract that keeps :class:`BufferArena` runs
-    bitwise identical to allocate-fresh runs.
-    """
-
-    def __init__(self, alignment: int = 64):
-        if alignment <= 0 or alignment & (alignment - 1):
-            raise ValueError("alignment must be a positive power of two")
-        self.alignment = int(alignment)
-        self._slots: List[Tuple[Tuple[int, ...], np.dtype, int]] = []
-        self._total_bytes = 0
-        self._block: np.ndarray = None
-        self._views: List[np.ndarray] = None
-
-    def reserve(self, shape, dtype) -> int:
-        """Reserve one slot; returns its index for :meth:`view`."""
-        if self._block is not None:
-            raise RuntimeError("PlannedArena is already materialized")
-        shape = (shape,) if isinstance(shape, int) else tuple(
-            int(s) for s in shape)
-        dt = np.dtype(dtype)
-        nbytes = dt.itemsize
-        for dim in shape:
-            nbytes *= dim
-        offset = self._total_bytes
-        padded = -(-max(nbytes, 1) // self.alignment) * self.alignment
-        self._total_bytes = offset + padded
-        self._slots.append((shape, dt, offset))
-        return len(self._slots) - 1
-
-    def materialize(self) -> List[np.ndarray]:
-        """Allocate the block and return one view per reserved slot."""
-        if self._block is None:
-            self._block = np.empty(max(self._total_bytes, 1),
-                                   dtype=np.uint8)
-            views = []
-            for shape, dt, offset in self._slots:
-                nbytes = dt.itemsize * int(np.prod(shape, dtype=np.int64))
-                flat = self._block[offset:offset + nbytes]
-                views.append(flat.view(dt).reshape(shape))
-            self._views = views
-        return self._views
-
-    def view(self, slot: int) -> np.ndarray:
-        """The numpy view backing ``slot`` (materializes on demand)."""
-        return self.materialize()[slot]
-
-    def fresh_views(self) -> List[np.ndarray]:
-        """Allocate-fresh copies of every slot (the parity oracle path).
-
-        Returns newly allocated ``np.empty`` arrays with the reserved
-        shapes/dtypes — what each replay would cost without slot
-        planning.  Used by the ``arena=False`` toggle of the compiled
-        stepper so pooled and fresh replays can be A/B'd bitwise.
-        """
-        return [np.empty(shape, dtype=dt) for shape, dt, _ in self._slots]
-
-    def stats(self) -> Dict[str, int]:
-        """Planned footprint: slot count and total (padded) bytes."""
-        return {"slots": len(self._slots),
-                "planned_bytes": self._total_bytes,
-                "materialized": int(self._block is not None)}
-
-    def __repr__(self) -> str:
-        s = self.stats()
-        return (f"PlannedArena(slots={s['slots']}, "
-                f"planned_bytes={s['planned_bytes']})")
-
-
 _ARENA = BufferArena()
 
 _ENABLED: bool = _env_flag("REPRO_ENGINE_ARENA", True)

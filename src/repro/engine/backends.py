@@ -50,7 +50,6 @@ import scipy.sparse as sp
 
 from repro.engine import arena, locality
 from repro.engine.instrument import counters
-from repro.engine.stable_math import stable_sigmoid, stable_softplus
 
 try:  # pragma: no cover - import guard for exotic scipy builds
     from scipy.sparse import _sparsetools as _csr_tools
@@ -225,53 +224,6 @@ class KernelBackend:
             flops=2.0 * sum(needs) * embeddings.shape[0] * units * dim * dim)
         return grads
 
-    def bpr_tail(self, pos_scores: np.ndarray, neg_scores: np.ndarray,
-                 d_out: Optional[np.ndarray] = None
-                 ) -> Tuple[np.ndarray, np.ndarray]:
-        """Fused BPR loss tail: ``-mean(log_sigmoid(pos - neg))``.
-
-        Collapses the eager ``sub → neg → softplus → neg → mean → neg``
-        chain into one kernel, bitwise-identical to the chain (IEEE
-        negation commutes exactly with pairwise summation and division,
-        so ``mean(softplus(neg - pos))`` equals the doubly-negated eager
-        value bit for bit).  Returns ``(loss, diff)`` where ``loss`` is
-        a 0-d array and ``diff = pos - neg`` (written into ``d_out``
-        when given) is retained for :meth:`bpr_tail_backward`.
-        """
-        start = time.perf_counter()
-        loss, diff = self._bpr_tail(pos_scores, neg_scores, d_out=d_out)
-        n = float(pos_scores.size)
-        item = pos_scores.dtype.itemsize
-        counters().record_kernel(
-            "bpr_tail", time.perf_counter() - start,
-            flops=8.0 * n, bytes_moved=4.0 * n * item)
-        return loss, diff
-
-    def bpr_tail_backward(self, diff: np.ndarray, upstream: np.ndarray,
-                          count: int,
-                          grad_pos_out: Optional[np.ndarray] = None,
-                          grad_neg_out: Optional[np.ndarray] = None,
-                          ) -> Tuple[np.ndarray, np.ndarray]:
-        """Backward of :meth:`bpr_tail`.
-
-        ``upstream`` is the (0-d) gradient flowing into the loss value;
-        ``count`` the mean's denominator.  Returns ``(grad_pos,
-        grad_neg) = (-ga, ga)`` with ``ga = (upstream / count) ·
-        sigmoid(neg - pos)`` — the ``sigmoid·(1−sigmoid)``-family tail
-        collapsed to a single stable sigmoid, bitwise-identical to the
-        eager closure chain.
-        """
-        start = time.perf_counter()
-        grads = self._bpr_tail_backward(diff, upstream, count,
-                                        grad_pos_out=grad_pos_out,
-                                        grad_neg_out=grad_neg_out)
-        n = float(diff.size)
-        item = diff.dtype.itemsize
-        counters().record_kernel(
-            "bpr_tail_backward", time.perf_counter() - start,
-            flops=6.0 * n, bytes_moved=3.0 * n * item)
-        return grads
-
     # -- kernels to implement ------------------------------------------
     def _spmm(self, matrix: sp.csr_matrix, dense: np.ndarray,
               out=None) -> np.ndarray:
@@ -296,13 +248,6 @@ class KernelBackend:
 
     def _memory_mixture_backward(self, grad_out, embeddings, gates,
                                  transforms, needs):
-        raise NotImplementedError
-
-    def _bpr_tail(self, pos_scores, neg_scores, d_out=None):
-        raise NotImplementedError
-
-    def _bpr_tail_backward(self, diff, upstream, count,
-                           grad_pos_out=None, grad_neg_out=None):
         raise NotImplementedError
 
     def __repr__(self) -> str:
@@ -369,39 +314,6 @@ class NaiveBackend(KernelBackend):
                 mixed += gates[node, unit] * transforms[unit]
             out[node] = embeddings[node] @ mixed
         return out
-
-    def _bpr_tail(self, pos_scores, neg_scores, d_out=None):
-        # Literal transcription of the eager op chain — the oracle the
-        # fast kernel is parity-checked against.
-        diff = np.subtract(pos_scores, neg_scores)
-        neg_diff = np.negative(diff)
-        softplus_val = stable_softplus(neg_diff)
-        log_sig = np.negative(softplus_val)
-        loss = np.negative(np.mean(log_sig))
-        if d_out is not None:
-            np.copyto(d_out, diff)
-            diff = d_out
-        return np.asarray(loss), diff
-
-    def _bpr_tail_backward(self, diff, upstream, count,
-                           grad_pos_out=None, grad_neg_out=None):
-        # One eager backward closure per line, in closure order.
-        mean_grad = np.negative(upstream)                    # final neg
-        log_sig_grad = np.broadcast_to(mean_grad / count,    # mean
-                                       diff.shape)
-        softplus_grad = np.negative(log_sig_grad)            # inner neg
-        neg_diff = np.negative(diff)
-        neg_diff_grad = softplus_grad * stable_sigmoid(neg_diff)  # softplus
-        diff_grad = np.negative(neg_diff_grad)               # first neg
-        grad_pos = diff_grad                                 # sub, a side
-        grad_neg = np.negative(diff_grad)                    # sub, b side
-        if grad_pos_out is not None:
-            np.copyto(grad_pos_out, grad_pos)
-            grad_pos = grad_pos_out
-        if grad_neg_out is not None:
-            np.copyto(grad_neg_out, grad_neg)
-            grad_neg = grad_neg_out
-        return grad_pos, grad_neg
 
     def _memory_mixture_backward(self, grad_out, embeddings, gates,
                                  transforms, needs):
@@ -543,38 +455,6 @@ class FastBackend(KernelBackend):
             if buf is not None:
                 arena.release(buf)
         return grad_emb, grad_gates, grad_transforms
-
-    def _bpr_tail(self, pos_scores, neg_scores, d_out=None):
-        diff = _out_buffer(pos_scores.shape, pos_scores.dtype, d_out,
-                           zero=False)
-        np.subtract(pos_scores, neg_scores, out=diff)
-        # softplus(-diff) = max(-diff, 0) + log1p(exp(-|diff|)), built
-        # in place (|−d| ≡ |d| bitwise).
-        work = np.abs(diff)
-        np.negative(work, out=work)
-        np.exp(work, out=work)
-        np.log1p(work, out=work)
-        hinge = np.negative(diff)
-        np.maximum(hinge, 0.0, out=hinge)
-        np.add(hinge, work, out=work)
-        # mean(softplus(-d)) == -mean(-softplus(-d)) bit for bit: IEEE
-        # negation distributes exactly over pairwise sums and division.
-        loss = work.mean()
-        return np.asarray(loss), diff
-
-    def _bpr_tail_backward(self, diff, upstream, count,
-                           grad_pos_out=None, grad_neg_out=None):
-        grad_neg = _out_buffer(diff.shape, diff.dtype, grad_neg_out,
-                               zero=False)
-        grad_pos = _out_buffer(diff.shape, diff.dtype, grad_pos_out,
-                               zero=False)
-        sig = stable_sigmoid(np.negative(diff))
-        # (upstream / count) == -((-upstream) / count) bitwise, so the
-        # eager double negation collapses to one scalar division.
-        scale = np.true_divide(upstream, count)
-        np.multiply(sig, scale, out=grad_neg)
-        np.negative(grad_neg, out=grad_pos)
-        return grad_pos, grad_neg
 
 
 class ThreadedBackend(FastBackend):

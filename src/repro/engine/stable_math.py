@@ -1,21 +1,16 @@
 """Shared numerically-stable sigmoid/softplus primitives.
 
-The stable formulations below were historically re-derived in place in
-three spots — the ``sigmoid`` forward, the ``softplus`` backward, and the
-BPR loss tail — with identical math.  They live here once so the autograd
-ops, the fused :mod:`repro.engine.backends` kernels, and the step
-compiler's replay kernels all evaluate bit-for-bit the same expressions.
-
-Bitwise contract: each helper computes exactly the expression the ops
-historically inlined (same numpy calls, same order), so switching a call
-site to the helper cannot change results.
+The ``sigmoid`` forward and the ``softplus`` forward and backward in
+:mod:`repro.autograd.ops` all need an overflow-safe logistic.  The
+formulations live here once so every op evaluates bit-for-bit the same
+expressions.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["stable_sigmoid", "stable_softplus", "stable_log_sigmoid"]
+__all__ = ["stable_sigmoid", "stable_softplus"]
 
 
 def stable_sigmoid(x: np.ndarray) -> np.ndarray:
@@ -34,8 +29,3 @@ def stable_softplus(x: np.ndarray) -> np.ndarray:
     """``log(1 + exp(x))`` via ``max(x, 0) + log1p(exp(-|x|))``."""
     x = np.asarray(x)
     return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
-
-
-def stable_log_sigmoid(x: np.ndarray) -> np.ndarray:
-    """``log(sigmoid(x)) == -softplus(-x)``, overflow-safe."""
-    return -stable_softplus(-np.asarray(x))

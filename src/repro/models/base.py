@@ -39,12 +39,6 @@ class Recommender(Module):
 
     name = "base"
 
-    #: Models verified bitwise-identical under the step compiler opt in
-    #: by setting this True (see :mod:`repro.autograd.compile`).  The
-    #: compiler falls back to eager on any unreplayable tape regardless,
-    #: so the flag is a conservative allow-list, not a correctness gate.
-    compile_safe = False
-
     def __init__(self, graph: CollaborativeHeteroGraph, embed_dim: int = 16,
                  seed: int = 0):
         super().__init__()
@@ -80,10 +74,6 @@ class Recommender(Module):
         self.invalidate_cache()
         user_emb, item_emb = self.propagate()
         return bpr_terms(user_emb, item_emb, users, positives, negatives, l2=l2)
-
-    def supports_compile(self) -> bool:
-        """Whether the step compiler may record/replay this model."""
-        return bool(self.compile_safe)
 
     # ------------------------------------------------------------------
     # Minibatch (neighbour-sampled) training

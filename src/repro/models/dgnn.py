@@ -177,7 +177,6 @@ class DGNN(Recommender):
     """
 
     name = "dgnn"
-    compile_safe = True  # bitwise replay parity asserted in tier-1 tests
 
     def __init__(self, graph: CollaborativeHeteroGraph, embed_dim: int = 16,
                  seed: int = 0, num_layers: int = 2, num_memory_units: int = 8,

@@ -24,7 +24,6 @@ class LightGCN(Recommender):
     """LightGCN: mean of propagated embedding layers."""
 
     name = "lightgcn"
-    compile_safe = True  # bitwise replay parity asserted in tier-1 tests
 
     def __init__(self, graph: CollaborativeHeteroGraph, embed_dim: int = 16,
                  seed: int = 0, num_layers: int = 3):

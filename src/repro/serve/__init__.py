@@ -8,19 +8,17 @@ Propagation for Large-scale Social Recommendation"):
 * :mod:`repro.serve.snapshot` — versioned, checksummed, memory-mapped
   :class:`EmbeddingSnapshot` artifacts published by a
   :class:`SnapshotStore` and shared read-only across serving workers;
-* :mod:`repro.serve.ann` — pure-numpy approximate retrieval indexes
-  (IVF coarse quantization and random-hyperplane LSH) over the item
-  embeddings;
+* :mod:`repro.serve.ann` — a pure-numpy approximate retrieval index
+  (IVF coarse quantization) over the item embeddings;
 * :mod:`repro.serve.service` — :class:`RecommendService`, the batched
   ``recommend(user_ids, k)`` entry point with train-item masking,
-  arena-backed score blocks, exact/IVF/LSH retrieval and automatic
+  arena-backed score blocks, exact/IVF retrieval and automatic
   cold-user dispatch.
 """
 
 from repro.serve.ann import (
     CoarseIndex,
     build_ivf_index,
-    build_lsh_index,
 )
 from repro.serve.service import (
     RecommendService,
@@ -40,7 +38,6 @@ __all__ = [
     "SnapshotIntegrityError",
     "SnapshotStore",
     "build_ivf_index",
-    "build_lsh_index",
     "cold_user_embedding",
     "topk_recall",
 ]

@@ -2,35 +2,27 @@
 
 Exact serving scores every item per user — an ``(b, num_items)`` GEMM.
 Past ~10k items the matmul dominates request latency, so this module
-provides two classic sublinear alternatives, both pure numpy:
+provides the classic sublinear alternative in pure numpy, an **IVF**
+(inverted file) index: k-means partitions the items into
+``num_cells ≈ sqrt(n)`` Voronoi cells; a query scores only the items
+inside its ``nprobe`` nearest cells.  Recall tracks how well the
+embedding geometry clusters — trained social-recommendation embeddings
+cluster by community, which is exactly what IVF exploits.
 
-* **IVF** (inverted file): k-means partitions the items into
-  ``num_cells ≈ sqrt(n)`` Voronoi cells; a query scores only the items
-  inside its ``nprobe`` nearest cells.  Recall tracks how well the
-  embedding geometry clusters — trained social-recommendation
-  embeddings cluster by community, which is exactly what IVF exploits.
-* **LSH** (random-hyperplane): items hash to ``num_bits``-bit sign
-  codes; a query probes its own bucket plus the buckets reached by
-  flipping the bits whose hyperplane margins are smallest (multiprobe),
-  which recovers most of the recall lost to unlucky sign flips near a
-  hyperplane.
+The serving-side structure is :class:`CoarseIndex`: items grouped by
+cell into one C-contiguous embedding matrix (so a probe scores a
+*contiguous slice* — full BLAS efficiency, no gather per query) plus a
+CSR-style ``indptr``.  Cells partition the items, so candidates from
+distinct probed cells never collide and need no dedup.
 
-Both reduce to the same serving-side structure, :class:`CoarseIndex`:
-items grouped by cell into one C-contiguous embedding matrix (so a
-probe scores a *contiguous slice* — full BLAS efficiency, no gather
-per query) plus a CSR-style ``indptr``.  Cells partition the items, so
-candidates from distinct probed cells never collide and need no
-dedup.
-
-Determinism: both builders are pure functions of the embeddings and
-their ``seed`` (k-means init and hyperplane draws come from a local
-``default_rng``), so rebuilding an index on the same snapshot yields
-identical cells and identical served results.  Tuning knobs —
-``num_cells``/``nprobe`` for IVF (recall rises with ``nprobe``, cost
-with candidate volume ≈ ``nprobe/num_cells``), ``num_bits``/``nprobe``
-for LSH — are exposed through ``RecommendService``.  ``perfbench``
-measures IVF's users/s and recall@20 against exact serving at its
-default knobs (see ``perfbench/README.md``).
+Determinism: the builder is a pure function of the embeddings and its
+``seed`` (k-means init comes from a local ``default_rng``), so
+rebuilding an index on the same snapshot yields identical cells and
+identical served results.  The tuning knobs — ``num_cells`` and
+``nprobe`` (recall rises with ``nprobe``, cost with candidate volume
+≈ ``nprobe/num_cells``) — are exposed through ``RecommendService``.
+``perfbench`` measures IVF's users/s and recall@20 against exact
+serving at its default knobs (see ``perfbench/README.md``).
 """
 
 from __future__ import annotations
@@ -50,11 +42,8 @@ class CoarseIndex:
 
     ``grouped_ids[indptr[c]:indptr[c+1]]`` are the original item ids of
     cell ``c`` and ``grouped_emb[indptr[c]:indptr[c+1]]`` their
-    embeddings, stored C-contiguous in cell order.
-
-    ``kind`` is ``"ivf"`` (with ``centroids``) or ``"lsh"`` (with
-    ``planes``; cells are the *occupied* hash buckets and
-    ``bucket_codes[c]`` the code of cell ``c``).
+    embeddings, stored C-contiguous in cell order; ``centroids[c]`` is
+    the k-means centroid of cell ``c``.
     """
 
     kind: str
@@ -62,8 +51,6 @@ class CoarseIndex:
     grouped_emb: np.ndarray
     indptr: np.ndarray
     centroids: Optional[np.ndarray] = None
-    planes: Optional[np.ndarray] = None
-    bucket_codes: Optional[np.ndarray] = None
 
     @property
     def num_cells(self) -> int:
@@ -80,10 +67,7 @@ class CoarseIndex:
         """Cell ids to search per query, ``(len(queries), nprobe)``.
 
         IVF ranks cells by centroid inner product (the same similarity
-        the scorer uses).  LSH probes the query's own bucket first,
-        then the buckets reached by flipping the lowest-margin bits;
-        probed codes that correspond to *empty* buckets map to ``-1``
-        and are skipped by the scorer.
+        the scorer uses).
         """
         queries = np.asarray(queries)
         if queries.ndim == 1:
@@ -92,32 +76,7 @@ class CoarseIndex:
         if self.kind == "ivf":
             affinity = queries @ self.centroids.T
             return top_k_indices(affinity, nprobe)
-        if self.kind == "lsh":
-            return self._probe_lsh(queries, nprobe)
         raise ValueError(f"unknown index kind {self.kind!r}")
-
-    def _probe_lsh(self, queries: np.ndarray, nprobe: int) -> np.ndarray:
-        projections = queries @ self.planes.T          # (q, num_bits)
-        base_codes = _pack_codes(projections >= 0.0)
-        num_bits = self.planes.shape[0]
-        # Flip order: ascending |margin| — the bits most likely wrong.
-        flip_order = np.argsort(np.abs(projections), axis=1,
-                                kind="stable")
-        codes = np.empty((len(queries), nprobe), dtype=np.int64)
-        codes[:, 0] = base_codes
-        for j in range(1, nprobe):
-            codes[:, j] = base_codes ^ (1 << flip_order[:, (j - 1) % num_bits])
-        # Map probed codes to occupied-bucket cell ids (-1 when empty).
-        cell_of_code = np.searchsorted(self.bucket_codes, codes)
-        cell_of_code = np.clip(cell_of_code, 0, len(self.bucket_codes) - 1)
-        hit = self.bucket_codes[cell_of_code] == codes
-        return np.where(hit, cell_of_code, -1)
-
-
-def _pack_codes(bits: np.ndarray) -> np.ndarray:
-    """Pack a ``(n, num_bits)`` boolean sign matrix into int64 codes."""
-    weights = (1 << np.arange(bits.shape[1], dtype=np.int64))
-    return bits.astype(np.int64) @ weights
 
 
 def _group_by_cell(item_emb: np.ndarray,
@@ -183,26 +142,3 @@ def build_ivf_index(item_emb: np.ndarray, num_cells: Optional[int] = None,
                        grouped_emb=grouped_emb, indptr=indptr,
                        centroids=centroids)
 
-
-def build_lsh_index(item_emb: np.ndarray, num_bits: int = 10,
-                    seed: int = 0) -> CoarseIndex:
-    """Random-hyperplane LSH index over the item embeddings.
-
-    ``num_bits`` hyperplanes give up to ``2**num_bits`` buckets; only
-    occupied buckets are materialized as cells, with ``bucket_codes``
-    kept sorted so probe codes resolve by binary search.
-    """
-    item_emb = np.ascontiguousarray(item_emb)
-    if num_bits >= 63:
-        raise ValueError("num_bits must fit in an int64 code")
-    rng = np.random.default_rng(seed)
-    planes = rng.standard_normal((num_bits, item_emb.shape[1]))
-    planes = (planes / np.linalg.norm(planes, axis=1, keepdims=True)).astype(
-        item_emb.dtype)
-    codes = _pack_codes((item_emb @ planes.T) >= 0.0)
-    bucket_codes, assign = np.unique(codes, return_inverse=True)
-    grouped_ids, grouped_emb, indptr = _group_by_cell(
-        item_emb, assign, num_cells=len(bucket_codes))
-    return CoarseIndex(kind="lsh", grouped_ids=grouped_ids,
-                       grouped_emb=grouped_emb, indptr=indptr,
-                       planes=planes, bucket_codes=bucket_codes)

@@ -8,8 +8,8 @@ for online use —
 * requests are coalesced into ``block_size``-user score blocks whose
   buffers come from the engine arena (open an
   ``arena.step_scope()`` around a burst of calls to recycle them);
-* ``retrieval="ivf"`` / ``"lsh"`` swap the full ``(b, num_items)``
-  GEMM for per-cell GEMMs over the probed cells of a
+* ``retrieval="ivf"`` swaps the full ``(b, num_items)`` GEMM for
+  per-cell GEMMs over the probed cells of a
   :class:`repro.serve.ann.CoarseIndex` — sublinear in the catalogue
   size, with an automatic exact fallback for any user whose probed
   cells yield fewer than ``k`` unmasked candidates;
@@ -42,10 +42,10 @@ import numpy as np
 from repro.engine import arena
 from repro.engine.ragged import gather_ragged_rows
 from repro.eval.metrics import top_k_indices
-from repro.serve.ann import CoarseIndex, build_ivf_index, build_lsh_index
+from repro.serve.ann import CoarseIndex, build_ivf_index
 from repro.serve.snapshot import EmbeddingSnapshot
 
-RETRIEVAL_MODES = ("exact", "ivf", "lsh")
+RETRIEVAL_MODES = ("exact", "ivf")
 
 
 def cold_user_embedding(snapshot: EmbeddingSnapshot,
@@ -108,15 +108,15 @@ class RecommendService:
         The :class:`EmbeddingSnapshot` to serve (typically
         ``store.load_latest()``).
     retrieval:
-        ``"exact"`` (score every item), ``"ivf"`` or ``"lsh"``.
+        ``"exact"`` (score every item) or ``"ivf"``.
     block_size:
         Users scored per block; bounds the score-buffer memory and is
-        the coalescing unit for batched requests.
+        the coalescing unit for batched requests.  Must be positive.
     nprobe:
-        Cells probed per user in ANN modes.
-    num_cells / num_bits:
-        Index-build knobs forwarded to :func:`build_ivf_index` /
-        :func:`build_lsh_index` (``num_cells=None`` → ``≈ sqrt(n)``).
+        Cells probed per user in ``"ivf"`` mode.  Must be positive.
+    num_cells:
+        Index-build knob forwarded to :func:`build_ivf_index`
+        (``None`` → ``≈ sqrt(n)``).
     mask_train:
         Exclude each user's train items from results (standard).
     model:
@@ -131,17 +131,20 @@ class RecommendService:
 
     def __init__(self, snapshot: EmbeddingSnapshot, retrieval: str = "exact",
                  block_size: int = 256, nprobe: int = 8,
-                 num_cells: Optional[int] = None, num_bits: int = 10,
+                 num_cells: Optional[int] = None,
                  mask_train: bool = True, model=None,
                  cold_dispatch: bool = True, seed: int = 0):
         if retrieval not in RETRIEVAL_MODES:
             raise ValueError(f"retrieval must be one of {RETRIEVAL_MODES}, "
                              f"got {retrieval!r}")
+        if block_size <= 0:
+            raise ValueError(f"block_size must be positive, got {block_size}")
+        if nprobe <= 0:
+            raise ValueError(f"nprobe must be positive, got {nprobe}")
         self.retrieval = retrieval
         self.block_size = int(block_size)
         self.nprobe = int(nprobe)
         self.num_cells = num_cells
-        self.num_bits = int(num_bits)
         self.mask_train = bool(mask_train)
         self.model = model
         self.cold_dispatch = bool(cold_dispatch)
@@ -165,9 +168,6 @@ class RecommendService:
         item_emb = np.asarray(snapshot.item_emb)
         if self.retrieval == "ivf":
             index = build_ivf_index(item_emb, num_cells=self.num_cells,
-                                    seed=self.seed)
-        elif self.retrieval == "lsh":
-            index = build_lsh_index(item_emb, num_bits=self.num_bits,
                                     seed=self.seed)
         else:
             index = None
@@ -296,11 +296,7 @@ class RecommendService:
         probes = index.probe(user_block, self.nprobe)        # (b, nprobe)
         nprobe = probes.shape[1]
         indptr = index.indptr
-        sizes = np.where(probes >= 0,
-                         np.diff(indptr)[np.clip(probes, 0, None)], 0)
-        max_len = int(sizes.max()) if sizes.size else 0
-        if max_len == 0:
-            return self._recommend_exact(state, block_users, k), b
+        max_len = int(np.diff(indptr)[probes].max())
 
         dtype = snapshot.user_emb.dtype
         cand_scores = arena.empty((b, nprobe, max_len), dtype)
@@ -310,11 +306,9 @@ class RecommendService:
 
         # Group (user, probe-slot) pairs by probed cell so each cell is
         # one contiguous-slice GEMM over every user that probes it.
-        flat_cells = probes.ravel()
-        valid = flat_cells >= 0
-        pair_rows = np.repeat(np.arange(b), nprobe)[valid]
-        pair_slots = np.tile(np.arange(nprobe), b)[valid]
-        cells, inverse = np.unique(flat_cells[valid], return_inverse=True)
+        pair_rows = np.repeat(np.arange(b), nprobe)
+        pair_slots = np.tile(np.arange(nprobe), b)
+        cells, inverse = np.unique(probes.ravel(), return_inverse=True)
         order = np.argsort(inverse, kind="stable")
         counts = np.bincount(inverse, minlength=len(cells))
         starts = np.concatenate(([0], np.cumsum(counts)))
@@ -332,7 +326,7 @@ class RecommendService:
         flat_scores = cand_scores.reshape(b, nprobe * max_len)
         flat_ids = cand_ids.reshape(b, nprobe * max_len)
         if flat_scores.shape[1] < k:
-            # Probed cells cannot even hold k candidates (thin buckets):
+            # Probed cells cannot even hold k candidates (thin cells):
             # the whole block goes exact.
             arena.release(cand_scores)
             arena.release(cand_ids)

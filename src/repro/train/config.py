@@ -33,7 +33,6 @@ class TrainConfig:
     sparse_grads: Optional[bool] = None  # None -> on for minibatch, off for full
     sparse_adam_mode: str = "lazy"  # "lazy" (O(batch) steps) or "dense_correct"
     arena: Optional[bool] = None  # None -> REPRO_ENGINE_ARENA env (default on)
-    compile: Optional[bool] = None  # None -> REPRO_COMPILE env (default off)
     workers: Optional[int] = None  # None -> REPRO_WORKERS env (default 0 = single-process)
     parallel_mode: Optional[str] = None  # None -> REPRO_PARALLEL_MODE env (default "hogwild")
     reorder: Optional[str] = None  # None -> REPRO_REORDER env (default "identity")
@@ -55,6 +54,9 @@ class TrainConfig:
             raise ValueError("learning_rate must be positive")
         if self.eval_every <= 0:
             raise ValueError("eval_every must be positive")
+        if self.batches_per_epoch is not None and self.batches_per_epoch <= 0:
+            raise ValueError("batches_per_epoch must be positive "
+                             "(or None to cover the training set once)")
         if self.propagation not in ("full", "minibatch"):
             raise ValueError("propagation must be 'full' or 'minibatch'")
         if self.hops is not None and self.hops < 0:
@@ -104,24 +106,6 @@ class TrainConfig:
             return bool(self.arena)
         from repro.engine.arena import arena_enabled
         return arena_enabled()
-
-    def resolved_compile(self) -> bool:
-        """Whether training steps run through the step compiler.
-
-        Off by default.  When on (``compile=True`` or
-        ``REPRO_COMPILE=1``), the trainer records each step signature's
-        op tape once and replays a flat, arena-planned schedule — see
-        :mod:`repro.autograd.compile`.  Replay is bitwise-identical to
-        eager; models or paths the compiler cannot replay (row-sparse
-        gradients, data-dependent op constants) automatically fall back
-        to eager with a recorded reason.
-        """
-        if self.compile is not None:
-            return bool(self.compile)
-        env = os.environ.get("REPRO_COMPILE")
-        if env is None:
-            return False
-        return env.strip().lower() not in ("", "0", "false", "off", "no")
 
     def resolved_workers(self) -> int:
         """Trainer worker processes: explicit setting, else ``REPRO_WORKERS``.

@@ -61,7 +61,6 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.autograd.compile import CompiledStepper
 from repro.autograd.sparse import RowSparseGrad, use_sparse_grads
 from repro.data.sampling import BprSampler, EvalCandidates, build_eval_candidates
 from repro.data.split import Split
@@ -282,7 +281,6 @@ class ParallelTrainer:
         self._processes: List = []
         self._cmd_queues: List = []
         self._result_queue = None
-        self._stepper: Optional[CompiledStepper] = None  # worker-side
 
     # ------------------------------------------------------------------
     # Shared helpers (parent and worker)
@@ -301,17 +299,6 @@ class ParallelTrainer:
     # ------------------------------------------------------------------
     def _worker_main(self, worker_id: int) -> None:
         cmd_queue = self._cmd_queues[worker_id]
-        if (self.config.resolved_compile() and self.model.supports_compile()
-                and not self._sparse_grads):
-            # Each worker records its own plans (post-fork, so the plan
-            # buffers live in this process).  Plans are keyed by the
-            # step's subgraph: when the planner reuses a subgraph the
-            # step replays, and when every batch brings a fresh subgraph
-            # the stepper auto-disables after ``max_misses`` and the
-            # shard continues eagerly.  Row-sparse gradients would be
-            # caught at record time too; the upfront gate just skips
-            # the wasted recording.
-            self._stepper = CompiledStepper(self.model, l2=self.config.l2)
         state = {"epoch": None, "steps": None, "pipeline": None,
                  "counters_before": instrument.snapshot()}
 
@@ -383,37 +370,17 @@ class ParallelTrainer:
                 start = time.perf_counter()
                 with self._step_scope():
                     self.optimizer.zero_grad()
-                    if self._stepper is not None:
-                        # Inputs are the *local* batch indices — the
-                        # arrays the tape actually consumes — so a plan
-                        # keyed to this subgraph rebinds them per batch;
-                        # the subgraph's own index arrays are baked into
-                        # the plan, which ``plan_key`` scopes to it.
-                        subgraph = step.subgraph
-                        loss_value = self._stepper.step(
-                            subgraph.local_users(
-                                np.asarray(step.users, np.int64)),
-                            subgraph.local_items(
-                                np.asarray(step.positives, np.int64)),
-                            subgraph.local_items(
-                                np.asarray(step.negatives, np.int64)),
-                            loss_fn=lambda s=step: self.model.bpr_loss_on(
-                                s.subgraph, s.users, s.positives,
-                                s.negatives, l2=self.config.l2),
-                            plan_key=step.subgraph)
-                    else:
-                        loss = self.model.bpr_loss_on(
-                            step.subgraph, step.users, step.positives,
-                            step.negatives, l2=self.config.l2)
-                        loss.backward()
-                        loss_value = loss.item()
-                        del loss
+                    loss = self.model.bpr_loss_on(
+                        step.subgraph, step.users, step.positives,
+                        step.negatives, l2=self.config.l2)
+                    loss.backward()
                     if self.config.clip_norm is not None:
                         clip_grad_norm(self.model.parameters(),
                                        self.config.clip_norm)
                     self.optimizer.step()
                     touched.append(self.optimizer.touched_fraction())
-                    epoch_loss += loss_value
+                    epoch_loss += loss.item()
+                    del loss
                 compute_seconds += time.perf_counter() - start
                 batches_done += 1
         return {

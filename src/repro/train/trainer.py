@@ -38,7 +38,6 @@ from typing import Dict, List, Optional, Tuple
 
 import contextlib
 
-from repro.autograd.compile import CompiledStepper
 from repro.autograd.sparse import use_sparse_grads
 from repro.data.sampling import BprSampler, EvalCandidates, build_eval_candidates
 from repro.data.split import Split
@@ -162,15 +161,6 @@ class Trainer:
         self._sparse_grads = self.config.resolved_sparse_grads()
         self._arena = self.config.resolved_arena()
         self._epoch_touched: List[float] = []
-        self._stepper: Optional[CompiledStepper] = None
-        if (self.config.resolved_compile()
-                and self.config.propagation == "full"
-                and model.supports_compile()):
-            # Full-graph steps repeat one (or two, with a ragged last
-            # batch) input signatures every epoch — the compiler's sweet
-            # spot.  Minibatch plans are per-subgraph; the workers in
-            # ParallelTrainer own their steppers for that path.
-            self._stepper = CompiledStepper(model, l2=self.config.l2)
         self._planner: Optional[MinibatchPlanner] = None
         if self.config.propagation == "minibatch":
             if not model.supports_minibatch():
@@ -188,10 +178,6 @@ class Trainer:
     # ------------------------------------------------------------------
     def _apply_gradients(self, loss) -> None:
         loss.backward()
-        self._finish_step()
-
-    def _finish_step(self) -> None:
-        """Clip, update, and record optimizer touch after a backward."""
         if self.config.clip_norm is not None:
             clip_grad_norm(self.model.parameters(), self.config.clip_norm)
         self.optimizer.step()
@@ -218,17 +204,11 @@ class Trainer:
             start = time.perf_counter()
             with self._step_scope():
                 self.optimizer.zero_grad()
-                if self._stepper is not None:
-                    loss_value = self._stepper.step(users, positives,
-                                                    negatives)
-                    self._finish_step()
-                    epoch_loss += loss_value
-                else:
-                    loss = self.model.bpr_loss(users, positives, negatives,
-                                               l2=self.config.l2)
-                    self._apply_gradients(loss)
-                    epoch_loss += loss.item()
-                    del loss
+                loss = self.model.bpr_loss(users, positives, negatives,
+                                           l2=self.config.l2)
+                self._apply_gradients(loss)
+                epoch_loss += loss.item()
+                del loss
             compute_seconds += time.perf_counter() - start
         return epoch_loss, sample_seconds, compute_seconds
 

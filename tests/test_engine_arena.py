@@ -20,7 +20,6 @@ from repro.engine import arena as arena_mod
 from repro.engine import use_backend
 from repro.engine.arena import (
     BufferArena,
-    PlannedArena,
     arena_enabled,
     use_arena,
 )
@@ -243,57 +242,3 @@ class TestStepScopeExceptionSafety:
         with pool.step_scope():
             assert pool.empty(BIG, np.float64) is first
 
-
-class TestPlannedArena:
-    def test_reserve_then_materialize_views(self):
-        plan = PlannedArena()
-        a = plan.reserve((4, 8), np.float64)
-        b = plan.reserve(16, np.float32)
-        views = plan.materialize()
-        assert [v.shape for v in views] == [(4, 8), (16,)]
-        assert [v.dtype for v in views] == [np.float64, np.float32]
-        assert plan.view(a) is views[0] and plan.view(b) is views[1]
-        assert plan.materialize() is views  # idempotent
-
-    def test_slots_are_aligned_and_disjoint(self):
-        plan = PlannedArena(alignment=64)
-        indices = [plan.reserve((3, 5), np.float64),
-                   plan.reserve(7, np.float32),
-                   plan.reserve((2, 2, 2), np.float64)]
-        views = plan.materialize()
-        base = views[0].ctypes.data  # offsets are relative to the block
-        for view in views:
-            assert (view.ctypes.data - base) % 64 == 0
-        for i, slot in enumerate(indices):
-            plan.view(slot)[...] = float(i + 1)
-        for i, slot in enumerate(indices):  # no overlap between slots
-            assert np.all(plan.view(slot) == float(i + 1))
-        stats = plan.stats()
-        assert stats["slots"] == 3
-        assert stats["planned_bytes"] % 64 == 0
-        assert stats["materialized"] == 1
-
-    def test_reserve_after_materialize_is_an_error(self):
-        plan = PlannedArena()
-        plan.reserve(8, np.float64)
-        plan.materialize()
-        with pytest.raises(RuntimeError, match="materialized"):
-            plan.reserve(8, np.float64)
-
-    def test_fresh_views_mirror_the_reserved_slots(self):
-        plan = PlannedArena()
-        plan.reserve((4, 8), np.float64)
-        plan.reserve(16, np.float32)
-        planned = plan.materialize()
-        fresh = plan.fresh_views()
-        assert [v.shape for v in fresh] == [v.shape for v in planned]
-        assert [v.dtype for v in fresh] == [v.dtype for v in planned]
-        # The oracle path allocates anew — never aliases the block.
-        for oracle, pooled in zip(fresh, planned):
-            assert not np.shares_memory(oracle, pooled)
-
-    def test_alignment_must_be_a_power_of_two(self):
-        with pytest.raises(ValueError):
-            PlannedArena(alignment=0)
-        with pytest.raises(ValueError):
-            PlannedArena(alignment=48)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.eval.metrics import top_k_indices
-from repro.serve.ann import build_ivf_index, build_lsh_index, _pack_codes
+from repro.serve.ann import build_ivf_index
 
 
 @pytest.fixture(scope="module")
@@ -86,44 +86,3 @@ class TestIvf:
         recall = len(exact & probed) / len(exact)
         assert recall >= 0.8
 
-
-class TestLsh:
-    def test_cells_partition_items(self, item_emb):
-        index = build_lsh_index(item_emb, num_bits=6, seed=0)
-        assert index.kind == "lsh"
-        np.testing.assert_array_equal(np.sort(index.grouped_ids),
-                                      np.arange(len(item_emb)))
-        assert index.num_cells == len(index.bucket_codes)
-        assert (np.diff(index.bucket_codes) > 0).all()  # sorted, unique
-
-    def test_bucket_members_share_code(self, item_emb):
-        index = build_lsh_index(item_emb, num_bits=6, seed=0)
-        codes = _pack_codes((item_emb @ index.planes.T) >= 0.0)
-        for cell in range(index.num_cells):
-            ids = index.grouped_ids[index.indptr[cell]:index.indptr[cell + 1]]
-            assert (codes[ids] == index.bucket_codes[cell]).all()
-
-    def test_probe_own_bucket_first(self, item_emb):
-        index = build_lsh_index(item_emb, num_bits=6, seed=0)
-        cells = index.probe(item_emb[:20], nprobe=1)
-        codes = _pack_codes((item_emb[:20] @ index.planes.T) >= 0.0)
-        for row, code in zip(cells, codes):
-            assert index.bucket_codes[row[0]] == code
-
-    def test_multiprobe_flips_low_margin_bits(self, item_emb):
-        index = build_lsh_index(item_emb, num_bits=6, seed=0)
-        query = item_emb[3]
-        cells = index.probe(query, nprobe=4)[0]
-        # Probes map to existing buckets or -1 (empty bucket), never junk.
-        assert (cells < index.num_cells).all()
-        assert (cells >= -1).all()
-
-    def test_too_many_bits_rejected(self, item_emb):
-        with pytest.raises(ValueError, match="int64"):
-            build_lsh_index(item_emb, num_bits=64)
-
-    def test_build_deterministic(self, item_emb):
-        a = build_lsh_index(item_emb, num_bits=7, seed=5)
-        b = build_lsh_index(item_emb, num_bits=7, seed=5)
-        np.testing.assert_array_equal(a.grouped_ids, b.grouped_ids)
-        np.testing.assert_array_equal(a.bucket_codes, b.bucket_codes)

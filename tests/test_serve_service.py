@@ -42,7 +42,7 @@ def _make_cold(snapshot, user):
 
 
 class TestRetrievalModes:
-    @pytest.mark.parametrize("retrieval", ["exact", "ivf", "lsh"])
+    @pytest.mark.parametrize("retrieval", ["exact", "ivf"])
     def test_never_returns_train_items(self, snapshot, tiny_split, retrieval):
         service = RecommendService(snapshot, retrieval=retrieval, nprobe=4)
         users = tiny_split.test_users
@@ -52,7 +52,7 @@ class TestRetrievalModes:
             seen = set(snapshot.train_row(user).tolist())
             assert not seen & set(top[row].tolist())
 
-    @pytest.mark.parametrize("retrieval", ["ivf", "lsh"])
+    @pytest.mark.parametrize("retrieval", ["ivf"])
     def test_ann_recall_reasonable(self, snapshot, tiny_split, retrieval):
         users = tiny_split.test_users
         exact = RecommendService(snapshot).recommend(users, 10)
@@ -77,11 +77,12 @@ class TestRetrievalModes:
                                       large.recommend(users, 5))
 
     def test_fallback_covers_thin_buckets(self, snapshot, tiny_split):
-        # 12 bits over 250 items: buckets far smaller than k, so every
-        # row falls back — and must then equal the exact results.
+        # 250 cells over 250 items: at most one item per cell, so two
+        # probes never hold k candidates and every row falls back — and
+        # must then equal the exact results.
         users = tiny_split.test_users
-        service = RecommendService(snapshot, retrieval="lsh", num_bits=12,
-                                   nprobe=2)
+        service = RecommendService(snapshot, retrieval="ivf",
+                                   num_cells=snapshot.num_items, nprobe=2)
         top = service.recommend(users, 10)
         assert service.stats["fallback_rows"] > 0
         exact = RecommendService(snapshot).recommend(users, 10)
@@ -96,6 +97,21 @@ class TestRetrievalModes:
         with pytest.raises(ValueError, match="positive"):
             service.recommend([0], 0)
         assert service.recommend([], 5).shape == (0, 5)
+
+    @pytest.mark.parametrize("retrieval, kwargs", [
+        ("exact", {"block_size": -1}),
+        ("exact", {"block_size": 0}),
+        ("ivf", {"nprobe": 0}),
+        ("ivf", {"nprobe": -2}),
+    ], ids=["block_size=-1", "block_size=0", "nprobe=0", "nprobe=-2"])
+    def test_non_positive_sizes_rejected_at_construction(self, snapshot,
+                                                         retrieval, kwargs):
+        # A negative block_size used to skip the warm-user loop and
+        # return uninitialized item ids; zero sizes failed only at
+        # request time.
+        (name,) = kwargs
+        with pytest.raises(ValueError, match=name):
+            RecommendService(snapshot, retrieval=retrieval, **kwargs)
 
 
 class TestColdDispatch:

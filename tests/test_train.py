@@ -23,6 +23,13 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(**kwargs)
 
+    @pytest.mark.parametrize("batches", [0, -3])
+    def test_non_positive_batches_per_epoch_rejected(self, batches):
+        # 0 used to train a full epoch and a negative count trained
+        # nothing while recording loss -0.0.
+        with pytest.raises(ValueError, match="batches_per_epoch"):
+            TrainConfig(batches_per_epoch=batches)
+
     def test_paper_hyperparameters_grid(self):
         hp = PaperHyperparameters()
         assert hp.embed_dim == 16
