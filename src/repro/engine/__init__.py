@@ -6,9 +6,8 @@ Five layers (bottom to top):
   (``float64`` default, opt-in ``float32`` via :func:`set_dtype` /
   ``REPRO_ENGINE_DTYPE``) and dtype-derived comparison tolerances;
 * :mod:`repro.engine.backends` — pluggable sparse kernel backends
-  (``"naive"`` loop oracle, ``"fast"`` vectorized CSR, ``"threaded"``
-  row-block-parallel spmm), selected via :func:`set_backend` /
-  ``REPRO_ENGINE_BACKEND``;
+  (``"naive"`` loop oracle, ``"fast"`` vectorized CSR), selected via
+  :func:`set_backend` / ``REPRO_ENGINE_BACKEND``;
 * :mod:`repro.engine.adjcache` — normalized adjacencies memoized by
   matrix identity + scheme + dtype, so every matrix normalizes once
   per run;
@@ -40,7 +39,6 @@ from repro.engine.backends import (
     FastBackend,
     KernelBackend,
     NaiveBackend,
-    ThreadedBackend,
     available_backends,
     get_backend,
     register_backend,
@@ -66,7 +64,6 @@ __all__ = [
     "KernelBackend",
     "LayerStack",
     "NaiveBackend",
-    "ThreadedBackend",
     "Tolerances",
     "arena",
     "as_index_array",

@@ -14,11 +14,6 @@ there is exactly one place to optimize every model's hot path:
 * ``"fast"``  — vectorized CSR kernels (scipy's compiled spmm, fused
   einsum gather+dot, ``np.add.at`` scatter reductions, the memory
   mixture as ``|M|`` BLAS GEMMs with ``(n, d)`` temporaries only).
-* ``"threaded"`` — ``"fast"`` plus an spmm that chunks CSR row blocks
-  (nnz-balanced) across a ``ThreadPoolExecutor``; numpy and scipy
-  release the GIL inside their compiled kernels, so row blocks overlap
-  on multi-core hosts.  Worker count comes from ``REPRO_ENGINE_THREADS``
-  (default: CPU count).
 
 The active backend is selected with :func:`set_backend`, the
 :func:`use_backend` context manager, or the ``REPRO_ENGINE_BACKEND``
@@ -32,9 +27,9 @@ inputs; the engine-wide precision policy lives in
 
 Orthogonally to backend choice, :mod:`repro.engine.locality` supplies a
 cache-blocked spmm (plus chunked gather and coalescing scatter) that the
-``fast`` and ``threaded`` backends switch to when an spmm block budget
-is active (``REPRO_ENGINE_SPMM_BLOCK`` / ``TrainConfig.spmm_block``);
-the blocked spmm is bitwise identical to the flat kernel.
+``fast`` backend switches to when an spmm block budget is active
+(``REPRO_ENGINE_SPMM_BLOCK`` / ``TrainConfig.spmm_block``); the blocked
+spmm is bitwise identical to the flat kernel.
 """
 
 from __future__ import annotations
@@ -42,7 +37,6 @@ from __future__ import annotations
 import contextlib
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, Iterator, Optional, Tuple, Union
 
 import numpy as np
@@ -457,108 +451,6 @@ class FastBackend(KernelBackend):
         return grad_emb, grad_gates, grad_transforms
 
 
-class ThreadedBackend(FastBackend):
-    """``"fast"`` kernels plus a row-block-parallel spmm.
-
-    CSR rows are split into nnz-balanced contiguous blocks and each
-    block's product runs on a ``ThreadPoolExecutor`` worker.  scipy's
-    compiled spmm releases the GIL, so blocks genuinely overlap on
-    multi-core hosts; per-row accumulation order is unchanged by the
-    blocking, so results are bitwise identical to ``"fast"``.  Worker
-    count comes from ``REPRO_ENGINE_THREADS`` (default: CPU count).
-    Matrices below ``min_parallel_nnz`` nonzeros skip the pool — thread
-    dispatch would cost more than it saves.
-    """
-
-    name = "threaded"
-
-    def __init__(self, workers: Optional[int] = None,
-                 min_parallel_nnz: int = 20_000):
-        env = os.environ.get("REPRO_ENGINE_THREADS")
-        if workers is None:
-            workers = int(env) if env else (os.cpu_count() or 1)
-        self.workers = max(1, workers)
-        self.min_parallel_nnz = min_parallel_nnz
-        self._pool: Optional[ThreadPoolExecutor] = None
-
-    def _executor(self) -> ThreadPoolExecutor:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.workers,
-                thread_name_prefix="repro-spmm")
-        return self._pool
-
-    @staticmethod
-    def _row_blocks(indptr: np.ndarray, workers: int) -> np.ndarray:
-        """Row boundaries splitting the matrix into nnz-balanced blocks."""
-        nnz = int(indptr[-1])
-        targets = np.linspace(0, nnz, workers + 1)
-        bounds = np.searchsorted(indptr, targets, side="left")
-        bounds[0], bounds[-1] = 0, len(indptr) - 1
-        return np.unique(bounds)
-
-    def _spmm(self, matrix: sp.csr_matrix, dense: np.ndarray,
-              out=None) -> np.ndarray:
-        if self.workers == 1 or matrix.nnz < self.min_parallel_nnz:
-            return super()._spmm(matrix, dense, out=out)
-        bounds = self._row_blocks(matrix.indptr, self.workers)
-        if len(bounds) < 3:  # degenerate split — single block
-            return super()._spmm(matrix, dense, out=out)
-        out = _out_buffer((matrix.shape[0],) + dense.shape[1:],
-                          np.result_type(matrix.dtype, dense.dtype),
-                          out, zero=False)
-        block_bytes = locality.get_spmm_block()
-        if (block_bytes is not None
-                and locality.can_block_spmm(matrix, dense, out)):
-            return self._spmm_blocked_parallel(matrix, dense, out, block_bytes)
-        indptr, indices, data = matrix.indptr, matrix.indices, matrix.data
-
-        def run_block(lo: int, hi: int) -> None:
-            s0, s1 = indptr[lo], indptr[hi]
-            block = sp.csr_matrix(
-                (data[s0:s1], indices[s0:s1], indptr[lo:hi + 1] - s0),
-                shape=(hi - lo, matrix.shape[1]), copy=False)
-            out[lo:hi] = block @ dense
-
-        futures = [self._executor().submit(run_block, int(lo), int(hi))
-                   for lo, hi in zip(bounds[:-1], bounds[1:])]
-        for future in futures:
-            future.result()
-        return out
-
-    def _spmm_blocked_parallel(self, matrix: sp.csr_matrix,
-                               dense: np.ndarray, out: np.ndarray,
-                               block_bytes: int) -> np.ndarray:
-        """Cache-blocked spmm with row blocks fanned across the pool.
-
-        Each cached CSC row block writes a disjoint slice of ``out``, so
-        the blocks are embarrassingly parallel; per-element accumulation
-        order is unchanged, keeping the result bitwise identical to the
-        serial paths.
-        """
-        width = dense.shape[1]
-        block_bytes = locality.resolve_block_bytes(block_bytes, out.nbytes)
-        block_rows = locality.rows_per_block(
-            matrix.shape[0], width * out.dtype.itemsize, block_bytes)
-        blocks = locality.block_cache().get(matrix, block_rows)
-        if blocks.num_blocks == 1:
-            return locality.blocked_spmm(matrix, dense, out,
-                                         block_bytes=block_bytes)
-        flat_dense = dense.ravel()
-
-        def run_block(position: int) -> None:
-            lo = int(blocks.bounds[position])
-            hi = int(blocks.bounds[position + 1])
-            locality.apply_piece(blocks.pieces[position], hi - lo, width,
-                                 flat_dense, out[lo:hi])
-
-        futures = [self._executor().submit(run_block, position)
-                   for position in range(blocks.num_blocks)]
-        for future in futures:
-            future.result()
-        return out
-
-
 _REGISTRY: Dict[str, KernelBackend] = {}
 
 
@@ -570,7 +462,6 @@ def register_backend(backend: KernelBackend) -> KernelBackend:
 
 register_backend(NaiveBackend())
 register_backend(FastBackend())
-register_backend(ThreadedBackend())
 
 
 def available_backends() -> Dict[str, KernelBackend]:

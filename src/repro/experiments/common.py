@@ -60,8 +60,8 @@ class ExperimentContext:
               reorder: Optional[str] = None) -> "ExperimentContext":
         """Create the context for a preset name (or an explicit dataset).
 
-        ``reorder`` selects a node-reordering strategy (``"identity"``,
-        ``"degree"``, ``"rcm"``); the split is built in original ids
+        ``reorder`` selects a node-reordering strategy (``"identity"`` or
+        ``"rcm"``); the split is built in original ids
         first, then relabeled, so the held-out interactions are the same
         pairs under any strategy.  When ``reorder`` is ``None`` the
         ``REPRO_REORDER`` environment variable applies (default
@@ -132,15 +132,6 @@ def run_model(name: str, context: ExperimentContext,
     from repro.eval import evaluate_model
 
     config = train_config or default_train_config()
-    wanted = config.resolved_reorder()
-    actual = (context.permutation.strategy
-              if context.permutation is not None else "identity")
-    if wanted != actual:
-        raise ValueError(
-            f"train_config requests reorder={wanted!r} but the context was "
-            f"built with {actual!r}; relabeling happens at context-build "
-            f"time (so every model in a comparison shares one graph) — "
-            f"pass reorder={wanted!r} to ExperimentContext.build instead")
     graph = graph if graph is not None else context.graph
     model = create_model(name, graph, embed_dim=embed_dim, seed=seed,
                          **model_kwargs)

@@ -21,10 +21,6 @@ Strategies
 ----------
 ``"identity"``
     No-op layout; the oracle every other strategy is benchmarked against.
-``"degree"``
-    Users and items sorted by interaction degree, descending (stable).
-    Clusters the power-law hubs at the front of the embedding tables so
-    the hot rows share cache lines.
 ``"rcm"``
     Reverse Cuthill–McKee over the user–item bipartite graph with the
     symmetrized social block folded into the user–user corner,
@@ -50,7 +46,7 @@ from repro.data.dataset import InteractionDataset
 from repro.data.split import Split
 
 #: Node-reordering strategies accepted by :func:`build_permutation`.
-REORDER_STRATEGIES = ("identity", "degree", "rcm")
+REORDER_STRATEGIES = ("identity", "rcm")
 
 
 def _check_permutation(perm: np.ndarray, size: int, name: str) -> np.ndarray:
@@ -236,11 +232,6 @@ def _interaction_csr(dataset: InteractionDataset,
     matrix.sum_duplicates()
     return matrix
 
-def _degree_order(degrees: np.ndarray) -> np.ndarray:
-    """old→new positions sorting by degree descending (stable by id)."""
-    order = np.argsort(-degrees, kind="stable")  # old ids in new order
-    return _invert(order.astype(np.int64))
-
 
 def _social_csr(dataset: InteractionDataset) -> Optional[sp.csr_matrix]:
     """Symmetrized user–user social adjacency, or None when edgeless."""
@@ -292,12 +283,7 @@ def build_permutation(dataset: InteractionDataset, strategy: str = "rcm",
     if strategy == "identity":
         return NodePermutation.identity(dataset.num_users, dataset.num_items)
     matrix = _interaction_csr(dataset, train_pairs)
-    if strategy == "degree":
-        user_perm = _degree_order(np.diff(matrix.indptr))
-        item_perm = _degree_order(
-            np.bincount(matrix.indices, minlength=dataset.num_items))
-    else:  # rcm
-        user_perm, item_perm = _rcm_orders(matrix, _social_csr(dataset))
+    user_perm, item_perm = _rcm_orders(matrix, _social_csr(dataset))
     return NodePermutation(user_perm=user_perm, item_perm=item_perm,
                            strategy=strategy)
 

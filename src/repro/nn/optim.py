@@ -121,30 +121,6 @@ class Optimizer:
         return self.last_touched_rows / self.last_total_rows
 
     # ------------------------------------------------------------------
-    # Shared-memory training support
-    # ------------------------------------------------------------------
-    def materialize_lazy_state(self) -> None:
-        """Pre-allocate any lazily created per-row state (no-op by default).
-
-        The lazy optimizers normally allocate per-row counters on the
-        first sparse touch of each parameter.  Multi-process hogwild
-        training (:mod:`repro.train.parallel`) needs every state array
-        to exist *before* the workers fork so it can live in shared
-        memory; this hook forces the allocation, writing exactly the
-        values the lazy path would have written on first touch.
-        """
-
-    def state_array_lists(self) -> List[List[Optional[np.ndarray]]]:
-        """Live (not copied) per-parameter state arrays, as mutable lists.
-
-        Each inner list is indexed by parameter position and owned by
-        the optimizer; :class:`repro.train.parallel.SharedParamStore`
-        swaps the entries for shared-memory views in place.  Subclasses
-        return their moment/velocity/counter lists.
-        """
-        return []
-
-    # ------------------------------------------------------------------
     # Checkpointing
     # ------------------------------------------------------------------
     def state_dict(self) -> Dict[str, np.ndarray]:
@@ -239,25 +215,6 @@ class SGD(Optimizer):
             param.data[rows] *= (1.0 - self.lr * self.weight_decay) ** skipped
         if self.momentum:
             velocity[rows] *= self.momentum ** skipped
-
-    def materialize_lazy_state(self) -> None:
-        """Allocate ``_row_last`` now, matching first-sparse-touch values.
-
-        Only decay/momentum runs track last-touch steps; without either
-        the sparse step never allocates, so neither does this.  Rows are
-        stamped with the current step count — exactly what the lazy
-        allocation assumes for rows never touched sparsely before.
-        """
-        if not (self.weight_decay or self.momentum):
-            return
-        for i, param in enumerate(self.parameters):
-            if self._row_last[i] is None:
-                self._row_last[i] = np.full(
-                    param.data.shape[0] if param.data.ndim else 1,
-                    self._step_count, dtype=get_index_dtype())
-
-    def state_array_lists(self) -> List[List[Optional[np.ndarray]]]:
-        return [self._velocity, self._row_last]
 
     def state_dict(self) -> Dict[str, np.ndarray]:
         state: Dict[str, np.ndarray] = {
@@ -391,28 +348,6 @@ class Adam(Optimizer):
         scale = self.lr * sqrt_bias2 / bias1
         param.data[rows] -= scale * m_rows / (np.sqrt(v_rows)
                                               + self.eps * sqrt_bias2)
-
-    def materialize_lazy_state(self) -> None:
-        """Allocate per-row step counters now, as first touch would.
-
-        The lazy allocation stamps every row with the pre-step global
-        count (all prior steps are assumed dense); doing it eagerly with
-        the current count writes the identical values, so a materialized
-        optimizer's trajectory is bitwise-unchanged.  ``dense_correct``
-        mode never reads the counters and allocates nothing.
-        """
-        if self.sparse_mode != "lazy":
-            return
-        for i, param in enumerate(self.parameters):
-            if self._row_steps[i] is None:
-                num_rows = param.data.shape[0] if param.data.ndim else 1
-                self._row_steps[i] = np.full(num_rows, self._step_count,
-                                             dtype=get_index_dtype())
-                self._row_last[i] = np.full(num_rows, self._step_count,
-                                            dtype=get_index_dtype())
-
-    def state_array_lists(self) -> List[List[Optional[np.ndarray]]]:
-        return [self._m, self._v, self._row_steps, self._row_last]
 
     def state_dict(self) -> Dict[str, np.ndarray]:
         state: Dict[str, np.ndarray] = {

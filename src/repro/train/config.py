@@ -7,11 +7,8 @@ Adam with learning rate 0.01, embedding dimension 16, batch size in the
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
-
-_PARALLEL_MODES = ("hogwild", "sync")
 
 
 @dataclass
@@ -33,9 +30,7 @@ class TrainConfig:
     sparse_grads: Optional[bool] = None  # None -> on for minibatch, off for full
     sparse_adam_mode: str = "lazy"  # "lazy" (O(batch) steps) or "dense_correct"
     arena: Optional[bool] = None  # None -> REPRO_ENGINE_ARENA env (default on)
-    workers: Optional[int] = None  # None -> REPRO_WORKERS env (default 0 = single-process)
-    parallel_mode: Optional[str] = None  # None -> REPRO_PARALLEL_MODE env (default "hogwild")
-    reorder: Optional[str] = None  # None -> REPRO_REORDER env (default "identity")
+    workers: int = 0  # 0 = single-process Trainer; > 0 forks a ParallelTrainer
     spmm_block: Optional[int] = None  # None -> engine setting; 0 off, 1 auto, else bytes
     eval_every: int = 1
     eval_ks: Tuple[int, ...] = (5, 10, 20)
@@ -68,17 +63,8 @@ class TrainConfig:
         if self.sparse_adam_mode not in ("lazy", "dense_correct"):
             raise ValueError(
                 "sparse_adam_mode must be 'lazy' or 'dense_correct'")
-        if self.workers is not None and self.workers < 0:
+        if self.workers < 0:
             raise ValueError("workers must be >= 0 (0 = single-process)")
-        if (self.parallel_mode is not None
-                and self.parallel_mode not in _PARALLEL_MODES):
-            raise ValueError(
-                f"parallel_mode must be one of {_PARALLEL_MODES}")
-        if self.reorder is not None:
-            from repro.graph.reorder import REORDER_STRATEGIES
-            if self.reorder not in REORDER_STRATEGIES:
-                raise ValueError(
-                    f"reorder must be one of {REORDER_STRATEGIES}")
         if self.spmm_block is not None and self.spmm_block < 0:
             raise ValueError("spmm_block must be >= 0 (0 = flat kernels)")
 
@@ -106,65 +92,6 @@ class TrainConfig:
             return bool(self.arena)
         from repro.engine.arena import arena_enabled
         return arena_enabled()
-
-    def resolved_workers(self) -> int:
-        """Trainer worker processes: explicit setting, else ``REPRO_WORKERS``.
-
-        ``0`` (the default) keeps the in-process
-        :class:`~repro.train.trainer.Trainer`; any positive count selects
-        the shared-memory :class:`~repro.train.parallel.ParallelTrainer`
-        (which requires ``propagation="minibatch"``).
-        """
-        if self.workers is not None:
-            return int(self.workers)
-        env = os.environ.get("REPRO_WORKERS")
-        if env is None:
-            return 0
-        workers = int(env)
-        if workers < 0:
-            raise ValueError(f"REPRO_WORKERS must be >= 0, got {env!r}")
-        return workers
-
-    def resolved_parallel_mode(self) -> str:
-        """Update mode for parallel training: setting, else ``REPRO_PARALLEL_MODE``.
-
-        ``"hogwild"`` applies lock-free row-sparse updates from every
-        worker; ``"sync"`` merges each round's coalesced gradients in a
-        parent-side reducer and is bitwise-reproducible at any worker
-        count.
-        """
-        if self.parallel_mode is not None:
-            return self.parallel_mode
-        env = os.environ.get("REPRO_PARALLEL_MODE")
-        if env is None:
-            return "hogwild"
-        mode = env.strip().lower()
-        if mode not in _PARALLEL_MODES:
-            raise ValueError(
-                f"REPRO_PARALLEL_MODE must be one of {_PARALLEL_MODES}, "
-                f"got {env!r}")
-        return mode
-
-    def resolved_reorder(self) -> str:
-        """Node-reordering strategy: explicit setting, else ``REPRO_REORDER``.
-
-        ``"identity"`` (the default) keeps original ids and is the parity
-        oracle; ``"degree"`` and ``"rcm"`` permute node ids at load time
-        behind a :class:`~repro.graph.reorder.NodePermutation` boundary
-        so every external output stays in original ids.
-        """
-        from repro.graph.reorder import REORDER_STRATEGIES
-        if self.reorder is not None:
-            return self.reorder
-        env = os.environ.get("REPRO_REORDER")
-        if env is None:
-            return "identity"
-        strategy = env.strip().lower()
-        if strategy not in REORDER_STRATEGIES:
-            raise ValueError(
-                f"REPRO_REORDER must be one of {REORDER_STRATEGIES}, "
-                f"got {env!r}")
-        return strategy
 
     def resolved_spmm_block(self):
         """Blocked-spmm byte budget for this run (``None`` = flat kernels).

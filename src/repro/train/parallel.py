@@ -2,45 +2,38 @@
 
 The single-process :class:`~repro.train.trainer.Trainer` already makes
 each step O(batch) — sampled subgraphs, row-sparse gradients, lazy
-optimizers — but runs every step on one core.  This module adds the last
-single-machine scaling lever: the embedding tables (and, under hogwild,
-the lazy-Adam/SGD state) move into ``multiprocessing.shared_memory``
-segments via :class:`SharedParamStore`, and :class:`ParallelTrainer`
-forks N persistent workers that train disjoint batch shards from
-:meth:`~repro.train.pipeline.MinibatchPlanner.plan_shard` against the
-one shared copy.  Workers are forked once per ``fit()`` (fork start
+optimizers — but runs every step on one core.  This module spreads the
+forward/backward work of each step over processes: the embedding tables
+move into ``multiprocessing.shared_memory`` segments via
+:class:`SharedParamStore`, and :class:`ParallelTrainer` forks N
+persistent workers that compute gradients for disjoint batch shards
+from :meth:`~repro.train.pipeline.MinibatchPlanner.plan_shard` against
+the one shared copy.  Workers are forked once per ``fit()`` (fork start
 method, POSIX only) so they inherit the model, graph, planner and
-sampler without any serialization; only command tokens, losses and —
-in sync mode — coalesced gradients cross process boundaries.
+sampler without any serialization; only command tokens, losses and
+coalesced gradients cross process boundaries.
 
-Two update modes (``TrainConfig.parallel_mode``):
-
-* ``"hogwild"`` — every worker owns a full optimizer and applies
-  lock-free row-sparse updates directly to the shared tables.  Races
-  are bounded by the row-sparse structure: a batch touches ~1% of rows
-  (PR 4's measurement), so concurrent writes rarely collide and the
-  classic Hogwild! convergence argument applies.  Fastest, but only
-  reproducible at ``workers=1``.
-* ``"sync"`` — workers compute gradients only; a parent-side reducer
-  collects each round's ``W`` coalesced :class:`RowSparseGrad` payloads
-  over a queue, merges them in batch-index order, and applies a single
-  optimizer step per round.  Merge order is a pure function of the
-  batch indices, so a sync run is bitwise-reproducible at any fixed
-  worker count.
+Workers compute gradients only.  A parent-side reducer collects each
+round's ``W`` coalesced :class:`RowSparseGrad` payloads over a pipe,
+merges them in batch-index order, and applies a single optimizer step
+per round, so the optimizer state never leaves the parent.  Merge order
+is a pure function of the batch indices.
 
 Determinism guarantees
 ----------------------
 The batch plan is a pure function of ``(TrainConfig, epoch)``: every
 shard replays the full BPR triple stream (so batch *content* never
 depends on the worker count) and subgraph fan-out uses the planner's
-per-(epoch, batch) seeds.  Consequently a 1-worker run — in either
-mode — is **bitwise-identical** to the single-process ``Trainer``
-(asserted in tier-1), and sync mode at fixed ``W`` is bitwise-
-reproducible run to run.  Hogwild at ``W >= 2`` is deliberately racy.
+per-(epoch, batch) seeds.  Consequently a 1-worker run is
+**bitwise-identical** to the single-process ``Trainer`` (asserted in
+tier-1), and a run at fixed ``W`` is bitwise-reproducible run to run.
 
-Knobs: ``TrainConfig.workers`` / ``REPRO_WORKERS`` (0 = single-process),
-``TrainConfig.parallel_mode`` / ``REPRO_PARALLEL_MODE``; the worker
-step inherits everything else the in-process trainer honors —
+A worker that dies (a signal, ``os._exit``) makes :meth:`ParallelTrainer.fit`
+raise ``RuntimeError`` naming the worker and its exit code instead of
+waiting forever; the shared segments are released either way.
+
+Knobs: ``TrainConfig.workers`` (0 = single-process); the worker step
+inherits everything else the in-process trainer honors —
 ``REPRO_PREFETCH``/``prefetch``, ``REPRO_ENGINE_ARENA``/``arena``,
 ``sparse_grads``, ``clip_norm``, and the engine dtype/index policies.
 :func:`fit_model` dispatches between the two trainers from the config,
@@ -53,10 +46,9 @@ from __future__ import annotations
 
 import contextlib
 import multiprocessing
-import os
 import time
 import traceback
-from multiprocessing import shared_memory
+from multiprocessing import connection, shared_memory
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -79,30 +71,24 @@ from repro.train.trainer import Trainer, TrainingHistory
 
 
 class SharedParamStore:
-    """Moves parameter/optimizer arrays into shared-memory segments.
+    """Moves parameter arrays into shared-memory segments.
 
     :meth:`adopt_parameters` copies each :class:`Parameter`'s array into
     a fresh ``multiprocessing.shared_memory`` segment **once** and
     rebinds ``param.data`` to the shm-backed view — after that single
     move there is exactly one copy of each table, no matter how many
-    workers fork; children inherit the mappings and read/write the same
-    pages.  :meth:`adopt_optimizer` does the same for an optimizer's
-    per-parameter state lists (moments, velocities, lazy row counters),
-    forcing their lazy allocation first so nothing is left to allocate
-    privately after the fork.
+    workers fork; children inherit the mappings and read the same pages.
 
     Teardown matters: a shm view into a closed segment is a crash, so
     :meth:`restore` copies every adopted array back into ordinary
-    private memory, rebinds the owners, and only then closes and
+    private memory, rebinds the parameters, and only then closes and
     unlinks the segments.  Use it as a context manager to make that
     unconditional.
     """
 
     def __init__(self):
         self._segments: List[shared_memory.SharedMemory] = []
-        # (container, key, shm_view) triples; container is an object
-        # with attribute access (Parameter) or a list with index access.
-        self._slots: List[Tuple[object, object]] = []
+        self._params: List = []
         self._released = False
 
     # -- adoption ------------------------------------------------------
@@ -119,40 +105,21 @@ class SharedParamStore:
         """Rebind every parameter's ``data`` to a shared segment."""
         for param in parameters:
             param.data = self.share_array(param.data)
-            self._slots.append((param, None))
-
-    def adopt_optimizer(self, optimizer) -> None:
-        """Move an optimizer's state arrays into shared segments.
-
-        Materializes lazily allocated per-row counters first — after the
-        workers fork, a worker-side allocation would be process-private
-        and silently break the shared-state contract.
-        """
-        optimizer.materialize_lazy_state()
-        for array_list in optimizer.state_array_lists():
-            for i, array in enumerate(array_list):
-                if array is None:
-                    continue
-                array_list[i] = self.share_array(array)
-                self._slots.append((array_list, i))
+            self._params.append(param)
 
     # -- teardown ------------------------------------------------------
     def restore(self) -> None:
-        """Copy adopted arrays back to private memory and free the shm.
+        """Copy adopted parameters back to private memory and free the shm.
 
-        Idempotent.  After this the model/optimizer are ordinary
-        single-process objects again (checkpointing, serving-snapshot
-        publication and further training all safe), and ``/dev/shm`` is
-        released.
+        Idempotent.  After this the model is an ordinary single-process
+        object again (checkpointing, serving-snapshot publication and
+        further training all safe), and ``/dev/shm`` is released.
         """
         if self._released:
             return
-        for container, key in self._slots:
-            if key is None:
-                container.data = np.array(container.data)
-            else:
-                container[key] = np.array(container[key])
-        self._slots = []
+        for param in self._params:
+            param.data = np.array(param.data)
+        self._params = []
         for segment in self._segments:
             segment.close()
             try:
@@ -175,7 +142,7 @@ class SharedParamStore:
 
 
 def _grad_payload(parameters) -> List[Optional[tuple]]:
-    """Serialize per-parameter gradients for the sync-mode queue.
+    """Serialize per-parameter gradients for the result pipe.
 
     Coalesced row-sparse gradients travel as ``("sparse", rows, values,
     num_rows)`` and are rebuilt with ``coalesced=True`` — pickling numpy
@@ -230,8 +197,8 @@ class ParallelTrainer:
     Drop-in alternative to :class:`~repro.train.trainer.Trainer` for
     ``propagation="minibatch"`` configs with ``workers >= 1``; see the
     module docstring for the execution model and determinism contract.
-    The parent process owns evaluation, early stopping and the training
-    history; workers only train.
+    The parent process owns the optimizer, evaluation, early stopping
+    and the training history; workers only compute gradients.
     """
 
     def __init__(self, model: Recommender, split: Split,
@@ -243,10 +210,8 @@ class ParallelTrainer:
         if self.config.propagation != "minibatch":
             raise ValueError(
                 "ParallelTrainer requires propagation='minibatch': full-graph "
-                "steps touch every row, which defeats both sharding and "
-                "row-sparse hogwild writes")
-        self.workers = max(1, self.config.resolved_workers())
-        self.mode = self.config.resolved_parallel_mode()
+                "steps touch every row, which defeats sharding")
+        self.workers = max(1, self.config.workers)
         if "fork" not in multiprocessing.get_all_start_methods():
             raise RuntimeError(
                 "ParallelTrainer needs the 'fork' start method (POSIX); "
@@ -280,7 +245,7 @@ class ParallelTrainer:
         self._ctx = multiprocessing.get_context("fork")
         self._processes: List = []
         self._cmd_queues: List = []
-        self._result_queue = None
+        self._result_reader = self._result_writer = self._result_lock = None
 
     # ------------------------------------------------------------------
     # Shared helpers (parent and worker)
@@ -326,73 +291,24 @@ class ParallelTrainer:
                 kind = message[0]
                 if kind == "stop":
                     break
-                if kind == "epoch":  # hogwild: run the whole shard
-                    _, epoch, batches = message
-                    _open_epoch(epoch, batches)
-                    report = self._worker_hogwild_epoch(state["steps"])
-                    _close_pipeline()
-                    self.model.invalidate_cache()
-                    self._result_queue.put(("epoch_done", worker_id, report))
-                elif kind == "batch":  # sync: compute one batch's gradient
+                if kind == "batch":  # compute one batch's gradient
                     _, epoch, batches, batch_index = message
                     if state["epoch"] != epoch:
                         _open_epoch(epoch, batches)
                     reply = self._worker_sync_batch(state["steps"],
                                                     batch_index)
-                    self._result_queue.put(("grads", worker_id) + reply)
-                elif kind == "flush":  # sync: epoch boundary bookkeeping
+                    self._send(("grads", worker_id) + reply)
+                elif kind == "flush":  # epoch boundary bookkeeping
                     _close_pipeline()
                     state["epoch"] = None
                     self.model.invalidate_cache()
                     counters = instrument.delta(state["counters_before"],
                                                 instrument.snapshot())
-                    self._result_queue.put(("flushed", worker_id, counters))
+                    self._send(("flushed", worker_id, counters))
         except BaseException:  # noqa: BLE001 — relayed to the parent
-            self._result_queue.put(
-                ("error", worker_id, traceback.format_exc()))
+            self._send(("error", worker_id, traceback.format_exc()))
         finally:
             _close_pipeline()
-
-    def _worker_hogwild_epoch(self, steps) -> Dict[str, object]:
-        """One epoch of this worker's shard, stepping its own optimizer.
-
-        Mirrors ``Trainer._minibatch_epoch`` exactly — same op sequence
-        per step, same arena/sparse-grads scoping — which is what makes
-        the 1-worker run bitwise-identical to the single-process loop.
-        """
-        counters_before = instrument.snapshot()
-        epoch_loss = sample_seconds = compute_seconds = 0.0
-        touched: List[float] = []
-        batches_done = 0
-        with use_sparse_grads(self._sparse_grads):
-            for _, step in steps:
-                sample_seconds += step.sample_seconds
-                start = time.perf_counter()
-                with self._step_scope():
-                    self.optimizer.zero_grad()
-                    loss = self.model.bpr_loss_on(
-                        step.subgraph, step.users, step.positives,
-                        step.negatives, l2=self.config.l2)
-                    loss.backward()
-                    if self.config.clip_norm is not None:
-                        clip_grad_norm(self.model.parameters(),
-                                       self.config.clip_norm)
-                    self.optimizer.step()
-                    touched.append(self.optimizer.touched_fraction())
-                    epoch_loss += loss.item()
-                    del loss
-                compute_seconds += time.perf_counter() - start
-                batches_done += 1
-        return {
-            "loss": epoch_loss,
-            "batches": batches_done,
-            "sample_seconds": sample_seconds,
-            "compute_seconds": compute_seconds,
-            "touched": touched,
-            "counters": instrument.delta(counters_before,
-                                         instrument.snapshot()),
-            "step_count": self.optimizer._step_count,
-        }
 
     def _worker_sync_batch(self, steps, batch_index: int) -> tuple:
         """Forward/backward one batch; ship the coalesced gradients."""
@@ -417,13 +333,22 @@ class ParallelTrainer:
         return (batch_index, loss_value, payload,
                 step.sample_seconds, compute_seconds)
 
+    def _send(self, message: tuple) -> None:
+        """Put one message on the shared result pipe."""
+        with self._result_lock:
+            self._result_writer.send(message)
+
     # ------------------------------------------------------------------
     # Parent side
     # ------------------------------------------------------------------
     def _spawn(self) -> None:
         self._cmd_queues = [self._ctx.SimpleQueue()
                             for _ in range(self.workers)]
-        self._result_queue = self._ctx.SimpleQueue()
+        # One pipe for every worker's replies, written under a lock; the
+        # parent waits on its read end and the worker sentinels together.
+        self._result_reader, self._result_writer = self._ctx.Pipe(
+            duplex=False)
+        self._result_lock = self._ctx.Lock()
         self._processes = []
         for worker_id in range(self.workers):
             process = self._ctx.Process(
@@ -445,10 +370,31 @@ class ParallelTrainer:
                 process.join(timeout=10.0)
         self._processes = []
         self._cmd_queues = []
-        self._result_queue = None
+        if self._result_reader is not None:
+            self._result_reader.close()
+            self._result_writer.close()
+        self._result_reader = self._result_writer = self._result_lock = None
 
     def _collect(self, expected_kind: str):
-        message = self._result_queue.get()
+        """Next worker message; raises if a worker failed or died.
+
+        Waits on the result pipe and every worker's sentinel at once.  A
+        pending message is always read first, so a worker that relays
+        its traceback and exits is reported with that traceback; a
+        worker that exits without a word (a signal, ``os._exit``) is
+        reported by id and exit code instead of blocking forever.
+        """
+        reader = self._result_reader
+        sentinels = [process.sentinel for process in self._processes]
+        ready = connection.wait([reader] + sentinels)
+        if reader not in ready:
+            for worker_id, process in enumerate(self._processes):
+                if process.sentinel in ready:
+                    process.join(timeout=5.0)
+                    raise RuntimeError(
+                        f"parallel trainer worker {worker_id} exited with "
+                        f"code {process.exitcode} before replying")
+        message = reader.recv()
         if message[0] == "error":
             raise RuntimeError(
                 f"parallel trainer worker {message[1]} failed:\n{message[2]}")
@@ -456,34 +402,6 @@ class ParallelTrainer:
             raise RuntimeError(f"unexpected worker message {message[0]!r} "
                                f"(wanted {expected_kind!r})")
         return message
-
-    def _hogwild_epoch(self, epoch: int, batches: int) -> Dict[str, object]:
-        for queue in self._cmd_queues:
-            queue.put(("epoch", epoch, batches))
-        reports = [None] * self.workers
-        for _ in range(self.workers):
-            message = self._collect("epoch_done")
-            reports[message[1]] = message[2]
-        loss = sum(r["loss"] for r in reports)
-        touched = [f for r in reports for f in r["touched"]]
-        counters: Dict[str, float] = {}
-        for report in reports:
-            for key, value in report["counters"].items():
-                counters[key] = counters.get(key, 0.0) + value
-        # Hogwild steps happen worker-side; the shared arrays carry the
-        # real state but each process keeps its own Python step counter.
-        # Adopt the largest worker clock so parent-side checkpoints stay
-        # coherent (exact at W=1, the convention at W>=2).
-        self.optimizer._step_count = max(
-            self.optimizer._step_count,
-            max(r["step_count"] for r in reports))
-        return {
-            "loss": loss,
-            "sample_seconds": sum(r["sample_seconds"] for r in reports),
-            "compute_seconds": sum(r["compute_seconds"] for r in reports),
-            "touched": touched,
-            "counters": counters,
-        }
 
     def _sync_epoch(self, epoch: int, batches: int) -> Dict[str, object]:
         parameters = self.model.parameters()
@@ -552,18 +470,13 @@ class ParallelTrainer:
                    or self.sampler.batches_for_full_epoch())
         store = SharedParamStore()
         store.adopt_parameters(self.model.parameters())
-        if self.mode == "hogwild":
-            store.adopt_optimizer(self.optimizer)
         try:
             self._spawn()
             for epoch in range(config.epochs):
                 start = time.perf_counter()
                 self.model.train()
                 counters_before = instrument.snapshot()
-                if self.mode == "hogwild":
-                    report = self._hogwild_epoch(epoch, batches)
-                else:
-                    report = self._sync_epoch(epoch, batches)
+                report = self._sync_epoch(epoch, batches)
                 self.model.invalidate_cache()
                 parent_counters = instrument.delta(counters_before,
                                                    instrument.snapshot())
@@ -590,7 +503,7 @@ class ParallelTrainer:
                         summary = ", ".join(f"{k}={v:.4f}"
                                             for k, v in metrics.items())
                         print(f"[{self.model.name}] epoch {epoch + 1} "
-                              f"({self.workers}w/{self.mode}): "
+                              f"({self.workers}w): "
                               f"loss={history.losses[-1]:.4f}, {summary}")
                     if stopper.update(metrics, self.model, epoch):
                         break
@@ -610,12 +523,12 @@ def fit_model(model: Recommender, split: Split,
               candidates: Optional[EvalCandidates] = None) -> TrainingHistory:
     """Train with the trainer the config selects and return the history.
 
-    ``config.resolved_workers() == 0`` (the default) uses the in-process
+    ``config.workers == 0`` (the default) uses the in-process
     :class:`~repro.train.trainer.Trainer`; any positive worker count
     uses :class:`ParallelTrainer` over shared-memory tables.
     """
     config = config or TrainConfig()
-    if config.resolved_workers() > 0:
+    if config.workers > 0:
         return ParallelTrainer(model, split, config, candidates).fit()
     return Trainer(model, split, config, candidates).fit()
 

@@ -13,7 +13,6 @@ import scipy.sparse as sp
 
 from repro.engine import (
     FastBackend,
-    ThreadedBackend,
     clear_block_cache,
     get_spmm_block,
     set_spmm_block,
@@ -151,17 +150,6 @@ def test_blocked_spmm_via_fast_backend_is_bitwise():
     matrix = _random_csr(2500, 1500, locality.MIN_BLOCKED_NNZ + 1)
     dense = np.random.default_rng(2).standard_normal((1500, 16))
     backend = FastBackend()
-    with use_spmm_block(0):
-        flat = backend.spmm(matrix, dense)
-    with use_spmm_block(128 * 1024):
-        blocked = backend.spmm(matrix, dense)
-    np.testing.assert_array_equal(blocked, flat)
-
-
-def test_blocked_spmm_via_threaded_backend_is_bitwise():
-    matrix = _random_csr(2500, 1500, locality.MIN_BLOCKED_NNZ + 1, seed=3)
-    dense = np.random.default_rng(4).standard_normal((1500, 16))
-    backend = ThreadedBackend(workers=2)
     with use_spmm_block(0):
         flat = backend.spmm(matrix, dense)
     with use_spmm_block(128 * 1024):

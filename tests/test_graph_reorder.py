@@ -84,7 +84,7 @@ def test_build_permutation_is_a_bijection(base_split, strategy):
 
 
 def test_permute_restore_rows_roundtrip(base_split):
-    perm = build_permutation(base_split.dataset, "degree",
+    perm = build_permutation(base_split.dataset, "rcm",
                              train_pairs=base_split.train_pairs)
     table = np.random.default_rng(0).standard_normal(
         (base_split.dataset.num_users, 4))
@@ -127,7 +127,7 @@ def test_unknown_strategy_is_rejected(base_split):
 # ----------------------------------------------------------------------
 # External boundaries: metrics, top-k, serving
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("strategy", ["degree", "rcm"])
+@pytest.mark.parametrize("strategy", ["rcm"])
 def test_full_ranking_metrics_invariant_under_relabeling(base_split, strategy):
     user_emb, item_emb = _fixed_tables(base_split)
     reference = evaluate_full_ranking(_FixedModel(user_emb, item_emb),
@@ -139,7 +139,7 @@ def test_full_ranking_metrics_invariant_under_relabeling(base_split, strategy):
     assert relabeled == reference  # bitwise, not approx
 
 
-@pytest.mark.parametrize("strategy", ["degree", "rcm"])
+@pytest.mark.parametrize("strategy", ["rcm"])
 def test_topk_sets_invariant_under_relabeling(base_split, strategy):
     user_emb, item_emb = _fixed_tables(base_split)
     check_users = np.arange(0, base_split.dataset.num_users, 3)
@@ -155,7 +155,7 @@ def test_topk_sets_invariant_under_relabeling(base_split, strategy):
         assert set(row_ref) == set(row_new)
 
 
-@pytest.mark.parametrize("strategy", ["degree", "rcm"])
+@pytest.mark.parametrize("strategy", ["rcm"])
 def test_snapshot_and_service_speak_original_ids(base_split, strategy):
     from repro.graph.hetero import CollaborativeHeteroGraph
 
@@ -222,10 +222,10 @@ def test_checkpoint_without_permutation_reports_none(base_split, tmp_path):
 def test_experiment_context_honours_reorder_env(monkeypatch):
     from repro.experiments import ExperimentContext
 
-    monkeypatch.setenv("REPRO_REORDER", "degree")
+    monkeypatch.setenv("REPRO_REORDER", "rcm")
     ctx = ExperimentContext.build("tiny")
     assert ctx.permutation is not None
-    assert ctx.permutation.strategy == "degree"
+    assert ctx.permutation.strategy == "rcm"
     # An explicit parameter wins over the environment.
     explicit = ExperimentContext.build("tiny", reorder="identity")
     assert explicit.permutation is None
@@ -234,31 +234,13 @@ def test_experiment_context_honours_reorder_env(monkeypatch):
         ExperimentContext.build("tiny")
 
 
-def test_run_model_rejects_reorder_mismatch():
-    from repro.experiments import ExperimentContext
-    from repro.experiments.common import default_train_config, run_model
-
-    ctx = ExperimentContext.build("tiny")
-    config = default_train_config(epochs=1, batch_size=64, reorder="rcm")
-    with pytest.raises(ValueError, match="context was built with"):
-        run_model("dgnn", ctx, train_config=config, embed_dim=8,
-                  num_layers=1)
-
-
 # ----------------------------------------------------------------------
 # TrainConfig knobs
 # ----------------------------------------------------------------------
-def test_train_config_resolves_reorder_and_block(monkeypatch):
-    config = TrainConfig(epochs=1, reorder="rcm", spmm_block=1)
-    assert config.resolved_reorder() == "rcm"
+def test_train_config_resolves_reorder_and_block():
+    config = TrainConfig(epochs=1, spmm_block=1)
     from repro.engine import locality
     assert config.resolved_spmm_block() == locality.AUTO_BLOCK_BYTES
-    monkeypatch.setenv("REPRO_REORDER", "degree")
-    assert TrainConfig(epochs=1).resolved_reorder() == "degree"
-    monkeypatch.delenv("REPRO_REORDER")
-    assert TrainConfig(epochs=1).resolved_reorder() == "identity"
-    with pytest.raises(ValueError):
-        TrainConfig(epochs=1, reorder="zigzag")
     with pytest.raises(ValueError):
         TrainConfig(epochs=1, spmm_block=-1)
 
@@ -275,11 +257,11 @@ def test_arrays_roundtrip_under_int32_index_policy(base_split):
     id mappings must keep working while the policy is active.
     """
     with use_index_dtype("int32"):
-        perm = build_permutation(base_split.dataset, "degree",
+        perm = build_permutation(base_split.dataset, "rcm",
                                  train_pairs=base_split.train_pairs)
         arrays = {name: values.astype(np.int32)
                   for name, values in perm.to_arrays().items()}
-        rebuilt = NodePermutation.from_arrays(arrays, strategy="degree")
+        rebuilt = NodePermutation.from_arrays(arrays, strategy="rcm")
         assert rebuilt.user_perm.dtype == np.int64
         assert rebuilt.item_perm.dtype == np.int64
         np.testing.assert_array_equal(rebuilt.user_perm, perm.user_perm)

@@ -2,14 +2,19 @@
 
 The load-bearing assertions:
 
-* a 1-worker :class:`ParallelTrainer` run — hogwild *and* sync — is
-  bitwise-identical to the single-process :class:`Trainer` (losses,
-  final parameters, metrics);
-* ``sync`` mode is bitwise-reproducible at a fixed worker count > 1;
-* :class:`SharedParamStore` adoption/restore round-trips parameters and
-  optimizer state without leaking shm segments;
+* a 1-worker :class:`ParallelTrainer` run is bitwise-identical to the
+  single-process :class:`Trainer` (losses, final parameters, metrics);
+* a run is bitwise-reproducible at a fixed worker count > 1;
+* :class:`SharedParamStore` adoption/restore round-trips parameters
+  without leaking shm segments;
+* a worker that dies mid-epoch makes ``fit`` raise instead of hang, and
+  leaves no shm segment behind;
 * parallel training publishes a serving snapshot end-to-end.
 """
+
+import os
+import re
+import threading
 
 import numpy as np
 import pytest
@@ -18,7 +23,6 @@ from repro.data import build_eval_candidates, leave_one_out, tiny
 from repro.graph.hetero import CollaborativeHeteroGraph
 from repro.models import create_model
 from repro.nn.module import Parameter
-from repro.nn.optim import Adam, SGD
 from repro.train import (
     ParallelTrainer,
     SharedParamStore,
@@ -50,8 +54,7 @@ def _assert_bitwise_equal(model_a, model_b):
 # ----------------------------------------------------------------------
 # Parity oracles
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("mode", ["hogwild", "sync"])
-def test_one_worker_bitwise_identical_to_trainer(mode):
+def test_one_worker_bitwise_identical_to_trainer():
     model_seq, split, candidates = _build()
     history_seq = Trainer(model_seq, split, TrainConfig(**BASE),
                           candidates).fit()
@@ -59,7 +62,7 @@ def test_one_worker_bitwise_identical_to_trainer(mode):
     model_par, split_par, candidates_par = _build()
     history_par = ParallelTrainer(
         model_par, split_par,
-        TrainConfig(workers=1, parallel_mode=mode, **BASE),
+        TrainConfig(workers=1, **BASE),
         candidates_par).fit()
 
     assert history_seq.losses == history_par.losses
@@ -77,7 +80,7 @@ def test_one_worker_parity_sgd_momentum_decay():
     model_par, split_par, candidates_par = _build()
     history_par = ParallelTrainer(
         model_par, split_par,
-        TrainConfig(workers=1, parallel_mode="hogwild", **overrides),
+        TrainConfig(workers=1, **overrides),
         candidates_par).fit()
     assert history_seq.losses == history_par.losses
     _assert_bitwise_equal(model_seq, model_par)
@@ -88,24 +91,13 @@ def test_sync_mode_reproducible_at_two_workers():
     for _ in range(2):
         model, split, candidates = _build()
         history = ParallelTrainer(
-            model, split, TrainConfig(workers=2, parallel_mode="sync", **BASE),
+            model, split, TrainConfig(workers=2, **BASE),
             candidates).fit()
         runs.append((model, history))
     (model_a, history_a), (model_b, history_b) = runs
     assert history_a.losses == history_b.losses
     assert history_a.metrics == history_b.metrics
     _assert_bitwise_equal(model_a, model_b)
-
-
-def test_hogwild_two_workers_trains():
-    model, split, candidates = _build()
-    config = TrainConfig(workers=2, parallel_mode="hogwild", **BASE)
-    history = ParallelTrainer(model, split, config, candidates).fit()
-    assert history.epochs_run == BASE["epochs"]
-    assert all(np.isfinite(history.losses))
-    assert history.metrics  # parent-side evaluation ran
-    # Row-sparse path was active in the workers.
-    assert history.mean_touched_row_fraction() < 1.0
 
 
 def test_parallel_trainer_rejects_full_propagation():
@@ -135,31 +127,49 @@ def test_shared_param_store_roundtrips_parameters():
     store.restore()  # idempotent
 
 
-def test_shared_param_store_adopts_lazy_adam_state():
-    params = [Parameter(np.zeros((6, 2))), Parameter(np.zeros((4, 2)))]
-    optimizer = Adam(params, lr=0.01, sparse_mode="lazy")
-    assert optimizer._row_steps[0] is None  # lazy until materialized
-    with SharedParamStore() as store:
-        store.adopt_parameters(params)
-        store.adopt_optimizer(optimizer)
-        # Materialization happened before sharing, and every live state
-        # array (m, v, row_steps, row_last) moved into a segment.
-        assert all(steps is not None for steps in optimizer._row_steps)
-        assert store.num_segments == 2 + 4 * len(params)
-        assert not optimizer._m[0].flags["OWNDATA"]
-    assert optimizer._m[0].flags["OWNDATA"]
-    assert all(steps is not None for steps in optimizer._row_steps)
+# ----------------------------------------------------------------------
+# Failure paths
+# ----------------------------------------------------------------------
+def test_dead_worker_raises_and_releases_shared_memory(monkeypatch):
+    model, split, candidates = _build()
+    created = []
+    share_array = SharedParamStore.share_array
 
+    def recording_share_array(self, array):
+        view = share_array(self, array)
+        created.append(self._segments[-1].name)
+        return view
 
-def test_materialized_sgd_state_matches_lazy_allocation():
-    params = [Parameter(np.zeros((5, 2)))]
-    optimizer = SGD(params, lr=0.1, momentum=0.5, weight_decay=1e-4)
-    optimizer.materialize_lazy_state()
-    assert optimizer._row_last[0] is not None
-    assert np.array_equal(optimizer._row_last[0], np.zeros(5))
-    plain = SGD(params, lr=0.1)  # no decay/momentum -> nothing to allocate
-    plain.materialize_lazy_state()
-    assert plain._row_last[0] is None
+    def die(*args, **kwargs):
+        os._exit(3)
+
+    monkeypatch.setattr(SharedParamStore, "share_array",
+                        recording_share_array)
+    # Forked workers inherit the patched model and exit on their first
+    # batch without relaying anything to the parent.
+    monkeypatch.setattr(model, "bpr_loss_on", die)
+    trainer = ParallelTrainer(model, split, TrainConfig(workers=2, **BASE),
+                              candidates)
+    outcome = {}
+
+    def run():
+        try:
+            trainer.fit()
+        except Exception as error:  # noqa: BLE001 - inspected below
+            outcome["error"] = error
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(timeout=60.0)
+    assert not thread.is_alive(), "fit blocked on a dead worker"
+    error = outcome.get("error")
+    assert isinstance(error, RuntimeError)
+    assert re.search(r"worker [01] exited with code 3", str(error))
+    assert trainer.worker_pids() == []
+    assert created
+    leaked = [name for name in created
+              if os.path.exists(os.path.join("/dev/shm", name))]
+    assert leaked == []
 
 
 # ----------------------------------------------------------------------
@@ -168,24 +178,11 @@ def test_materialized_sgd_state_matches_lazy_allocation():
 def test_config_validates_parallel_knobs():
     with pytest.raises(ValueError, match="workers"):
         TrainConfig(workers=-1)
-    with pytest.raises(ValueError, match="parallel_mode"):
-        TrainConfig(parallel_mode="async")
 
 
-def test_config_resolves_parallel_knobs_from_env(monkeypatch):
-    config = TrainConfig()
-    assert config.resolved_workers() == 0
-    assert config.resolved_parallel_mode() == "hogwild"
-    monkeypatch.setenv("REPRO_WORKERS", "3")
-    monkeypatch.setenv("REPRO_PARALLEL_MODE", "sync")
-    assert config.resolved_workers() == 3
-    assert config.resolved_parallel_mode() == "sync"
-    explicit = TrainConfig(workers=1, parallel_mode="hogwild")
-    assert explicit.resolved_workers() == 1
-    assert explicit.resolved_parallel_mode() == "hogwild"
-    monkeypatch.setenv("REPRO_PARALLEL_MODE", "bogus")
-    with pytest.raises(ValueError, match="REPRO_PARALLEL_MODE"):
-        config.resolved_parallel_mode()
+def test_config_resolves_parallel_knobs_from_env():
+    assert TrainConfig().workers == 0
+    assert TrainConfig(workers=1).workers == 1
 
 
 def test_fit_model_dispatches_on_worker_count():
@@ -195,7 +192,7 @@ def test_fit_model_dispatches_on_worker_count():
               candidates)
     model_par, split_par, candidates_par = _build()
     fit_model(model_par, split_par,
-              TrainConfig(workers=1, parallel_mode="sync", **overrides),
+              TrainConfig(workers=1, **overrides),
               candidates_par)
     _assert_bitwise_equal(model_seq, model_par)
 
@@ -207,7 +204,7 @@ def test_train_and_publish_serves_parallel_trained_model(tmp_path):
     from repro.serve import RecommendService, SnapshotStore
 
     model, split, candidates = _build()
-    config = TrainConfig(workers=2, parallel_mode="sync", **BASE)
+    config = TrainConfig(workers=2, **BASE)
     history, version = train_and_publish(model, split, config, candidates,
                                          store=tmp_path / "snapshots")
     assert history.epochs_run == BASE["epochs"]
