@@ -65,36 +65,27 @@ def leave_one_out(dataset: InteractionDataset, seed: int = 0,
         used to bound evaluation cost in sweeps.
     """
     rng = np.random.default_rng(seed)
-    histories = dataset.user_histories()
+    # Group pairs by user, keeping each user's stored order; one broadcast
+    # draw picks every eligible user's held-out position, consuming the
+    # same stream as one scalar draw per user in user order.
+    pairs = np.asarray(dataset.interactions, dtype=np.int64)
+    pairs = pairs[np.argsort(pairs[:, 0], kind="stable")]
+    counts = np.bincount(pairs[:, 0], minlength=dataset.num_users)
+    starts = np.cumsum(counts) - counts
+    test_users = np.flatnonzero(counts >= min_history).astype(np.int64)
+    held_rows = starts[test_users] + rng.integers(0, counts[test_users])
+    test_items = pairs[held_rows, 1]
 
-    train_rows = []
-    test_users = []
-    test_items = []
-    for user, items in enumerate(histories):
-        if len(items) < min_history:
-            if len(items):
-                train_rows.append(
-                    np.stack([np.full(len(items), user, dtype=np.int64), items], axis=1))
-            continue
-        held_position = int(rng.integers(0, len(items)))
-        held_item = int(items[held_position])
-        kept = np.delete(items, held_position)
-        train_rows.append(
-            np.stack([np.full(len(kept), user, dtype=np.int64), kept], axis=1))
-        test_users.append(user)
-        test_items.append(held_item)
-
-    test_users = np.asarray(test_users, dtype=np.int64)
-    test_items = np.asarray(test_items, dtype=np.int64)
     if max_test_users is not None and len(test_users) > max_test_users:
         chosen = rng.choice(len(test_users), size=max_test_users, replace=False)
         chosen.sort()
         test_users = test_users[chosen]
         test_items = test_items[chosen]
 
-    train_pairs = (np.concatenate(train_rows, axis=0)
-                   if train_rows else np.zeros((0, 2), dtype=np.int64))
-    return Split(dataset=dataset, train_pairs=train_pairs,
+    # Every eligible user's held-out row leaves training, sampled or not.
+    mask = np.ones(len(pairs), dtype=bool)
+    mask[held_rows] = False
+    return Split(dataset=dataset, train_pairs=pairs[mask],
                  test_users=test_users, test_items=test_items)
 
 
@@ -103,13 +94,10 @@ def leave_last_out(dataset: InteractionDataset, min_history: int = 2,
                    seed: int = 0) -> Split:
     """Vectorized leave-one-out holding out each user's last stored item.
 
-    :func:`leave_one_out` draws the held-out item per user in a Python
-    loop — fine at benchmark scale, minutes at the million-node
-    ``xlarge`` preset.  This variant is fully vectorized by making the
-    choice deterministic: interactions are stored sorted by
-    ``(user, item)``, and the final row of each eligible user's block is
-    held out.  Intended for memory-scale sweeps, not paper-protocol
-    evaluation.
+    Unlike :func:`leave_one_out`, the choice is deterministic:
+    interactions are stored sorted by ``(user, item)``, and the final row
+    of each eligible user's block is held out.  Intended for memory-scale
+    sweeps, not paper-protocol evaluation.
     """
     pairs = dataset.interactions  # sorted by (user, item) after dedupe
     counts = np.bincount(pairs[:, 0], minlength=dataset.num_users)

@@ -57,6 +57,9 @@ class SyntheticConfig:
     name: str = "synthetic"
 
     def validate(self) -> None:
+        for field_name in ("num_users", "num_relations", "num_communities"):
+            if getattr(self, field_name) < 1:
+                raise ValueError(f"{field_name} must be >= 1")
         if self.num_communities > self.num_relations * 4:
             raise ValueError("too many communities for the category pool")
         if not 0.0 <= self.homophily <= 1.0:
@@ -75,6 +78,9 @@ class SyntheticConfig:
             raise ValueError("social_adoption must be in [0, 1]")
         if self.min_interactions < 2:
             raise ValueError("min_interactions must be >= 2 (train + held-out test)")
+        if self.num_items < self.min_interactions + 1:
+            # Each user draws at most num_items - 1 distinct items.
+            raise ValueError("num_items must be >= min_interactions + 1")
 
 
 def _group_category_affinity(num_groups: int, num_categories: int,
@@ -101,6 +107,36 @@ def _sample_degrees(count: int, mean: float, minimum: int,
     """Heavy-tailed per-entity degree targets with a hard floor."""
     raw = rng.lognormal(mean=np.log(max(mean, minimum + 0.5)), sigma=0.6, size=count)
     return np.maximum(raw.astype(np.int64), minimum)
+
+
+def _draw_without_replacement(rng: np.random.Generator, weights: np.ndarray,
+                              cdf: np.ndarray, size: int) -> np.ndarray:
+    """``rng.choice(len(weights), size, replace=False, p=weights)``, draw for draw.
+
+    ``cdf`` is ``cumsum(weights) / cumsum(weights)[-1]``, precomputed so
+    that callers sharing ``weights`` skip the per-call validation, copy and
+    cumsum.  Follows ``Generator.choice``'s rejection rounds exactly: draw
+    ``size - found`` uniforms, keep each first occurrence in draw order, and
+    on a collision zero the found entries and rebuild the cdf — so the
+    result and the generator state afterwards are the same as ``choice``'s.
+    """
+    found = np.empty(size, dtype=np.int64)
+    n_found = 0
+    remaining = None
+    while n_found < size:
+        draws = rng.random(size - n_found)
+        if n_found > 0:
+            if remaining is None:
+                remaining = weights.copy()
+            remaining[found[:n_found]] = 0
+            cdf = np.cumsum(remaining)
+            cdf /= cdf[-1]
+        new = cdf.searchsorted(draws, side="right")
+        _, first = np.unique(new, return_index=True)
+        first.sort()
+        found[n_found:n_found + len(first)] = new[first]
+        n_found += len(first)
+    return found
 
 
 def generate_dataset(config: SyntheticConfig) -> InteractionDataset:
@@ -194,23 +230,39 @@ def generate_dataset(config: SyntheticConfig) -> InteractionDataset:
                               config.min_interactions, rng)
     community_weight = community_affinity[:, categories]  # (communities, items)
     taste_weight_matrix = taste_affinity[:, categories]   # (tastes, items)
-    personal_weight_matrix = personal_affinity[:, categories]  # (users, items)
     mix = config.taste_weight if config.num_taste_groups > 0 else 0.0
     personal_mix = (config.personal_weight
                     if config.personal_categories > 0 else 0.0)
-    organic: List[np.ndarray] = []
-    for user in range(config.num_users):
+
+    def sampling_table(user: int):
         group_term = ((1.0 - mix) * community_weight[communities[user]]
                       + mix * taste_weight_matrix[tastes[user]])
         weights = popularity * ((1.0 - personal_mix) * group_term
-                                + personal_mix * personal_weight_matrix[user])
+                                + personal_mix * personal_affinity[user, categories])
         if config.interaction_noise > 0.0:
             weights = ((1.0 - config.interaction_noise) * weights / weights.sum()
                        + config.interaction_noise / config.num_items)
         weights = weights / weights.sum()
+        cdf = np.cumsum(weights)
+        cdf /= cdf[-1]
+        return weights, cdf
+
+    # Without personal taste every personal row is the same uniform one, so
+    # the table depends only on (community, taste group): build each once.
+    # With personal taste it is per user and is not kept — at ``large`` a
+    # per-user cache would hold hundreds of megabytes.
+    group_tables: Dict[tuple, tuple] = {}
+    organic: List[np.ndarray] = []
+    for user in range(config.num_users):
+        if personal_mix > 0.0:
+            weights, cdf = sampling_table(user)
+        else:
+            key = (communities[user], tastes[user])
+            if key not in group_tables:
+                group_tables[key] = sampling_table(user)
+            weights, cdf = group_tables[key]
         budget = min(degrees[user], config.num_items - 1)
-        organic.append(rng.choice(config.num_items, size=budget,
-                                  replace=False, p=weights))
+        organic.append(_draw_without_replacement(rng, weights, cdf, budget))
 
     # Interactions, phase 2 — item-level social adoption: a fraction of
     # each user's interactions copies items their friends chose (the
@@ -324,9 +376,10 @@ def tiny(seed: int = 0, **overrides) -> InteractionDataset:
 # ----------------------------------------------------------------------
 # xlarge — the 1M+ node memory-scale preset.
 #
-# The reference generator above holds a dense ``(num_items,)`` weight
-# vector per user and loops users in Python; at a million nodes that is
-# hours of work and gigabytes of transient allocations.  The chunked
+# The reference generator above loops users in Python and draws each
+# user's items from a dense ``(num_items,)`` sampling table, one per latent
+# group (one per user with personal taste); at a million nodes the loop is
+# hours of work and every table costs megabytes.  The chunked
 # generator below plants the same three structural signals (community
 # homophily, category affinity, power-law popularity) with vectorized
 # per-chunk sampling and a memmap-backed edge buffer, so peak memory

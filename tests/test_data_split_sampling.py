@@ -3,7 +3,33 @@
 import numpy as np
 import pytest
 
-from repro.data import BprSampler, build_eval_candidates, leave_one_out, tiny
+from repro.data import (BprSampler, build_eval_candidates, leave_one_out,
+                        medium, tiny)
+
+
+def _leave_one_out_loop(dataset, seed=0, min_history=2, max_test_users=None):
+    """The per-user loop ``leave_one_out`` replaced: the bitwise reference."""
+    rng = np.random.default_rng(seed)
+    train_rows, test_users, test_items = [], [], []
+    for user, items in enumerate(dataset.user_histories()):
+        if len(items) < min_history:
+            if len(items):
+                train_rows.append(np.stack(
+                    [np.full(len(items), user, dtype=np.int64), items], axis=1))
+            continue
+        held = int(rng.integers(0, len(items)))
+        kept = np.delete(items, held)
+        train_rows.append(np.stack(
+            [np.full(len(kept), user, dtype=np.int64), kept], axis=1))
+        test_users.append(user)
+        test_items.append(int(items[held]))
+    test_users = np.asarray(test_users, dtype=np.int64)
+    test_items = np.asarray(test_items, dtype=np.int64)
+    if max_test_users is not None and len(test_users) > max_test_users:
+        chosen = np.sort(rng.choice(len(test_users), size=max_test_users,
+                                    replace=False))
+        test_users, test_items = test_users[chosen], test_items[chosen]
+    return np.concatenate(train_rows, axis=0), test_users, test_items
 
 
 class TestLeaveOneOut:
@@ -37,6 +63,25 @@ class TestLeaveOneOut:
     def test_max_test_users_subsamples(self, tiny_dataset):
         split = leave_one_out(tiny_dataset, seed=0, max_test_users=10)
         assert split.num_test_users == 10
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize("kwargs", [
+        {},
+        {"min_history": 9},           # many users below the floor
+        {"max_test_users": 25},
+        {"min_history": 11, "max_test_users": 10},
+    ], ids=["default", "min_history", "max_test_users", "both"])
+    @pytest.mark.parametrize("factory", [tiny, medium], ids=["tiny", "medium"])
+    def test_matches_the_per_user_loop(self, factory, kwargs, seed):
+        dataset = factory(seed=seed)
+        split = leave_one_out(dataset, seed=seed, **kwargs)
+        train, users, items = _leave_one_out_loop(dataset, seed=seed, **kwargs)
+        below = (dataset.user_degrees() < kwargs.get("min_history", 2)).sum()
+        assert kwargs.get("min_history") is None or below > 0
+        for got, want in ((split.train_pairs, train), (split.test_users, users),
+                          (split.test_items, items)):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
 
     def test_train_matrix_excludes_test(self, tiny_dataset):
         split = leave_one_out(tiny_dataset, seed=0)

@@ -11,9 +11,11 @@ from repro.data import (
     dataset_statistics,
     epinions_small,
     generate_dataset,
+    medium,
     tiny,
     yelp_small,
 )
+from repro.data import synthetic
 
 
 class TestDeterminism:
@@ -46,6 +48,25 @@ class TestConfigValidation:
     def test_too_many_communities(self):
         with pytest.raises(ValueError):
             generate_dataset(SyntheticConfig(num_communities=100, num_relations=2))
+
+    @pytest.mark.parametrize("field", ["num_users", "num_relations",
+                                       "num_communities"])
+    def test_non_positive_sizes_rejected(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be >= 1"):
+            generate_dataset(SyntheticConfig(**{field: 0}))
+
+    @pytest.mark.parametrize("num_items, min_interactions", [(3, 5), (1, 3)])
+    def test_too_few_items_for_the_interaction_floor(self, num_items,
+                                                     min_interactions):
+        # Budgets are capped at num_items - 1 distinct items per user.
+        with pytest.raises(ValueError, match="num_items must be >= min_interactions"):
+            generate_dataset(SyntheticConfig(num_items=num_items,
+                                             min_interactions=min_interactions))
+
+    def test_smallest_item_pool_for_the_floor_is_accepted(self):
+        config = SyntheticConfig(num_items=4, min_interactions=3)
+        ds = generate_dataset(config)
+        assert ds.user_degrees().min() >= config.min_interactions
 
 
 class TestGeneratedStructure:
@@ -140,3 +161,89 @@ class TestPropertyBased:
         assert ds.user_degrees().min() >= config.min_interactions
         if len(ds.social_edges):
             assert (ds.social_edges[:, 0] != ds.social_edges[:, 1]).all()
+
+
+def _choice_oracle(rng, weights, cdf, size):
+    """The per-user draw the generator made before its sampling tables."""
+    return rng.choice(len(weights), size=size, replace=False, p=weights)
+
+
+class _CountingRng:
+    """Forwards ``random`` to a generator and counts the calls (draw rounds)."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.calls = 0
+
+    def random(self, size):
+        self.calls += 1
+        return self.rng.random(size)
+
+
+class TestDrawWithoutReplacement:
+    @staticmethod
+    def _table(weights):
+        cdf = np.cumsum(weights)
+        cdf /= cdf[-1]
+        return cdf
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 17, 7919])
+    @pytest.mark.parametrize("n, k", [(12, 1), (12, 5), (300, 40), (50, 49)])
+    def test_equals_generator_choice(self, seed, n, k):
+        weights = np.random.default_rng(1000 + seed).random(n) + 0.01
+        weights /= weights.sum()
+        a = np.random.default_rng(seed)
+        b = np.random.default_rng(seed)
+        got = synthetic._draw_without_replacement(a, weights, self._table(weights), k)
+        want = b.choice(n, size=k, replace=False, p=weights)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+        assert a.random() == b.random()
+
+    @pytest.mark.parametrize("seed", [0, 5, 11])
+    def test_skewed_weights_need_many_rounds(self, seed):
+        # Geometric weights: a few items carry nearly all the mass, so
+        # collisions keep forcing redraws, up to k = n - 1.
+        n = 40
+        weights = 0.5 ** np.arange(n, dtype=np.float64)
+        weights /= weights.sum()
+        a = _CountingRng(np.random.default_rng(seed))
+        b = np.random.default_rng(seed)
+        got = synthetic._draw_without_replacement(a, weights, self._table(weights),
+                                                  n - 1)
+        want = b.choice(n, size=n - 1, replace=False, p=weights)
+        np.testing.assert_array_equal(got, want)
+        assert a.calls > 3
+        assert a.rng.random() == b.random()
+
+
+def _assert_same_dataset(a, b):
+    for name in ("interactions", "social_edges", "item_relations"):
+        got, want = getattr(a, name), getattr(b, name)
+        assert got.dtype == want.dtype, name
+        np.testing.assert_array_equal(got, want, err_msg=name)
+
+
+class TestSamplingTablesMatchChoice:
+    """The cached-table generator reproduces the per-user ``choice`` one bitwise."""
+
+    @pytest.mark.parametrize("seed", [0, 7919])
+    @pytest.mark.parametrize("preset", ["tiny", "ciao-small", "epinions-small",
+                                        "yelp-small", "medium", "large"])
+    def test_presets(self, monkeypatch, preset, seed):
+        factory = PRESETS[preset]
+        fast = factory(seed=seed)
+        monkeypatch.setattr(synthetic, "_draw_without_replacement", _choice_oracle)
+        _assert_same_dataset(fast, factory(seed=seed))
+
+    @pytest.mark.parametrize("seed", [0, 7919])
+    @pytest.mark.parametrize("overrides", [
+        {"num_taste_groups": 3},
+        {"personal_weight": 0.3},
+        {"interaction_noise": 0.0},
+        {"social_adoption": 0.0},
+    ], ids=lambda o: next(iter(o)))
+    def test_config_variants(self, monkeypatch, overrides, seed):
+        fast = medium(seed=seed, **overrides)
+        monkeypatch.setattr(synthetic, "_draw_without_replacement", _choice_oracle)
+        _assert_same_dataset(fast, medium(seed=seed, **overrides))
