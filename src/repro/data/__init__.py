@@ -22,7 +22,7 @@ from repro.data.synthetic import (
     xlarge,
     PRESETS,
 )
-from repro.data.split import Split, leave_last_out, leave_one_out
+from repro.data.split import Split, leave_one_out
 from repro.data.sampling import BprSampler, build_eval_candidates, EvalCandidates
 from repro.data.stats import dataset_statistics, render_statistics_table
 from repro.data.loaders import save_dataset, load_dataset
@@ -42,7 +42,6 @@ __all__ = [
     "xlarge",
     "PRESETS",
     "Split",
-    "leave_last_out",
     "leave_one_out",
     "BprSampler",
     "EvalCandidates",

@@ -87,36 +87,3 @@ def leave_one_out(dataset: InteractionDataset, seed: int = 0,
     mask[held_rows] = False
     return Split(dataset=dataset, train_pairs=pairs[mask],
                  test_users=test_users, test_items=test_items)
-
-
-def leave_last_out(dataset: InteractionDataset, min_history: int = 2,
-                   max_test_users: Optional[int] = None,
-                   seed: int = 0) -> Split:
-    """Vectorized leave-one-out holding out each user's last stored item.
-
-    Unlike :func:`leave_one_out`, the choice is deterministic:
-    interactions are stored sorted by ``(user, item)``, and the final row
-    of each eligible user's block is held out.  Intended for memory-scale
-    sweeps, not paper-protocol evaluation.
-    """
-    pairs = dataset.interactions  # sorted by (user, item) after dedupe
-    counts = np.bincount(pairs[:, 0], minlength=dataset.num_users)
-    block_ends = np.cumsum(counts) - 1  # last row index per user
-    eligible = np.flatnonzero(counts >= min_history)
-    held_rows = block_ends[eligible]
-    test_users = pairs[held_rows, 0]
-    test_items = pairs[held_rows, 1]
-    if max_test_users is not None and len(test_users) > max_test_users:
-        rng = np.random.default_rng(seed)
-        chosen = rng.choice(len(test_users), size=max_test_users,
-                            replace=False)
-        chosen.sort()
-        # Only the sampled users' rows leave training; unsampled eligible
-        # users keep their full history.
-        held_rows = held_rows[chosen]
-        test_users = test_users[chosen]
-        test_items = test_items[chosen]
-    mask = np.ones(len(pairs), dtype=bool)
-    mask[held_rows] = False
-    return Split(dataset=dataset, train_pairs=pairs[mask],
-                 test_users=test_users, test_items=test_items)

@@ -17,18 +17,17 @@ module supplies the blocked alternative:
   amortizes its span walk over many nonzeros — an L2-sized tile
   fragments the nonzeros until every piece degenerates to its fallback.
 
-The column trim is what makes blocking compose with reordering instead
-of merely coexisting.  An untrimmed per-block CSC drags the full
-``num_cols + 1`` index pointer past the core for *every* block — on a
-wide matrix (an 800k-item catalog split into ~50 blocks) that empty-
-column scan alone moves more bytes than the dense operand.  After a
-:mod:`repro.graph.reorder` pass each block's occupied columns cluster
-into a narrow band, the trimmed pointer shrinks to that band, and the
-block becomes the pure stream the design intends.  Blocks whose span
-stays wide relative to their nonzeros (the scattered, unreordered
-layout) fall back to a zero-copy CSR view of the parent matrix —
-identical work to the flat kernel on that row range, so enabling
-blocking never makes a layout *slower* than flat.
+The column trim keeps a block's cost proportional to its nonzeros.  An
+untrimmed per-block CSC drags the full ``num_cols + 1`` index pointer
+past the core for *every* block — on a wide matrix (an 800k-item
+catalog split into ~50 blocks) that empty-column scan alone moves more
+bytes than the dense operand.  When a block's occupied columns sit in a
+narrow band (a banded matrix), the trimmed pointer shrinks to that band
+and the block becomes a pure sequential stream.  Blocks whose span
+stays wide relative to their nonzeros (scattered columns) fall back to
+a zero-copy CSR view of the parent matrix — identical work to the flat
+kernel on that row range, so enabling blocking never makes a matrix
+*slower* than flat.
 
 Both piece kinds accumulate every output element in exactly the same
 sequence as scipy's flat kernel (CSC column order equals CSR
@@ -103,9 +102,9 @@ SCATTER_COALESCE_RATIO = 2.0
 
 #: A block keeps its trimmed CSC form only while its occupied column
 #: span stays within this multiple of its nonzeros (always allowing a
-#: small absolute span); wider blocks — the scattered, unreordered
-#: layout — fall back to a zero-copy CSR view, where the column-pointer
-#: scan the trim avoids would have cost more than the nonzeros.
+#: small absolute span); wider blocks (scattered columns) fall back to
+#: a zero-copy CSR view, where the column-pointer scan the trim avoids
+#: would have cost more than the nonzeros.
 CSC_SPAN_NNZ_RATIO = 4.0
 CSC_SPAN_FLOOR = 4096
 
@@ -384,8 +383,8 @@ def gather_rows_blocked(table: np.ndarray, indices: np.ndarray,
     """Row gather in output-tile-sized chunks (bitwise = ``np.take``).
 
     Chunking keeps each destination tile cache-resident while its source
-    rows are pulled in; after a reorder pass the sorted minibatch ids
-    make each chunk's source window compact as well.
+    rows are pulled in; sorted ids make each chunk's source window
+    compact as well.
     """
     if block_bytes is None:
         block_bytes = get_spmm_block()
@@ -404,9 +403,8 @@ def scatter_add_rows_clustered(grad: np.ndarray, indices: np.ndarray,
                                out: np.ndarray) -> bool:
     """Coalescing scatter-add for sorted, duplicate-heavy index runs.
 
-    When ``indices`` is already sorted (the post-reorder minibatch norm)
-    and each unique id repeats at least :data:`SCATTER_COALESCE_RATIO`
-    times, duplicate rows are summed with one ``np.add.reduceat`` pass
+    When ``indices`` is already sorted and each unique id repeats at
+    least :data:`SCATTER_COALESCE_RATIO` times, duplicate rows are summed with one ``np.add.reduceat`` pass
     and written with a single fancy-indexed add.  Returns ``True`` when
     it handled the scatter, ``False`` to tell the caller to use the
     flat ``np.add.at`` path.  Reduceat reassociates each run's sum, so

@@ -114,8 +114,7 @@ def full_ranking_ranks(model, split: Split, batch_size: int = 256,
 
 def full_ranking_topk(model, split: Split, users: Optional[np.ndarray] = None,
                       top_n: int = 10, batch_size: int = 256,
-                      mask_train: bool = True,
-                      permutation=None) -> np.ndarray:
+                      mask_train: bool = True) -> np.ndarray:
     """Top-N recommended item ids per user under the all-item protocol.
 
     The batched counterpart of :meth:`Recommender.recommend`: one score
@@ -123,19 +122,24 @@ def full_ranking_topk(model, split: Split, users: Optional[np.ndarray] = None,
     and the per-row top N selected with :func:`top_k_indices`.  Returns
     an ``(len(users), top_n)`` int array, best item first.
 
-    When the model was trained on a reordered split, pass the
-    :class:`~repro.graph.reorder.NodePermutation` that produced it:
-    ``users`` is then taken in *original* ids (mapped to internal ids
-    before scoring) and the returned item ids are mapped back to
-    original ids — the permutation stays invisible at this boundary.
+    Raises ``ValueError`` for a user id outside ``[0, num_users)`` (a
+    negative id would otherwise index from the end and answer for the
+    wrong user), and for ``top_n`` or ``batch_size`` below 1.
     """
+    if top_n < 1:
+        raise ValueError(f"top_n must be positive, got {top_n}")
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be positive, got {batch_size}")
     user_emb, item_emb = model.final_embeddings()
     if users is None:
-        users = split.test_users  # already in the split's (internal) ids
+        users = split.test_users
     else:
         users = np.asarray(users, dtype=np.int64)
-        if permutation is not None:
-            users = permutation.map_users(users)
+        if users.ndim != 1:
+            raise ValueError("users must be 1-D")
+        if users.size and (users.min() < 0
+                           or users.max() >= user_emb.shape[0]):
+            raise ValueError("user id out of range")
     train_matrix = split.train_matrix().tocsr()
     train_matrix.sort_indices()
     indptr, indices = train_matrix.indptr, train_matrix.indices
@@ -147,8 +151,6 @@ def full_ranking_topk(model, split: Split, users: Optional[np.ndarray] = None,
             _mask_train_items(scores, block_users, indptr, indices)
         top[start:start + len(block_users)] = top_k_indices(scores, top_n)
         arena.release(scores)
-    if permutation is not None:
-        top = permutation.original_items(top)
     return top
 
 

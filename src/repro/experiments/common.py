@@ -10,7 +10,6 @@ layouts of the paper.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -25,74 +24,39 @@ from repro.data import (
 from repro.data.sampling import EvalCandidates
 from repro.data.split import Split
 from repro.graph.hetero import CollaborativeHeteroGraph
-from repro.graph.reorder import (
-    NodePermutation,
-    REORDER_STRATEGIES,
-    reorder_split,
-)
 from repro.models import create_model
 from repro.train import TrainConfig, Trainer, TrainingHistory
 
 
 @dataclass
 class ExperimentContext:
-    """One dataset's fixed experimental setting.
-
-    When built with a ``reorder`` strategy the split, candidates and
-    graph all live in the permuted (internal) id space and
-    ``permutation`` records the relabeling; everything downstream of the
-    context is id-agnostic, and external boundaries map back through
-    ``permutation`` (see :mod:`repro.graph.reorder`).
-    """
+    """One dataset's fixed experimental setting."""
 
     dataset: InteractionDataset
     split: Split
     candidates: EvalCandidates
     graph: CollaborativeHeteroGraph
-    permutation: Optional[NodePermutation] = None
 
     @classmethod
     def build(cls, dataset_name: str = "ciao-small", seed: int = 0,
               num_negatives: int = 100,
               dataset: Optional[InteractionDataset] = None,
               use_social: bool = True,
-              use_item_relations: bool = True,
-              reorder: Optional[str] = None) -> "ExperimentContext":
-        """Create the context for a preset name (or an explicit dataset).
-
-        ``reorder`` selects a node-reordering strategy (``"identity"`` or
-        ``"rcm"``); the split is built in original ids
-        first, then relabeled, so the held-out interactions are the same
-        pairs under any strategy.  When ``reorder`` is ``None`` the
-        ``REPRO_REORDER`` environment variable applies (default
-        ``"identity"``), so the knob reaches CLI runs that never touch
-        this parameter.
-        """
-        if reorder is None:
-            env = os.environ.get("REPRO_REORDER")
-            if env is not None:
-                reorder = env.strip().lower()
-                if reorder not in REORDER_STRATEGIES:
-                    raise ValueError(
-                        f"REPRO_REORDER must be one of {REORDER_STRATEGIES}, "
-                        f"got {env!r}")
+              use_item_relations: bool = True) -> "ExperimentContext":
+        """Create the context for a preset name (or an explicit dataset)."""
         if dataset is None:
             if dataset_name not in PRESETS:
                 raise KeyError(f"unknown preset {dataset_name!r}; "
                                f"known: {sorted(PRESETS)}")
             dataset = PRESETS[dataset_name](seed=seed)
         split = leave_one_out(dataset, seed=seed)
-        permutation = None
-        if reorder is not None and reorder != "identity":
-            split, permutation = reorder_split(split, reorder)
-            dataset = split.dataset
         candidates = build_eval_candidates(split, num_negatives=num_negatives,
                                            seed=seed)
         graph = CollaborativeHeteroGraph(dataset, split.train_pairs,
                                          use_social=use_social,
                                          use_item_relations=use_item_relations)
         return cls(dataset=dataset, split=split, candidates=candidates,
-                   graph=graph, permutation=permutation)
+                   graph=graph)
 
     def variant_graph(self, use_social: bool = True,
                       use_item_relations: bool = True) -> CollaborativeHeteroGraph:

@@ -16,20 +16,10 @@ from repro.graph.adjacency import (
     bipartite_norm_adjacency,
     add_self_loops,
 )
-from repro.graph.reorder import (
-    NodePermutation,
-    REORDER_STRATEGIES,
-    build_permutation,
-    reorder_split,
-)
 
 __all__ = [
     "CollaborativeHeteroGraph",
     "EdgeSet",
-    "NodePermutation",
-    "REORDER_STRATEGIES",
-    "build_permutation",
-    "reorder_split",
     "row_normalize",
     "symmetric_normalize",
     "bipartite_norm_adjacency",

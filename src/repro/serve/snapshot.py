@@ -48,7 +48,6 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.data.split import Split
 from repro.engine.precision import index_dtype_for
@@ -64,19 +63,6 @@ _LATEST = "LATEST"
 
 class SnapshotIntegrityError(RuntimeError):
     """A snapshot failed checksum, metadata or finite-value validation."""
-
-
-def _relabel_csr(matrix: sp.csr_matrix, map_rows, map_cols) -> sp.csr_matrix:
-    """Rebuild a CSR with every row/col id passed through a mapping.
-
-    Used at the permutation boundary to translate internal-id masks back
-    to original ids (the mappings are ``NodePermutation.original_*``).
-    """
-    coo = matrix.tocoo()
-    return sp.csr_matrix(
-        (coo.data, (map_rows(coo.row.astype(np.int64)),
-                    map_cols(coo.col.astype(np.int64)))),
-        shape=matrix.shape)
 
 
 def _sha256_file(path: Path, chunk_bytes: int = 1 << 22) -> str:
@@ -143,7 +129,7 @@ class EmbeddingSnapshot:
     # -- construction ---------------------------------------------------
     @classmethod
     def from_model(cls, model, split: Optional[Split] = None,
-                   permutation=None, **meta) -> "EmbeddingSnapshot":
+                   **meta) -> "EmbeddingSnapshot":
         """Snapshot a trained model (and the split's train mask).
 
         ``split`` supplies the train-interaction CSR; when omitted the
@@ -152,13 +138,6 @@ class EmbeddingSnapshot:
         Embeddings are stored exactly as ``final_embeddings()`` returns
         them — no cast — so serving from the snapshot is bitwise
         identical to serving from the live model.
-
-        When the model was trained on a reordered split
-        (:mod:`repro.graph.reorder`), pass the producing
-        :class:`~repro.graph.reorder.NodePermutation`: embedding rows
-        are restored to original-id order and both CSR masks are
-        rebuilt in original ids, so the published snapshot — and every
-        serving component on top of it — speaks original ids only.
         """
         user_emb, item_emb = model.final_embeddings()
         graph = model.graph
@@ -167,13 +146,6 @@ class EmbeddingSnapshot:
         else:
             train = graph.interaction.tocsr()
         social = graph.social.tocsr()
-        if permutation is not None:
-            user_emb = permutation.restore_user_rows(np.asarray(user_emb))
-            item_emb = permutation.restore_item_rows(np.asarray(item_emb))
-            train = _relabel_csr(train, permutation.original_users,
-                                 permutation.original_items)
-            social = _relabel_csr(social, permutation.original_users,
-                                  permutation.original_users)
         train.sort_indices()
         social.sort_indices()
         index_dtype = index_dtype_for(

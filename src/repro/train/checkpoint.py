@@ -18,13 +18,14 @@ PathLike = Union[str, os.PathLike]
 
 _META_KEY = "__checkpoint_meta__"
 _OPTIM_PREFIX = "__optim__/"
+#: Prefix of node-permutation arrays in older checkpoints; loads refuse them.
 _PERM_PREFIX = "__perm__/"
 
 
 def save_checkpoint(model, path: PathLike, epoch: int = -1,
                     metrics: Optional[Dict[str, float]] = None,
                     extra: Optional[Dict[str, object]] = None,
-                    optimizer=None, permutation=None) -> None:
+                    optimizer=None) -> None:
     """Write ``model``'s parameters and metadata to ``path`` (.npz).
 
     When ``optimizer`` is given, its :meth:`~repro.nn.optim.Optimizer.
@@ -32,20 +33,11 @@ def save_checkpoint(model, path: PathLike, epoch: int = -1,
     stored under a namespaced prefix so training can resume exactly —
     including the lazy optimizers' bias-correction and weight-decay
     catch-up bookkeeping.
-
-    When the model was trained on a reordered split, pass the producing
-    :class:`~repro.graph.reorder.NodePermutation`: its arrays are stored
-    under their own prefix so a later load can translate the internal-id
-    parameter rows back to original ids (the checkpoint itself keeps the
-    rows exactly as the model holds them — no silent re-permutation).
     """
     payload = {name: values for name, values in model.state_dict().items()}
     if optimizer is not None:
         for name, values in optimizer.state_dict().items():
             payload[_OPTIM_PREFIX + name] = values
-    if permutation is not None:
-        for name, values in permutation.to_arrays().items():
-            payload[_PERM_PREFIX + name] = values
     meta = {
         "model_name": getattr(model, "name", type(model).__name__),
         "embed_dim": getattr(model, "embed_dim", None),
@@ -53,9 +45,6 @@ def save_checkpoint(model, path: PathLike, epoch: int = -1,
         "metrics": metrics or {},
         "extra": extra or {},
         "has_optimizer": optimizer is not None,
-        "has_permutation": permutation is not None,
-        "reorder_strategy": (permutation.strategy
-                             if permutation is not None else None),
     }
     payload[_META_KEY] = np.asarray(json.dumps(meta))
     np.savez_compressed(Path(path), **payload)
@@ -65,31 +54,27 @@ def load_checkpoint(path: PathLike) -> Tuple[Dict[str, np.ndarray], Dict]:
     """Read a checkpoint; returns ``(state_dict, metadata)``.
 
     Optimizer entries (if saved) are split out of the model state and
-    returned under ``metadata["optimizer_state"]``; a stored node
-    permutation is rebuilt as ``metadata["permutation"]`` (a
-    :class:`~repro.graph.reorder.NodePermutation`, else ``None``).
+    returned under ``metadata["optimizer_state"]``.  Raises
+    ``ValueError`` for an archive holding node-permutation arrays: its
+    parameter rows are in a relabeled id order this program no longer
+    knows how to map back.
     """
     with np.load(Path(path), allow_pickle=False) as archive:
         meta = json.loads(str(archive[_META_KEY]))
         state = {}
         optim_state = {}
-        perm_arrays = {}
         for name in archive.files:
             if name == _META_KEY:
                 continue
             if name.startswith(_OPTIM_PREFIX):
                 optim_state[name[len(_OPTIM_PREFIX):]] = archive[name]
             elif name.startswith(_PERM_PREFIX):
-                perm_arrays[name[len(_PERM_PREFIX):]] = archive[name]
+                raise ValueError(
+                    f"checkpoint {path} came from a reordered split "
+                    f"({name!r}); node reordering is no longer supported")
             else:
                 state[name] = archive[name]
     meta["optimizer_state"] = optim_state
-    if perm_arrays:
-        from repro.graph.reorder import NodePermutation
-        meta["permutation"] = NodePermutation.from_arrays(
-            perm_arrays, strategy=meta.get("reorder_strategy") or "restored")
-    else:
-        meta["permutation"] = None
     return state, meta
 
 

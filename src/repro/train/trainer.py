@@ -26,9 +26,7 @@ stream is identical either way), and the multi-process
 :class:`~repro.train.parallel.ParallelTrainer` holds a 1-worker run
 bitwise-identical to this class.  Environment-resolved knobs
 (``REPRO_PREFETCH``, ``REPRO_ENGINE_ARENA``, ``REPRO_ENGINE_SPMM_BLOCK``)
-are documented field-by-field in ``docs/operations.md``; node reordering
-is chosen once, when the split is built
-(``ExperimentContext.build(reorder=...)`` / ``REPRO_REORDER``).
+are documented field-by-field in ``docs/operations.md``.
 """
 
 from __future__ import annotations

@@ -85,6 +85,15 @@ def test_use_spmm_block_scopes_and_restores():
     assert get_spmm_block() is None
 
 
+def test_train_config_resolves_spmm_block():
+    from repro.train import TrainConfig
+
+    config = TrainConfig(epochs=1, spmm_block=1)
+    assert config.resolved_spmm_block() == locality.AUTO_BLOCK_BYTES
+    with pytest.raises(ValueError):
+        TrainConfig(epochs=1, spmm_block=-1)
+
+
 def test_rows_per_block_bounds():
     # At least 64 rows per tile (the floor wins even for tiny inputs —
     # build_blocks clamps the final boundary to the matrix itself).
@@ -110,9 +119,9 @@ def test_blocked_spmm_bitwise_matches_flat(dtype):
 
 
 def test_build_blocks_trims_banded_matrix_to_csc():
-    # A banded matrix (what RCM produces) keeps every block's occupied
-    # column span narrow, so every piece should stay in trimmed CSC
-    # form with indptr covering only that span.
+    # A banded matrix keeps every block's occupied column span narrow,
+    # so every piece should stay in trimmed CSC form with indptr
+    # covering only that span.
     rows = cols = 4000
     rng = np.random.default_rng(3)
     r = rng.integers(0, rows, size=60000)

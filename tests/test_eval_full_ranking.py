@@ -62,6 +62,29 @@ class TestTrainMasking:
         assert not np.array_equal(masked, unmasked)
 
 
+@pytest.mark.parametrize("make_kwargs, message", [
+    pytest.param(lambda n: dict(users=[-1], mask_train=False),
+                 "user id out of range", id="negative-user-unmasked"),
+    pytest.param(lambda n: dict(users=[-1]), "user id out of range",
+                 id="negative-user-masked"),
+    pytest.param(lambda n: dict(users=[n]), "user id out of range",
+                 id="user-past-end"),
+    pytest.param(lambda n: dict(users=[[0, 1]]), "users must be 1-D",
+                 id="2d-users"),
+    pytest.param(lambda n: dict(users=[0, 1], top_n=-3),
+                 "top_n must be positive", id="negative-top-n"),
+    pytest.param(lambda n: dict(users=[0, 1], top_n=0),
+                 "top_n must be positive", id="zero-top-n"),
+    pytest.param(lambda n: dict(users=[0, 1], batch_size=0),
+                 "batch_size must be positive", id="zero-batch-size"),
+])
+def test_topk_rejects_invalid_arguments(model, tiny_split, make_kwargs,
+                                        message):
+    kwargs = make_kwargs(tiny_split.dataset.num_users)
+    with pytest.raises(ValueError, match=message):
+        full_ranking_topk(model, tiny_split, **kwargs)
+
+
 class TestMaxUsersDeterminism:
     def test_same_seed_same_subsample(self, model, tiny_split):
         a = full_ranking_ranks(model, tiny_split, max_users=10, seed=3)

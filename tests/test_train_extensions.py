@@ -1,5 +1,7 @@
 """Tests for checkpointing and grid search."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,26 @@ class TestCheckpointing:
         state, meta = load_checkpoint(path)
         assert meta["model_name"] == "bpr-mf"
         assert "user_embedding.weight" in state
+
+    def test_checkpoint_with_node_permutation_is_refused(self, tiny_graph,
+                                                         tmp_path):
+        # Older versions stored a node permutation under ``__perm__/``
+        # next to rows in the permuted order; such rows cannot be mapped
+        # back, so the load must fail instead of treating them as state.
+        model = BprMF(tiny_graph, embed_dim=4, seed=0)
+        meta = {"model_name": "bpr-mf", "embed_dim": 4, "epoch": 3,
+                "metrics": {}, "extra": {}, "has_optimizer": False,
+                "has_permutation": True, "reorder_strategy": "rcm"}
+        payload = dict(model.state_dict())
+        payload["__perm__/user_perm"] = np.arange(tiny_graph.num_users)
+        payload["__perm__/item_perm"] = np.arange(tiny_graph.num_items)
+        payload["__checkpoint_meta__"] = np.asarray(json.dumps(meta))
+        path = tmp_path / "permuted.npz"
+        np.savez_compressed(path, **payload)
+        with pytest.raises(ValueError, match="reordered split"):
+            load_checkpoint(path)
+        with pytest.raises(ValueError, match="reordered split"):
+            restore_model(BprMF(tiny_graph, embed_dim=4, seed=1), path)
 
     def test_wrong_model_name_rejected(self, tiny_graph, tmp_path):
         mf = BprMF(tiny_graph, embed_dim=8, seed=0)
