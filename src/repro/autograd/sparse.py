@@ -89,14 +89,11 @@ class RowSparseGrad:
         Gradient rows, shaped ``rows.shape + table.shape[1:]``.
     num_rows:
         The table's leading dimension ``N``.
-    coalesced:
-        Pass ``True`` only when ``rows`` is already strictly increasing
-        with one value row each (skips the coalescing pass).
     """
 
     __slots__ = ("rows", "values", "num_rows")
 
-    def __init__(self, rows, values, num_rows: int, coalesced: bool = False):
+    def __init__(self, rows, values, num_rows: int):
         self.num_rows = int(num_rows)
         # Row indices follow the engine index policy (int32 unless the
         # table is too large) — the carrier is O(batch) rows, so this
@@ -109,10 +106,7 @@ class RowSparseGrad:
         if rows.size and (rows.min() < 0 or rows.max() >= self.num_rows):
             raise IndexError(
                 f"row indices out of range for a table of {self.num_rows} rows")
-        if coalesced:
-            self.rows, self.values = rows, values
-        else:
-            self.rows, self.values = _coalesce(rows, values)
+        self.rows, self.values = _coalesce(rows, values)
 
     # ------------------------------------------------------------------
     # Introspection

@@ -53,7 +53,10 @@ def clip_grad_norm(parameters: Iterable[Parameter], max_norm: float) -> float:
     Row-sparse gradients participate without densifying: their squared
     sum equals the dense gradient's (untouched rows are zero), and
     clipping scales only the stored values.  Returns the pre-clip norm.
+    ``max_norm`` must be positive.
     """
+    if not max_norm > 0:
+        raise ValueError(f"max_norm must be positive, got {max_norm}")
     params = [p for p in parameters if p.grad is not None]
     total_sq = 0.0
     for p in params:

@@ -28,11 +28,10 @@ and a crashed publisher leaves at worst an orphaned temp directory.
 Embedding tables with a NaN or infinity are refused before staging.
 
 Determinism: persistence is bytes-exact — a published-and-reloaded
-snapshot compares ``np.array_equal`` to the arrays it was built from,
-whether the producer was the single-process ``Trainer`` or a
-``ParallelTrainer`` fleet (``repro.train.train_and_publish`` is the
-training-side handoff).  There are no environment knobs here; the
-arrays inherit whatever ``REPRO_ENGINE_DTYPE`` /
+snapshot compares ``np.array_equal`` to the arrays it was built from
+(``repro.train.train_and_publish`` is the training-side handoff: one
+in-process ``Trainer`` run, then a publish).  There are no environment
+knobs here; the arrays inherit whatever ``REPRO_ENGINE_DTYPE`` /
 ``REPRO_ENGINE_INDEX_DTYPE`` produced them (see ``docs/operations.md``).
 """
 

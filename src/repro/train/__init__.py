@@ -1,14 +1,8 @@
 """Training: BPR loop (Alg. 1 / Eq. 11), configuration, early stopping."""
 
 from repro.train.config import TrainConfig
-from repro.train.trainer import Trainer, TrainingHistory
+from repro.train.trainer import Trainer, TrainingHistory, train_and_publish
 from repro.train.early_stopping import EarlyStopping
-from repro.train.parallel import (
-    ParallelTrainer,
-    SharedParamStore,
-    fit_model,
-    train_and_publish,
-)
 from repro.train.pipeline import (
     MinibatchPlanner,
     MinibatchStep,
@@ -29,9 +23,6 @@ __all__ = [
     "Trainer",
     "TrainingHistory",
     "EarlyStopping",
-    "ParallelTrainer",
-    "SharedParamStore",
-    "fit_model",
     "train_and_publish",
     "MinibatchPlanner",
     "MinibatchStep",

@@ -30,7 +30,7 @@ class TrainConfig:
     sparse_grads: Optional[bool] = None  # None -> on for minibatch, off for full
     sparse_adam_mode: str = "lazy"  # "lazy" (O(batch) steps) or "dense_correct"
     arena: Optional[bool] = None  # None -> REPRO_ENGINE_ARENA env (default on)
-    workers: int = 0  # 0 = single-process Trainer; > 0 forks a ParallelTrainer
+    workers: int = 0  # only 0 is valid: training runs in one process
     spmm_block: Optional[int] = None  # None -> engine setting; 0 off, 1 auto, else bytes
     eval_every: int = 1
     eval_ks: Tuple[int, ...] = (5, 10, 20)
@@ -63,8 +63,20 @@ class TrainConfig:
         if self.sparse_adam_mode not in ("lazy", "dense_correct"):
             raise ValueError(
                 "sparse_adam_mode must be 'lazy' or 'dense_correct'")
-        if self.workers < 0:
-            raise ValueError("workers must be >= 0 (0 = single-process)")
+        if self.workers != 0:
+            raise ValueError(
+                f"workers must be 0, got {self.workers}: multi-process "
+                f"training was removed; Trainer runs in one process")
+        if self.clip_norm is not None and not self.clip_norm > 0:
+            raise ValueError("clip_norm must be positive "
+                             "(or None to disable clipping)")
+        valid_metrics = {f"{name}@{k}" for k in self.eval_ks
+                         for name in ("hr", "ndcg")}
+        if self.early_stopping_metric not in valid_metrics:
+            raise ValueError(
+                f"early_stopping_metric {self.early_stopping_metric!r} is "
+                f"not one of {sorted(valid_metrics)}: it must be hr@k or "
+                f"ndcg@k with k in eval_ks")
         if self.spmm_block is not None and self.spmm_block < 0:
             raise ValueError("spmm_block must be >= 0 (0 = flat kernels)")
 

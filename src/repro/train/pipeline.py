@@ -30,7 +30,7 @@ import queue
 import threading
 import time
 from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -95,40 +95,21 @@ class MinibatchPlanner:
                 + batch_index) % (2**31)
 
     def plan(self, num_batches: int, epoch: int) -> Iterator[MinibatchStep]:
-        """Yield the epoch's steps in order, timing each build."""
-        for _, step in self.plan_shard(num_batches, epoch, 0, 1):
-            yield step
+        """Yield the epoch's steps in order, timing each build.
 
-    def plan_shard(self, num_batches: int, epoch: int, shard: int,
-                   num_shards: int) -> Iterator[Tuple[int, MinibatchStep]]:
-        """Yield ``(batch_index, step)`` for this shard's slice of the epoch.
-
-        Shard ``s`` of ``W`` owns batch indices ``s, s + W, s + 2W, ...``.
-        Every shard *replays the full sampler stream* — it draws all
-        ``num_batches`` triple batches in order, exactly as the
-        sequential :meth:`plan` does — but only builds the subgraph for
-        (and yields) its own batches.  Triple sampling is cheap next to
-        subgraph construction and compute, and the replay is what makes
-        the plan a pure function of ``(config, epoch)``: every shard of
-        every worker count sees the identical batch content the
-        single-process trainer would, which is the foundation of the
-        parallel trainer's 1-worker bitwise-parity oracle.  Fan-out
-        seeds come from :meth:`batch_seed`, already per-(epoch, batch).
+        Triple batches are drawn from the sampler in plan order and
+        fan-out seeds come from :meth:`batch_seed`, so the steps never
+        depend on who consumes them or when.
         """
-        if not 0 <= shard < num_shards:
-            raise ValueError(f"shard must be in [0, {num_shards}), got {shard}")
         for batch_index in range(num_batches):
             start = time.perf_counter()
             users, positives, negatives = self.sampler.sample()
-            if batch_index % num_shards != shard:
-                continue
             subgraph = sample_subgraph_view(
                 self.graph, users, np.concatenate([positives, negatives]),
                 hops=self.hops, fanout=self.fanout,
                 seed=self.batch_seed(epoch, batch_index))
-            yield batch_index, MinibatchStep(users, positives, negatives,
-                                             subgraph,
-                                             time.perf_counter() - start)
+            yield MinibatchStep(users, positives, negatives, subgraph,
+                                time.perf_counter() - start)
 
 
 class _WorkerFailure:

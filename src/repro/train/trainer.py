@@ -22,11 +22,14 @@ Determinism: a run is a pure function of ``(TrainConfig, seed, model
 init)`` — the BPR sampler stream, per-``(epoch, batch)`` fan-out seeds
 and dropout draws are all derived from ``TrainConfig.seed``, so equal
 configs reproduce bitwise.  Prefetch cannot change results (the planner
-stream is identical either way), and the multi-process
-:class:`~repro.train.parallel.ParallelTrainer` holds a 1-worker run
-bitwise-identical to this class.  Environment-resolved knobs
+stream is identical either way).  Environment-resolved knobs
 (``REPRO_PREFETCH``, ``REPRO_ENGINE_ARENA``, ``REPRO_ENGINE_SPMM_BLOCK``)
 are documented field-by-field in ``docs/operations.md``.
+
+Training runs in one process: one optimizer step per BPR batch, as in
+Alg. 1.  :func:`train_and_publish` chains a :class:`Trainer` run into
+the serving layer by publishing the trained model as an
+:class:`~repro.serve.snapshot.EmbeddingSnapshot`.
 """
 
 from __future__ import annotations
@@ -302,3 +305,29 @@ class Trainer:
             best_index = history.eval_epochs.index(stopper.best_epoch)
             history.best_metrics = dict(history.metrics[best_index])
         return history
+
+
+def train_and_publish(model: Recommender, split: Split,
+                      config: Optional[TrainConfig] = None,
+                      candidates: Optional[EvalCandidates] = None,
+                      store=None) -> Tuple[TrainingHistory, Optional[int]]:
+    """Train with :class:`Trainer` and publish a serving snapshot.
+
+    The end-to-end production path: after ``fit()`` returns (with the
+    best epoch restored), the trained model is frozen into an
+    :class:`~repro.serve.snapshot.EmbeddingSnapshot` and — when a
+    :class:`~repro.serve.snapshot.SnapshotStore` (or a path for one) is
+    given — published atomically for the serving layer to pick up via
+    ``load_latest()``/``refresh()``.  Returns ``(history, version)``
+    where ``version`` is ``None`` if no store was given.
+    """
+    from repro.serve.snapshot import EmbeddingSnapshot, SnapshotStore
+
+    history = Trainer(model, split, config, candidates).fit()
+    if store is None:
+        return history, None
+    if not isinstance(store, SnapshotStore):
+        store = SnapshotStore(store)
+    snapshot = EmbeddingSnapshot.from_model(model, split)
+    version = store.publish(snapshot)
+    return history, version

@@ -116,6 +116,16 @@ class TestClipGradNorm:
         p = _param([0.0])
         assert clip_grad_norm([p], max_norm=1.0) == 0.0
 
+    @pytest.mark.parametrize("max_norm", [0.0, -2.0])
+    def test_rejects_non_positive_max_norm(self, max_norm):
+        # A negative bound would turn [1, 1, 1, 1] into [-0.5] * 4
+        # (gradient ascent); 0 would zero the gradient.
+        p = _param([0.0] * 4)
+        p.grad = np.ones(4)
+        with pytest.raises(ValueError, match="max_norm"):
+            clip_grad_norm([p], max_norm=max_norm)
+        np.testing.assert_array_equal(p.grad, np.ones(4))
+
 
 class TestOptimizerBase:
     def test_step_not_implemented(self):

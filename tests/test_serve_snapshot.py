@@ -1,4 +1,5 @@
-"""Snapshot store: publish/load lifecycle, integrity, bitwise parity."""
+"""Snapshot store: publish/load lifecycle, integrity, bitwise parity, and
+the train_and_publish handoff."""
 
 import dataclasses
 import json
@@ -8,6 +9,7 @@ import pytest
 
 from repro.engine.precision import use_dtype
 from repro.eval.full_ranking import full_ranking_topk
+from repro.models import create_model
 from repro.models.lightgcn import LightGCN
 from repro.serve import (
     EmbeddingSnapshot,
@@ -15,6 +17,7 @@ from repro.serve import (
     SnapshotIntegrityError,
     SnapshotStore,
 )
+from repro.train import TrainConfig, train_and_publish
 
 
 @pytest.fixture(scope="module")
@@ -197,3 +200,39 @@ class TestServingParity:
         np.testing.assert_array_equal(
             service.recommend_cold_user(friends, 10),
             recommend_cold_user(model, friends, top_n=10))
+
+
+class TestTrainAndPublish:
+    def test_train_and_publish_serves_trained_model(self, tiny_graph,
+                                                    tiny_split,
+                                                    tiny_candidates,
+                                                    tmp_path):
+        model = create_model("lightgcn", tiny_graph, embed_dim=8, seed=0)
+        config = TrainConfig(epochs=3, batch_size=64, batches_per_epoch=4,
+                             propagation="minibatch", fanout=5,
+                             eval_every=2, patience=None, seed=0)
+        history, version = train_and_publish(model, tiny_split, config,
+                                             tiny_candidates,
+                                             store=tmp_path / "snapshots")
+        assert history.epochs_run == config.epochs
+        assert version is not None
+
+        served = SnapshotStore(tmp_path / "snapshots").load_latest()
+        user_emb, item_emb = model.final_embeddings()
+        np.testing.assert_array_equal(np.asarray(served.user_emb),
+                                      np.asarray(user_emb))
+        np.testing.assert_array_equal(np.asarray(served.item_emb),
+                                      np.asarray(item_emb))
+        items = RecommendService(served).recommend(np.arange(4), k=5)
+        assert items.shape == (4, 5)
+        assert (items >= 0).all()
+
+    def test_train_and_publish_without_store(self, tiny_graph, tiny_split,
+                                             tiny_candidates):
+        model = create_model("lightgcn", tiny_graph, embed_dim=8, seed=0)
+        config = TrainConfig(epochs=1, batch_size=64, batches_per_epoch=2,
+                             patience=None, seed=0)
+        history, version = train_and_publish(model, tiny_split, config,
+                                             tiny_candidates)
+        assert history.epochs_run == 1
+        assert version is None

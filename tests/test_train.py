@@ -30,6 +30,36 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="batches_per_epoch"):
             TrainConfig(batches_per_epoch=batches)
 
+    def test_workers_must_be_zero(self):
+        assert TrainConfig(workers=0).workers == 0
+        for workers in (1, -1):
+            with pytest.raises(ValueError, match="workers"):
+                TrainConfig(workers=workers)
+
+    @pytest.mark.parametrize("clip_norm", [0.0, -1.0, float("nan")])
+    def test_non_positive_clip_norm_rejected(self, clip_norm):
+        # A negative bound would flip every gradient (ascent); 0 would
+        # zero them all.
+        with pytest.raises(ValueError, match="clip_norm"):
+            TrainConfig(clip_norm=clip_norm)
+        assert TrainConfig(clip_norm=None).clip_norm is None
+
+    @pytest.mark.parametrize("metric, ks", [
+        ("hr@50", (5, 10, 20)), ("mrr", (5, 10, 20)), ("recall@10", (10,)),
+        ("ndcg@10", (5, 20)),
+    ])
+    def test_unevaluated_early_stopping_metric_rejected(self, metric, ks):
+        # Checked up front, not as a KeyError after the first epoch.
+        with pytest.raises(ValueError, match="early_stopping_metric"):
+            TrainConfig(early_stopping_metric=metric, eval_ks=ks)
+
+    @pytest.mark.parametrize("metric, ks", [
+        ("hr@10", (5, 10, 20)), ("ndcg@20", (5, 10, 20)), ("hr@50", (50,)),
+    ])
+    def test_evaluated_early_stopping_metric_accepted(self, metric, ks):
+        config = TrainConfig(early_stopping_metric=metric, eval_ks=ks)
+        assert config.early_stopping_metric == metric
+
     def test_paper_hyperparameters_grid(self):
         hp = PaperHyperparameters()
         assert hp.embed_dim == 16
