@@ -17,7 +17,7 @@ Coalescing and densification route through the active kernel backend's
 ``scatter_add_rows`` and preserve the dense path's per-row accumulation
 order, so a coalesced-then-densified gradient is bitwise identical to
 the gradient the dense scatter would have produced — the property the
-optimizers' ``dense_correct`` parity mode rests on.
+lazy optimizers' bitwise parity tests rest on.
 
 Row-sparse production is opt-in (:func:`set_sparse_grads` /
 :func:`use_sparse_grads`) and only ever applies to *leaf* tensors:

@@ -11,13 +11,17 @@ For a new user ``u`` with friend set ``F``:
 
 * layer-0 state: the mean of the friends' trained layer-0 embeddings
   (the best available prior under social homophily);
-* propagation: the trained social memory bank encodes the aggregated
-  friend embeddings exactly as Eq. 4's social term does for known users;
-* τ recalibration applies unchanged.
+* each layer: the trained layer's own Eq. 3 encoder (its social bank,
+  gated by the new user's state) transforms the friends' mean layer-l
+  embedding, and the same layer's Eq. 7 step stabilizes it;
+* Eq. 8: the model's own layer stack concatenates the layer states;
+* τ: half the friends' mean final embedding (their final embeddings
+  already carry their own τ).
 
-For a new item with relation nodes ``R``: the trained item-from-relation
-bank encodes the aggregated relation-node embeddings (Eq. 5's second
-term).
+For a new item with relation nodes ``R`` the same path runs on the
+item-from-relation bank and the item-side norm and self-loop (Eq. 5's
+second term).  With ``use_memory=False`` / ``use_layernorm=False`` the
+layer's own "-M" / "-LN" branches apply, so every ablation is covered.
 
 This is *inductive inference with frozen parameters* — no gradient steps
 for the new entity.
@@ -35,6 +39,48 @@ from repro.eval.metrics import top_k_indices
 from repro.models.dgnn import DGNN
 
 
+def _check_ids(ids: Sequence[int], count: int, what: str) -> np.ndarray:
+    ids = np.asarray(list(ids), dtype=np.int64)
+    if ids.size == 0:
+        raise ValueError(f"a cold-start embedding needs at least one {what}")
+    if ids.min() < 0 or ids.max() >= count:
+        raise ValueError(f"{what} id out of range")
+    return ids
+
+
+def _embed_cold(model: DGNN, ids: np.ndarray, side: int, edge_type: str,
+                norm: str, self_edge: str) -> np.ndarray:
+    """Eqs. 3, 7 and 8 for one new node whose neighbours are ``ids``.
+
+    ``side`` picks the neighbours' table (0 users, 2 relation nodes).
+    Each trained layer encodes the neighbours' mean layer-``l``
+    embedding with its ``edge_type`` bank, gated by the new node's own
+    state, then stabilizes it with its ``norm`` and ``self_edge``
+    self-loop; the model's own stack concatenates the layer states.
+    """
+    tables = model._tables()
+
+    def neighbour_mean() -> Tensor:
+        return Tensor(tables[side].data[ids].mean(axis=0, keepdims=True))
+
+    def step(index: int, state: Tensor) -> Tensor:
+        nonlocal tables
+        layer = model.layers[index]
+        message = layer._encode(edge_type, state, neighbour_mean())
+        tables = layer(model.graph, *tables)
+        return layer._stabilize(message, state, getattr(layer, norm),
+                                self_edge)
+
+    was_training = model.training
+    model.eval()  # message dropout off
+    try:
+        with no_grad():
+            return model._stack().run(neighbour_mean(), step).data[0]
+    finally:
+        if was_training:
+            model.train()
+
+
 def embed_cold_user(model: DGNN, friend_ids: Sequence[int]) -> np.ndarray:
     """Embedding for an unseen user defined only by social ties.
 
@@ -50,110 +96,23 @@ def embed_cold_user(model: DGNN, friend_ids: Sequence[int]) -> np.ndarray:
     A vector in the model's final embedding space (τ included), directly
     comparable with ``model.final_embeddings()[1]`` item rows.
     """
-    friend_ids = np.asarray(list(friend_ids), dtype=np.int64)
-    if friend_ids.size == 0:
-        raise ValueError("cold-start user needs at least one social tie")
-    if friend_ids.min() < 0 or friend_ids.max() >= model.graph.num_users:
-        raise ValueError("friend id out of range")
-
-    was_training = model.training
-    model.eval()
-    try:
-        with no_grad():
-            # Track the new user's state through every layer: start from
-            # the friends' mean, then apply each layer's social bank with
-            # the same mean aggregation Eq. 4 uses.
-            users = model.user_embedding.all()
-            items = model.item_embedding.all()
-            relations = model.relation_embedding.all()
-            state = Tensor(users.data[friend_ids].mean(axis=0, keepdims=True))
-            layer_states = [state]
-            for layer in model.layers:
-                aggregated = Tensor(users.data[friend_ids].mean(axis=0,
-                                                                keepdims=True))
-                if model.use_memory:
-                    message = layer.banks["social"].encode_target_gated(
-                        state, aggregated)
-                    self_loop = layer.banks["self_user"].encode_self(state)
-                else:
-                    message = layer.plain.apply("social", aggregated)
-                    self_loop = layer.plain.apply("self_user", state)
-                from repro.autograd import ops
-
-                if layer.use_layernorm:
-                    activated = ops.leaky_relu(layer.norm_user(message), 0.2)
-                else:
-                    activated = ops.leaky_relu(message, 0.2)
-                state = ops.add(activated, self_loop)
-                layer_states.append(state)
-                users, items, relations = layer(model.graph, users, items,
-                                                relations)
-
-            from repro.autograd import ops
-
-            concat = ops.cat(layer_states, axis=1)
-            if model.use_layernorm:
-                concat = model.final_norm(concat)
-            final = concat.data[0]
-
-            if model.use_tau:
-                user_final, _ = model.propagate()
-                tau = user_final.data[friend_ids].mean(axis=0) / 2.0
-                # friends' final embeddings already include their own τ
-                # doubling; halve to approximate the pre-τ average.
-                final = final + tau
-    finally:
-        if was_training:
-            model.train()
+    friend_ids = _check_ids(friend_ids, model.graph.num_users, "friend")
+    final = _embed_cold(model, friend_ids, 0, "social", "norm_user",
+                        "self_user")
+    if model.use_tau:
+        # The friends' final embeddings already include their own τ
+        # doubling; halve to approximate the pre-τ average.
+        user_final, _ = model.final_embeddings()
+        final = final + user_final[friend_ids].mean(axis=0) / 2.0
     return final
 
 
 def embed_cold_item(model: DGNN, relation_ids: Sequence[int]) -> np.ndarray:
     """Embedding for an unseen item defined only by its relation nodes."""
-    relation_ids = np.asarray(list(relation_ids), dtype=np.int64)
-    if relation_ids.size == 0:
-        raise ValueError("cold-start item needs at least one relation link")
-    if relation_ids.min() < 0 or relation_ids.max() >= model.graph.num_relations:
-        raise ValueError("relation id out of range")
-
-    was_training = model.training
-    model.eval()
-    try:
-        with no_grad():
-            from repro.autograd import ops
-
-            users = model.user_embedding.all()
-            items = model.item_embedding.all()
-            relations = model.relation_embedding.all()
-            state = Tensor(relations.data[relation_ids].mean(axis=0,
-                                                             keepdims=True))
-            layer_states = [state]
-            for layer in model.layers:
-                aggregated = Tensor(relations.data[relation_ids].mean(
-                    axis=0, keepdims=True))
-                if model.use_memory:
-                    message = layer.banks["item_from_relation"].encode_target_gated(
-                        state, aggregated)
-                    self_loop = layer.banks["self_item"].encode_self(state)
-                else:
-                    message = layer.plain.apply("item_from_relation", aggregated)
-                    self_loop = layer.plain.apply("self_item", state)
-                if layer.use_layernorm:
-                    activated = ops.leaky_relu(layer.norm_item(message), 0.2)
-                else:
-                    activated = ops.leaky_relu(message, 0.2)
-                state = ops.add(activated, self_loop)
-                layer_states.append(state)
-                users, items, relations = layer(model.graph, users, items,
-                                                relations)
-
-            concat = ops.cat(layer_states, axis=1)
-            if model.use_layernorm:
-                concat = model.final_norm(concat)
-            return concat.data[0]
-    finally:
-        if was_training:
-            model.train()
+    relation_ids = _check_ids(relation_ids, model.graph.num_relations,
+                              "relation")
+    return _embed_cold(model, relation_ids, 2, "item_from_relation",
+                       "norm_item", "self_item")
 
 
 def recommend_cold_user(model: DGNN, friend_ids: Sequence[int],

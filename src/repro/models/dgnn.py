@@ -84,12 +84,16 @@ class _DgnnLayer(Module):
         self.norm_relation = LayerNorm(dim)
 
     # -- message builders ------------------------------------------------
-    def _target_gated(self, edge_type: str, targets: Tensor, sources: Tensor,
-                      adjacency: sp.spmatrix) -> Tensor:
-        aggregated = ops.spmm(adjacency, sources)
+    def _encode(self, edge_type: str, targets: Tensor,
+                aggregated: Tensor) -> Tensor:
+        """Eq. 3 on an aggregated message: target gates pick the transform."""
         if self.use_memory:
             return self.banks[edge_type].encode_target_gated(targets, aggregated)
         return self.plain.apply(edge_type, aggregated)
+
+    def _target_gated(self, edge_type: str, targets: Tensor, sources: Tensor,
+                      adjacency: sp.spmatrix) -> Tensor:
+        return self._encode(edge_type, targets, ops.spmm(adjacency, sources))
 
     def _source_gated(self, edge_type: str, targets: Tensor, sources: Tensor,
                       adjacency: sp.spmatrix) -> Tensor:
@@ -174,6 +178,8 @@ class DGNN(Recommender):
         ``|M|`` per memory bank (paper default 8).
     use_memory / use_tau / use_layernorm:
         Ablation switches for "-M" / "-τ" / "-LN" (Fig. 4).
+    message_dropout:
+        Training-time dropout on each aggregated message, in ``[0, 1)``.
     """
 
     name = "dgnn"
@@ -183,9 +189,17 @@ class DGNN(Recommender):
                  use_memory: bool = True, use_tau: bool = True,
                  use_layernorm: bool = True, literal_eq4: bool = False,
                  message_dropout: float = 0.1):
-        super().__init__(graph, embed_dim, seed)
+        if embed_dim < 1:
+            raise ValueError(f"embed_dim must be >= 1, got {embed_dim}")
         if num_layers < 0:
             raise ValueError("num_layers must be >= 0")
+        if use_memory and num_memory_units < 1:
+            raise ValueError(f"num_memory_units must be >= 1 with use_memory, "
+                             f"got {num_memory_units}")
+        if not 0.0 <= message_dropout < 1.0:
+            raise ValueError(f"message_dropout must be in [0, 1), "
+                             f"got {message_dropout}")
+        super().__init__(graph, embed_dim, seed)
         rng = np.random.default_rng(seed)
         self.num_layers = int(num_layers)
         self.num_memory_units = int(num_memory_units)
@@ -212,28 +226,39 @@ class DGNN(Recommender):
             self.num_layers, combine="concat", include_input=True,
             final_norm=self.final_norm if self.use_layernorm else None)
 
+    def _tables(self) -> Tuple[Tensor, Tensor, Tensor]:
+        """Layer-0 user / item / relation embeddings (Eq. 1)."""
+        return (self.user_embedding.all(), self.item_embedding.all(),
+                self.relation_embedding.all())
+
+    def _step(self, graph: CollaborativeHeteroGraph):
+        """One ``LayerStack`` step: layer ``index``'s Eqs. 3–7 on ``graph``."""
+        def step(index, users, items, relations):
+            return self.layers[index](graph, users, items, relations)
+        return step
+
+    def _run(self, graph: CollaborativeHeteroGraph,
+             initial: Tuple[Tensor, Tensor, Tensor],
+             tau: bool = True) -> Tuple[Tensor, Tensor, Tensor]:
+        """Eqs. 3–8 on ``graph``, then τ (Eqs. 9–10) unless ``tau`` is off.
+
+        τ is the row-normalized ``S + I`` average of a user's social
+        neighbourhood including themselves, served as a cached graph
+        view so it is normalized once per graph, not per call.
+        """
+        users, items, relations = self._stack().run(initial, self._step(graph))
+        if tau and self.use_tau:
+            users = ops.add(users, ops.spmm(graph.social_self_loop_mean, users))
+        return users, items, relations
+
     def propagate_all(self) -> Tuple[Tensor, Tensor, Tensor]:
         """Run Eqs. 3–8; return final user / item / relation embeddings."""
-        initial = (self.user_embedding.all(), self.item_embedding.all(),
-                   self.relation_embedding.all())
-
-        def step(layer_index, users, items, relations):
-            return self.layers[layer_index](self.graph, users, items, relations)
-
-        return self._stack().run(initial, step)
+        return self._run(self.graph, self._tables(), tau=False)
 
     def propagate(self) -> Tuple[Tensor, Tensor]:
-        """Final embeddings with τ folded into the user side (Eq. 10).
-
-        τ (Eq. 9) is the row-normalized ``S + I`` average of a user's
-        social neighbourhood including themselves — served as a cached
-        graph view, so it is normalized once per run, not per call.
-        """
-        user_final, item_final, _ = self.propagate_all()
-        if self.use_tau:
-            recalibrated = ops.spmm(self.graph.social_self_loop_mean, user_final)
-            user_final = ops.add(user_final, recalibrated)
-        return user_final, item_final
+        """Final embeddings with τ folded into the user side (Eq. 10)."""
+        users, items, _ = self._run(self.graph, self._tables())
+        return users, items
 
     # ------------------------------------------------------------------
     # Minibatch (neighbour-sampled) training
@@ -262,19 +287,8 @@ class DGNN(Recommender):
             ops.gather_rows(self.user_embedding.weight, subgraph.user_ids),
             ops.gather_rows(self.item_embedding.weight, subgraph.item_ids),
             self.relation_embedding.all())
-
-        def step(layer_index, users, items, relations):
-            return self.layers[layer_index](subgraph.graph, users, items,
-                                            relations)
-
-        user_final, item_final, _ = self._stack().run(initial, step)
-        if self.use_tau:
-            # Cached view: repeated propagation on the same subgraph (and
-            # every full-graph call) normalizes (S + I) exactly once —
-            # the seed re-ran row_normalize(add_self_loops(S)) per batch.
-            tau_matrix = subgraph.graph.social_self_loop_mean
-            user_final = ops.add(user_final, ops.spmm(tau_matrix, user_final))
-        return user_final, item_final
+        users, items, _ = self._run(subgraph.graph, initial)
+        return users, items
 
     # ------------------------------------------------------------------
     # Introspection for the case studies (Figs. 9-10)
@@ -323,10 +337,5 @@ class DGNN(Recommender):
 
         layer = layer % max(len(self.layers), 1)
         with no_grad():
-            users = self.user_embedding.all()
-            items = self.item_embedding.all()
-            relations = self.relation_embedding.all()
-            for current in range(layer):
-                users, items, relations = self.layers[current](
-                    self.graph, users, items, relations)
-        return users, items, relations
+            return LayerStack(layer, combine="last").run(
+                self._tables(), self._step(self.graph))

@@ -21,16 +21,11 @@ are per-node, not per-edge), which is what makes DGNN cheaper than
 HGT-style per-edge attention — the property behind Table IV.
 
 The mixture itself runs through the fused ``memory_mixture`` backend
-kernel (one graph node, hand-written backward) rather than the generic
-five-op composition; :func:`set_fused_memory` switches back to the
-unfused path, which is kept as the benchmark baseline and gradcheck
-reference.
+kernel (one graph node, hand-written backward, no ``(n, |M|, d)``
+temporaries).
 """
 
 from __future__ import annotations
-
-import contextlib
-from typing import Iterator
 
 import numpy as np
 import scipy.sparse as sp
@@ -39,31 +34,6 @@ from repro.autograd import ops
 from repro.autograd.tensor import Tensor
 from repro.nn import init
 from repro.nn.module import Module, Parameter
-
-_FUSED = True
-
-
-def fused_memory_enabled() -> bool:
-    """Whether :meth:`MemoryBank.mixture_transform` uses the fused kernel."""
-    return _FUSED
-
-
-def set_fused_memory(enabled: bool) -> bool:
-    """Toggle the fused memory-mixture kernel globally; returns the value."""
-    global _FUSED
-    _FUSED = bool(enabled)
-    return _FUSED
-
-
-@contextlib.contextmanager
-def use_fused_memory(enabled: bool) -> Iterator[bool]:
-    """Temporarily force the fused (or unfused) mixture inside a block."""
-    previous = fused_memory_enabled()
-    set_fused_memory(enabled)
-    try:
-        yield enabled
-    finally:
-        set_fused_memory(previous)
 
 
 class MemoryBank(Module):
@@ -110,32 +80,10 @@ class MemoryBank(Module):
         """Apply the gated mixture ``(Σ_m gates_m W¹_m)`` to ``embeddings``.
 
         ``embeddings`` is ``(n, d)`` and ``gates`` is ``(n, |M|)``; the
-        result is ``(n, d)``.  Dispatched as the fused ``memory_mixture``
-        backend kernel — one autograd node, no ``(n, |M|, d)``
-        temporaries — unless :func:`set_fused_memory` has switched the
-        module back to the generic five-op composition.
+        result is ``(n, d)``, computed by the fused ``memory_mixture``
+        backend kernel as one autograd node.
         """
-        if fused_memory_enabled():
-            return ops.memory_mixture(embeddings, gates, self.transforms)
-        return self._mixture_transform_unfused(embeddings, gates)
-
-    def _mixture_transform_unfused(self, embeddings: Tensor,
-                                   gates: Tensor) -> Tensor:
-        """The original generic-op composition of the mixture.
-
-        Kept as the benchmark baseline and the reference the fused kernel
-        is gradchecked against: one matmul against the flattened unit
-        transforms, then a gated reduction over the ``(n, |M|, d)``
-        per-unit activations.
-        """
-        n = embeddings.shape[0]
-        # (M, d, d) -> (d, M*d): unit transforms side by side.
-        flat = ops.reshape(ops.transpose(self.transforms, (1, 0, 2)),
-                           (self.dim, self.num_units * self.dim))
-        per_unit = ops.reshape(ops.matmul(embeddings, flat),
-                               (n, self.num_units, self.dim))
-        weighted = ops.mul(per_unit, ops.reshape(gates, (n, self.num_units, 1)))
-        return ops.sum(weighted, axis=1)
+        return ops.memory_mixture(embeddings, gates, self.transforms)
 
     # ------------------------------------------------------------------
     def encode_target_gated(self, target_embeddings: Tensor,

@@ -20,11 +20,6 @@ step cost is O(batch) instead of O(graph):
   of the global step.  Weight decay is caught up to first order by
   scaling the decay term with the number of optimizer steps elapsed
   since the row was last touched.
-* ``sparse_mode="dense_correct"`` — Adam densifies each sparse gradient
-  and runs the exact dense kernel.  Because a coalesced
-  ``RowSparseGrad`` densifies bitwise-identically to the dense scatter,
-  this mode reproduces the dense-Adam trajectory bit for bit; it exists
-  as the correctness oracle for the lazy path.
 
 Optimizer state (momentum / moments) is allocated with
 ``np.zeros_like(param.data)``, so it follows each parameter's dtype —
@@ -43,8 +38,6 @@ import numpy as np
 from repro.autograd.sparse import RowSparseGrad
 from repro.engine.precision import get_index_dtype
 from repro.nn.module import Parameter
-
-_SPARSE_MODES = ("lazy", "dense_correct")
 
 
 def clip_grad_norm(parameters: Iterable[Parameter], max_norm: float) -> float:
@@ -249,33 +242,27 @@ class Adam(Optimizer):
 
     which is algebraically identical to ``lr * m_hat / (sqrt(v_hat) + eps)``.
 
-    Row-sparse gradients follow ``sparse_mode``:
-
-    * ``"lazy"`` (default) — update only touched rows.  Each row keeps
-      its own step counter for **exact** bias correction (a row touched
-      for the n-th time is corrected with ``1 - beta**n``), matching TF
-      LazyAdam semantics.  Weight decay is caught up to first order: the
-      decay term is scaled by the optimizer steps elapsed since the row
-      was last touched.
-    * ``"dense_correct"`` — densify and run the dense kernel; bitwise
-      identical to dense Adam (the lazy path's correctness oracle).
+    Row-sparse gradients update only touched rows.  Each row keeps its
+    own step counter for **exact** bias correction (a row touched for
+    the n-th time is corrected with ``1 - beta**n``), matching TF
+    LazyAdam semantics.  Weight decay is caught up to first order: the
+    decay term is scaled by the optimizer steps elapsed since the row
+    was last touched.  A coalesced ``RowSparseGrad`` densifies bitwise
+    identically to the dense scatter, so densifying each one before
+    :meth:`step` reproduces the dense trajectory bit for bit.
     """
 
     def __init__(self, parameters: Iterable[Parameter], lr: float = 1e-2,
                  betas=(0.9, 0.999), eps: float = 1e-8,
-                 weight_decay: float = 0.0, sparse_mode: str = "lazy"):
+                 weight_decay: float = 0.0):
         super().__init__(parameters, lr)
-        if sparse_mode not in _SPARSE_MODES:
-            raise ValueError(f"sparse_mode must be one of {_SPARSE_MODES}, "
-                             f"got {sparse_mode!r}")
         self.beta1, self.beta2 = float(betas[0]), float(betas[1])
         self.eps = float(eps)
         self.weight_decay = float(weight_decay)
-        self.sparse_mode = sparse_mode
         self._step_count = 0
         self._m = [np.zeros_like(p.data) for p in self.parameters]
         self._v = [np.zeros_like(p.data) for p in self.parameters]
-        # Lazily allocated per-row counters (lazy mode only): per-row
+        # Lazily allocated per-row counters (sparse grads only): per-row
         # update counts for bias correction and the step index of the
         # last touch for weight-decay catch-up.
         self._row_steps: List[Optional[np.ndarray]] = [None] * len(self.parameters)
@@ -290,10 +277,7 @@ class Adam(Optimizer):
             if grad is None:
                 continue
             if isinstance(grad, RowSparseGrad):
-                if self.sparse_mode == "dense_correct":
-                    self._dense_step(i, param, m, v, grad.to_dense())
-                else:
-                    self._lazy_step(i, param, m, v, grad)
+                self._lazy_step(i, param, m, v, grad)
             else:
                 self._dense_step(i, param, m, v, grad)
 

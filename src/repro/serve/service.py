@@ -40,7 +40,7 @@ from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.engine import arena
-from repro.engine.ragged import gather_ragged_rows
+from repro.eval.full_ranking import _mask_train_items, _score_block
 from repro.eval.metrics import top_k_indices
 from repro.serve.ann import CoarseIndex, build_ivf_index
 from repro.serve.snapshot import EmbeddingSnapshot
@@ -271,18 +271,14 @@ class RecommendService:
 
     # -- scoring paths -------------------------------------------------
     def _recommend_exact(self, state: _ServingState, block_users: np.ndarray,
-                         k: int, mask_override: Optional[bool] = None
-                         ) -> np.ndarray:
+                         k: int) -> np.ndarray:
+        """Exact top-``k`` for one block: ``full_ranking_topk``'s own steps."""
         snapshot = state.snapshot
-        scores = arena.empty((len(block_users), snapshot.num_items),
-                             snapshot.user_emb.dtype)
-        np.matmul(snapshot.user_emb[block_users], snapshot.item_emb.T,
-                  out=scores)
-        mask = self.mask_train if mask_override is None else mask_override
-        if mask:
-            gathered = gather_ragged_rows(snapshot.train_indptr, block_users)
-            scores[gathered.owners(),
-                   snapshot.train_indices[gathered.positions]] = -np.inf
+        scores = _score_block(snapshot.user_emb, snapshot.item_emb,
+                              block_users)
+        if self.mask_train:
+            _mask_train_items(scores, block_users, snapshot.train_indptr,
+                              snapshot.train_indices)
         top = top_k_indices(scores, k)
         arena.release(scores)
         return top

@@ -28,7 +28,6 @@ class TrainConfig:
     fanout: Optional[int] = 20  # per-node neighbour cap; None -> keep all
     prefetch: Optional[bool] = None  # None -> REPRO_PREFETCH env (default on)
     sparse_grads: Optional[bool] = None  # None -> on for minibatch, off for full
-    sparse_adam_mode: str = "lazy"  # "lazy" (O(batch) steps) or "dense_correct"
     arena: Optional[bool] = None  # None -> REPRO_ENGINE_ARENA env (default on)
     workers: int = 0  # only 0 is valid: training runs in one process
     spmm_block: Optional[int] = None  # None -> engine setting; 0 off, 1 auto, else bytes
@@ -60,9 +59,6 @@ class TrainConfig:
             raise ValueError("fanout must be positive (or None to keep all)")
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError("optimizer must be 'adam' or 'sgd'")
-        if self.sparse_adam_mode not in ("lazy", "dense_correct"):
-            raise ValueError(
-                "sparse_adam_mode must be 'lazy' or 'dense_correct'")
         if self.workers != 0:
             raise ValueError(
                 f"workers must be 0, got {self.workers}: multi-process "

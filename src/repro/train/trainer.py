@@ -158,8 +158,7 @@ class Trainer:
         else:
             self.optimizer = Adam(model.parameters(),
                                   lr=self.config.learning_rate,
-                                  weight_decay=self.config.weight_decay,
-                                  sparse_mode=self.config.sparse_adam_mode)
+                                  weight_decay=self.config.weight_decay)
         self._sparse_grads = self.config.resolved_sparse_grads()
         self._arena = self.config.resolved_arena()
         self._epoch_touched: List[float] = []

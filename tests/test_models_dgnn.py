@@ -34,6 +34,16 @@ class TestShapes:
         with pytest.raises(ValueError):
             DGNN(tiny_graph, num_layers=-1)
 
+    @pytest.mark.parametrize("kwargs, match", [
+        (dict(num_memory_units=0), "num_memory_units"),
+        (dict(message_dropout=1.0), "message_dropout"),
+        (dict(message_dropout=-0.5), "message_dropout"),
+        (dict(embed_dim=0), "embed_dim"),
+    ])
+    def test_invalid_hyperparameters_rejected(self, tiny_graph, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            DGNN(tiny_graph, **kwargs)
+
 
 class TestDeterminism:
     def test_same_seed_same_output(self, tiny_graph):

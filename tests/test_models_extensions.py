@@ -59,6 +59,23 @@ class TestColdStartUser:
         np.testing.assert_allclose(a, b)
 
 
+@pytest.mark.parametrize("kwargs", [
+    dict(use_memory=False), dict(use_layernorm=False), dict(use_tau=False),
+    dict(literal_eq4=True), dict(num_layers=0)])
+def test_cold_start_covers_every_variant(tiny_graph, kwargs):
+    """Each ablation switch takes its layer branch; the mode is restored."""
+    model = DGNN(tiny_graph, embed_dim=8, num_memory_units=2, seed=0,
+                 **kwargs)
+    user_emb, item_emb = model.final_embeddings()
+    model.train()
+    user = embed_cold_user(model, [0, 1])
+    item = embed_cold_item(model, [0])
+    assert model.training
+    assert user.shape == (user_emb.shape[1],)
+    assert item.shape == (item_emb.shape[1],)
+    assert np.all(np.isfinite(user)) and np.all(np.isfinite(item))
+
+
 class TestColdStartItem:
     def test_embedding_shape(self, trained_dgnn):
         vector = embed_cold_item(trained_dgnn, [0, 1])

@@ -1,69 +1,13 @@
-"""Tests for the op profiler and the complexity-scaling experiment."""
+"""Tests for the complexity-scaling experiment (Section IV-D)."""
 
-import numpy as np
 import pytest
 
-from repro.autograd import Tensor, ops
-from repro.autograd.profiler import ProfileReport, profile
 from repro.experiments import ExperimentContext
 from repro.experiments.complexity import (
     ScalingResults,
     measure_edge_scaling,
     measure_memory_scaling,
 )
-
-
-class TestProfiler:
-    def test_records_op_calls(self):
-        with profile() as report:
-            a = Tensor(np.ones((4, 4)))
-            b = ops.matmul(a, a)
-            ops.sigmoid(b).sum()
-        assert report.stats["matmul"].calls == 1
-        assert report.stats["sigmoid"].calls == 1
-        assert report.stats["sum"].calls == 1
-        assert report.total_seconds > 0
-
-    def test_restores_ops_after_exit(self):
-        original = ops.matmul
-        with profile():
-            assert ops.matmul is not original
-        assert ops.matmul is original
-
-    def test_restores_on_exception(self):
-        original = ops.matmul
-        with pytest.raises(RuntimeError):
-            with profile():
-                raise RuntimeError("boom")
-        assert ops.matmul is original
-
-    def test_results_functionally_identical(self):
-        a = Tensor(np.random.default_rng(0).normal(size=(3, 3)),
-                   requires_grad=True)
-        with profile():
-            inside = ops.tanh(ops.matmul(a, a)).sum().item()
-        outside = ops.tanh(ops.matmul(a, a)).sum().item()
-        assert inside == outside
-
-    def test_render_and_top(self):
-        with profile() as report:
-            a = Tensor(np.ones((8, 8)))
-            for _ in range(3):
-                ops.matmul(a, a)
-        text = report.render()
-        assert "matmul" in text
-        name, seconds, calls = report.top(1)[0]
-        assert name == "matmul" and calls == 3
-
-    def test_profile_model_forward(self, tiny_graph):
-        from repro.models.dgnn import DGNN
-
-        model = DGNN(tiny_graph, embed_dim=8, num_memory_units=2, seed=0)
-        with profile() as report:
-            model.propagate()
-        # the heterogeneous propagation must exercise sparse aggregation
-        assert "spmm" in report.stats
-        assert "matmul" in report.stats
 
 
 class TestScalingResults:

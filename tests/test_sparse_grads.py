@@ -5,7 +5,7 @@ Covers the full path: ``RowSparseGrad`` construction and coalescing,
 ``Tensor._accumulate`` mixing rules, duplicate-index ``scatter_add_rows``
 on every kernel backend (the primitive coalescing relies on), the lazy
 SGD/Adam update semantics, and the trainer-level bitwise parity of
-``sparse_adam_mode="dense_correct"`` against dense Adam.
+densified sparse gradients against dense Adam.
 """
 
 import numpy as np
@@ -306,25 +306,22 @@ class TestLazyAdam:
                                        rtol=1e-12)
 
     def test_dense_correct_mode_bitwise_equals_dense_adam(self, rng):
+        """A densified sparse grad steps Adam exactly like the dense scatter."""
         p0 = rng.standard_normal((10, 4))
         sparse_param = _param64(p0)
         dense_param = _param64(p0)
-        sparse_opt = Adam([sparse_param], lr=0.01, weight_decay=0.01,
-                          sparse_mode="dense_correct")
+        sparse_opt = Adam([sparse_param], lr=0.01, weight_decay=0.01)
         dense_opt = Adam([dense_param], lr=0.01, weight_decay=0.01)
         for _ in range(6):
             k = int(rng.integers(1, 12))
-            grad = RowSparseGrad(rng.integers(0, 10, k),
-                                 rng.standard_normal((k, 4)), 10)
-            sparse_param.grad = grad
-            dense_param.grad = grad.to_dense()
+            rows = rng.integers(0, 10, k)
+            values = rng.standard_normal((k, 4))
+            sparse_param.grad = RowSparseGrad(rows, values, 10).to_dense()
+            dense_param.grad = np.zeros((10, 4))
+            np.add.at(dense_param.grad, rows, values)
             sparse_opt.step()
             dense_opt.step()
             assert np.array_equal(sparse_param.data, dense_param.data)
-
-    def test_invalid_sparse_mode_raises(self):
-        with pytest.raises(ValueError):
-            Adam([Parameter(np.zeros((2, 2)))], lr=0.1, sparse_mode="nope")
 
     def test_touched_fraction(self, rng):
         param = Parameter(rng.standard_normal((10, 2)))
@@ -445,7 +442,7 @@ class TestTrainerIntegration:
 
         return ExperimentContext.build("tiny", seed=0)
 
-    def _fit(self, context, **overrides):
+    def _fit(self, context, densify=False, **overrides):
         from repro.models.lightgcn import LightGCN
         from repro.train import TrainConfig, Trainer
 
@@ -453,14 +450,25 @@ class TestTrainerIntegration:
                              prefetch=False, eval_every=10, patience=None,
                              clip_norm=None, seed=0, **overrides)
         model = LightGCN(context.graph, embed_dim=8, num_layers=2, seed=0)
-        history = Trainer(model, context.split, config,
-                          candidates=context.candidates).fit()
-        return model, history
+        trainer = Trainer(model, context.split, config,
+                          candidates=context.candidates)
+        if densify:
+            optimizer = trainer.optimizer
+            step = optimizer.step
+
+            def densified_step():
+                for param in optimizer.parameters:
+                    if isinstance(param.grad, RowSparseGrad):
+                        param.grad = param.grad.to_dense()
+                step()
+
+            optimizer.step = densified_step
+        return model, trainer.fit()
 
     def test_dense_correct_reproduces_dense_trajectory_bitwise(self, context):
+        """Sparse grads densified before each Adam step: the dense run."""
         dense_model, _ = self._fit(context, sparse_grads=False)
-        sparse_model, _ = self._fit(context, sparse_grads=True,
-                                    sparse_adam_mode="dense_correct")
+        sparse_model, _ = self._fit(context, densify=True, sparse_grads=True)
         for (name_a, a), (name_b, b) in zip(
                 sorted(dense_model.state_dict().items()),
                 sorted(sparse_model.state_dict().items())):
@@ -500,8 +508,6 @@ class TestConfigKnobs:
     def test_invalid_knobs_raise(self):
         from repro.train import TrainConfig
 
-        with pytest.raises(ValueError):
-            TrainConfig(sparse_adam_mode="sometimes")
         with pytest.raises(ValueError):
             TrainConfig(optimizer="lbfgs")
 
