@@ -2,8 +2,10 @@
 
 Each op validates inputs, computes the numpy forward result, and registers
 a backward closure that reads ``out.grad`` and accumulates into the
-parents.  Broadcasting follows numpy semantics; gradients of broadcast
-operands are reduced back to the operand shape by :func:`_unbroadcast`.
+parents.  ``out`` is a weak proxy (see :meth:`Tensor._make`): closures
+only read it while they run and never store it.  Broadcasting follows
+numpy semantics; gradients of broadcast operands are reduced back to the
+operand shape by :func:`_unbroadcast`.
 
 The op set is grouped as:
 

@@ -15,6 +15,7 @@ DGNN models need, and nothing speculative.
 from __future__ import annotations
 
 import contextlib
+import weakref
 from typing import Callable, Iterable, Optional, Tuple
 
 import numpy as np
@@ -85,7 +86,8 @@ class Tensor:
         Optional label used in error messages and debugging dumps.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "name")
+    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "name",
+                 "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, name: Optional[str] = None):
         self.data: np.ndarray = _as_array(data)
@@ -149,11 +151,21 @@ class Tensor:
               backward_factory: Callable[["Tensor"], Callable[[], None]]) -> "Tensor":
         """Create a non-leaf tensor.
 
-        ``backward_factory`` receives the freshly created output tensor and
-        must return a zero-argument closure that reads ``out.grad`` and
-        accumulates into each parent via :meth:`_accumulate`.  The factory
-        indirection lets op implementations capture the output node without
-        a forward reference.
+        ``backward_factory`` receives a weak proxy of the freshly created
+        output tensor and must return a zero-argument closure that reads
+        ``out.grad`` (and, if it needs it, ``out.data``) and accumulates
+        into each parent via :meth:`_accumulate`.  The factory
+        indirection lets op implementations capture the output node
+        without a forward reference.
+
+        Contract: a closure never stores ``out`` (or the proxy) anywhere
+        that outlives the call.  The output owns its closure and the
+        closure holds only the parents and the proxy, so the graph has no
+        reference cycles: it is freed by refcount as soon as the last
+        reference to the output (typically the loss) is dropped, not when
+        the cyclic garbage collector next runs.  The proxy is always
+        alive while the closure runs, because :meth:`backward` reaches
+        each node through a strong reference.
         """
         parents = tuple(parents)
         requires = _GRAD_ENABLED and any(p.requires_grad for p in parents)
@@ -161,7 +173,7 @@ class Tensor:
         if requires:
             out.requires_grad = True
             out._parents = parents
-            out._backward = backward_factory(out)
+            out._backward = backward_factory(weakref.proxy(out))
         return out
 
     def _accumulate(self, grad) -> None:
@@ -198,6 +210,13 @@ class Tensor:
     def backward(self, grad: Optional[np.ndarray] = None) -> None:
         """Run reverse-mode differentiation from this tensor.
 
+        Gradients accumulate into every leaf that requires grad (the
+        model's ``Parameter``s).  A non-leaf node's ``grad`` is freed
+        (set to ``None``) as soon as its closure has pushed it into the
+        parents, so intermediate gradients live only while they are
+        being consumed — PyTorch's default.  The graph itself stays
+        intact, so ``backward`` may run on it again.
+
         Parameters
         ----------
         grad:
@@ -221,6 +240,7 @@ class Tensor:
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
                 node._backward()
+                node.grad = None
 
     def _topological_order(self):
         """Return nodes reachable from ``self`` in topological order."""

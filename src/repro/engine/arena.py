@@ -1,12 +1,17 @@
-"""Buffer-reuse arena for autograd temporaries.
+"""Buffer-reuse arena for autograd temporaries (opt-in).
 
 Steady-state training repeats the same kernel shapes every step: layer
 activations, gathered batch rows, scatter targets, gradient buffers.
-Allocating each of those fresh per step costs allocator time and —
-worse at scale — lets peak RSS creep as the C allocator fragments and
-uncollected backward closures pin garbage between gc cycles.  This
-module provides a small pool of reusable numpy buffers keyed by
-``(shape, dtype)``:
+This module provides a small pool of reusable numpy buffers keyed by
+``(shape, dtype)`` that a training loop can recycle from step to step
+instead of going back to the allocator.
+
+Pooling is off by default (``REPRO_ENGINE_ARENA`` unset): a step's
+autograd graph is freed by refcount the moment its loss is dropped, so
+the allocator already gets every buffer back at the end of the step,
+while a pool pins each checkout until the scope exits and then keeps
+its free lists resident.  ``TrainConfig(arena=True)`` or
+``REPRO_ENGINE_ARENA=1`` switches it on.
 
 * :func:`step_scope` marks one optimizer step.  Buffers checked out
   inside the scope (via :func:`empty` / :func:`zeros`) are recycled to
@@ -20,10 +25,8 @@ module provides a small pool of reusable numpy buffers keyed by
   reuse (kernel-internal temporaries).
 
 Every pooled buffer is fully overwritten before it is read (``zeros``
-clears; ``empty`` callers write every element), so pooled and
-allocate-fresh runs are bitwise identical — the allocate-fresh path
-(``TrainConfig(arena=False)`` or ``REPRO_ENGINE_ARENA=0``) is kept as
-the parity oracle.
+clears; ``empty`` callers write every element), so pooled runs are
+bitwise identical to the default allocate-fresh path.
 
 The pool is capped (``REPRO_ENGINE_ARENA_MB``, default 1024) so
 variable minibatch subgraph shapes cannot grow it without bound; when
@@ -32,8 +35,7 @@ dropped back to the allocator.
 
 Buffers below ``REPRO_ENGINE_ARENA_MIN_KB`` (default 64) bypass the
 pool even inside a scope: at tiny shapes the allocator is already
-~free and the per-checkout bookkeeping would dominate, while the RSS
-the arena exists to save lives entirely in the large buffers.
+~free and the per-checkout bookkeeping would dominate.
 """
 
 from __future__ import annotations
@@ -220,7 +222,7 @@ class BufferArena:
 
 _ARENA = BufferArena()
 
-_ENABLED: bool = _env_flag("REPRO_ENGINE_ARENA", True)
+_ENABLED: bool = _env_flag("REPRO_ENGINE_ARENA", False)
 
 
 def get_arena() -> BufferArena:
@@ -234,7 +236,7 @@ def arena_enabled() -> bool:
 
 
 def set_arena_enabled(enabled: bool) -> bool:
-    """Flip the default-on/off switch for training-loop step scopes."""
+    """Flip the default (off) switch for training-loop step scopes."""
     global _ENABLED
     _ENABLED = bool(enabled)
     return _ENABLED

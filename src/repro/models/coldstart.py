@@ -57,17 +57,18 @@ def _embed_cold(model: DGNN, ids: np.ndarray, side: int, edge_type: str,
     embedding with its ``edge_type`` bank, gated by the new node's own
     state, then stabilizes it with its ``norm`` and ``self_edge``
     self-loop; the model's own stack concatenates the layer states.
+    The neighbours' layer-``l`` rows come from the model's cached
+    :meth:`~repro.models.dgnn.DGNN.layer_tables`, so a call touches only
+    those rows.
     """
-    tables = model._tables()
+    tables = model.layer_tables()
 
-    def neighbour_mean() -> Tensor:
-        return Tensor(tables[side].data[ids].mean(axis=0, keepdims=True))
+    def neighbour_mean(index: int) -> Tensor:
+        return Tensor(tables[index][side][ids].mean(axis=0, keepdims=True))
 
     def step(index: int, state: Tensor) -> Tensor:
-        nonlocal tables
         layer = model.layers[index]
-        message = layer._encode(edge_type, state, neighbour_mean())
-        tables = layer(model.graph, *tables)
+        message = layer._encode(edge_type, state, neighbour_mean(index))
         return layer._stabilize(message, state, getattr(layer, norm),
                                 self_edge)
 
@@ -75,7 +76,7 @@ def _embed_cold(model: DGNN, ids: np.ndarray, side: int, edge_type: str,
     model.eval()  # message dropout off
     try:
         with no_grad():
-            return model._stack().run(neighbour_mean(), step).data[0]
+            return model._stack().run(neighbour_mean(0), step).data[0]
     finally:
         if was_training:
             model.train()

@@ -29,13 +29,13 @@ False`` yields "-S" / "-T" / "-ST" (Fig. 5).
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.autograd import ops
-from repro.autograd.tensor import Tensor
+from repro.autograd.tensor import Tensor, no_grad
 from repro.engine.propagate import LayerStack
 from repro.graph.hetero import CollaborativeHeteroGraph
 from repro.models.base import Recommender
@@ -218,6 +218,8 @@ class DGNN(Recommender):
             for _ in range(self.num_layers)
         ])
         self.final_norm = LayerNorm(embed_dim * (self.num_layers + 1))
+        self._cached_layer_tables: Optional[
+            List[Tuple[np.ndarray, np.ndarray, np.ndarray]]] = None
 
     # ------------------------------------------------------------------
     def _stack(self) -> LayerStack:
@@ -250,6 +252,39 @@ class DGNN(Recommender):
         if tau and self.use_tau:
             users = ops.add(users, ops.spmm(graph.social_self_loop_mean, users))
         return users, items, relations
+
+    def invalidate_cache(self) -> None:
+        """Drop the cached final embeddings and per-layer tables."""
+        super().invalidate_cache()
+        self._cached_layer_tables = None
+
+    def layer_tables(self) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Inference-mode user / item / relation states entering each layer.
+
+        Entry ``l`` holds the layer-``l`` tables (entry 0 is Eq. 1's
+        embeddings, entry ``L`` the last layer's output), computed once
+        with dropout off and no graph, and cached until
+        :meth:`invalidate_cache` — the neighbour rows cold-start
+        inference reads, so a cold embedding costs O(neighbours) instead
+        of a full propagation, and :meth:`memory_attention` reads its
+        gating tables.
+        """
+        if self._cached_layer_tables is None:
+            was_training = self.training
+            self.eval()  # message dropout off
+            try:
+                with no_grad():
+                    step = self._step(self.graph)
+                    states = [self._tables()]
+                    for index in range(self.num_layers):
+                        states.append(step(index, *states[-1]))
+            finally:
+                if was_training:
+                    self.train()
+            self._cached_layer_tables = [
+                tuple(tensor.data.copy() for tensor in state)
+                for state in states]
+        return self._cached_layer_tables
 
     def propagate_all(self) -> Tuple[Tensor, Tensor, Tensor]:
         """Run Eqs. 3–8; return final user / item / relation embeddings."""
@@ -298,16 +333,17 @@ class DGNN(Recommender):
 
         Returns the ``(n, |M|)`` attention of the bank's *gating* nodes
         (users for ``"social"``, items for ``"user_from_item"``, ...),
-        evaluated on the current final layer-input embeddings.  This is
-        the quantity visualized in Fig. 10.
+        evaluated on the inference-mode embeddings entering that layer
+        (:meth:`layer_tables`, so message dropout never perturbs it).
+        This is the quantity visualized in Fig. 10.
         """
         if not self.use_memory:
             raise RuntimeError("memory attention requires use_memory=True")
         if not len(self.layers):
             raise RuntimeError("memory attention requires at least one layer")
         bank: MemoryBank = self.layers[layer].banks[edge_type]
-        user_final, item_final, relation_final = (
-            tensor.data for tensor in self._layer_inputs(layer))
+        user_final, item_final, relation_final = self.layer_tables()[
+            layer % len(self.layers)]
         # The gating side is the node set whose embeddings feed η for this
         # bank: the target for Eq. 3 (target-gated) banks, the source for
         # the literal Eq. 4 / Eq. 6 (source-gated) forms.
@@ -330,12 +366,3 @@ class DGNN(Recommender):
         if edge_type not in ("social", "self_user"):
             raise ValueError("user-side attention exists for 'social'/'self_user'")
         return self.memory_attention(edge_type, layer)
-
-    def _layer_inputs(self, layer: int) -> Tuple[Tensor, Tensor, Tensor]:
-        """Embeddings entering ``layer`` (inference pass, no grad)."""
-        from repro.autograd.tensor import no_grad
-
-        layer = layer % max(len(self.layers), 1)
-        with no_grad():
-            return LayerStack(layer, combine="last").run(
-                self._tables(), self._step(self.graph))

@@ -5,9 +5,9 @@
 blocks, train-item masking and :func:`top_k_indices` selection, wired
 for online use —
 
-* requests are coalesced into ``block_size``-user score blocks whose
-  buffers come from the engine arena (open an
-  ``arena.step_scope()`` around a burst of calls to recycle them);
+* requests are coalesced into ``block_size``-user score blocks, freshly
+  allocated per block (a caller that opens an ``arena.step_scope()``
+  around a burst of calls pools them instead);
 * ``retrieval="ivf"`` swaps the full ``(b, num_items)`` GEMM for
   per-cell GEMMs over the probed cells of a
   :class:`repro.serve.ann.CoarseIndex` — sublinear in the catalogue
@@ -28,8 +28,10 @@ same CSR, and ties break identically.  The ANN modes are deterministic
 given the index's build seed but trade that exactness for sublinear
 cost (recall@20 against exact is gated by ``perfbench``).  Knobs:
 ``retrieval``, ``block_size``, and the index parameters forwarded to
-:mod:`repro.serve.ann`; buffer pooling follows the engine arena policy
-(``REPRO_ENGINE_ARENA*`` — see ``docs/operations.md``).
+:mod:`repro.serve.ann`.  The service never opens an arena scope
+itself, so ``REPRO_ENGINE_ARENA`` does not change its allocations;
+the pool's size knobs (``REPRO_ENGINE_ARENA_MB``/``_MIN_KB``) apply
+only inside a caller's scope — see ``docs/operations.md``.
 """
 
 from __future__ import annotations

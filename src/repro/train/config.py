@@ -28,7 +28,7 @@ class TrainConfig:
     fanout: Optional[int] = 20  # per-node neighbour cap; None -> keep all
     prefetch: Optional[bool] = None  # None -> REPRO_PREFETCH env (default on)
     sparse_grads: Optional[bool] = None  # None -> on for minibatch, off for full
-    arena: Optional[bool] = None  # None -> REPRO_ENGINE_ARENA env (default on)
+    arena: Optional[bool] = None  # None -> REPRO_ENGINE_ARENA env (default off)
     workers: int = 0  # only 0 is valid: training runs in one process
     spmm_block: Optional[int] = None  # None -> engine setting; 0 off, 1 auto, else bytes
     eval_every: int = 1
@@ -91,10 +91,13 @@ class TrainConfig:
     def resolved_arena(self) -> bool:
         """Whether training steps run inside a buffer-arena scope.
 
-        On by default: pooled buffers are fully overwritten before use,
-        so pooled and allocate-fresh runs are bitwise identical.
-        ``arena=False`` (or ``REPRO_ENGINE_ARENA=0``) keeps the
-        allocate-fresh path as the parity oracle.
+        Off by default: each step's autograd graph is freed by refcount
+        when its loss is dropped, so plain allocation already returns
+        the step's buffers, and a pool would only pin them longer and
+        keep its free lists resident.  ``arena=True`` (or
+        ``REPRO_ENGINE_ARENA=1``) opts in; pooled buffers are fully
+        overwritten before use, so pooled and allocate-fresh runs are
+        bitwise identical.
         """
         if self.arena is not None:
             return bool(self.arena)

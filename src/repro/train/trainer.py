@@ -185,11 +185,14 @@ class Trainer:
         self._epoch_touched.append(self.optimizer.touched_fraction())
 
     def _step_scope(self):
-        """Arena scope for one optimizer step (no-op when disabled).
+        """Arena scope for one optimizer step (a no-op by default).
 
-        The scope covers forward, backward, clipping and the parameter
-        update; by scope exit every gradient has been consumed and the
-        loss value read, so the step's buffers recycle safely.
+        Only opened when the run opts into pooling
+        (``TrainConfig.resolved_arena``).  The scope covers forward,
+        backward, clipping and the parameter update; by scope exit every
+        gradient has been consumed and the loss value read, so the
+        step's buffers recycle safely.  Without a scope the step's graph
+        and buffers are freed by refcount at ``del loss``.
         """
         if self._arena:
             return arena.step_scope()

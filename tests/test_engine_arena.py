@@ -1,6 +1,6 @@
 """Buffer-reuse arena: pooling mechanics, bypass threshold, cap, parity.
 
-Four layers of coverage:
+Five layers of coverage:
 
 * checkout mechanics — recycle-across-scopes, zero-clearing of dirty
   recycled buffers, early ``release`` reuse, and no pooling outside a
@@ -8,10 +8,17 @@ Four layers of coverage:
 * small-buffer bypass — checkouts below ``min_bytes`` never touch the
   pool, so tiny workloads keep stock allocation behaviour;
 * capacity — the LRU cap bounds pooled bytes at scope exit;
+* defaults — pooling is off in a fresh process; ``REPRO_ENGINE_ARENA=1``
+  and ``TrainConfig(arena=True)`` switch it on;
 * parity — a short DGNN training run with pooling forced on for every
-  buffer is bitwise identical to the allocate-fresh run, the property
-  that makes ``arena=False`` a usable oracle.
+  buffer is bitwise identical to the default allocate-fresh run.
 """
+
+import contextlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +33,7 @@ from repro.engine.arena import (
 from repro.graph import CollaborativeHeteroGraph
 from repro.models import create_model
 from repro.nn.optim import Adam
+from repro.train import TrainConfig, Trainer
 
 # 512 KB in float64 — comfortably above the default 64 KB bypass.
 BIG = (256, 256)
@@ -143,6 +151,12 @@ class TestToggles:
         assert pool.cap_bytes == 2 * 1024 * 1024
         assert pool.min_bytes == 8 * 1024
 
+    def test_default_is_off_with_env_cleared(self):
+        assert _fresh_process_arena(None) == (False, False)
+
+    def test_env_opt_in_enables_pooling(self):
+        assert _fresh_process_arena("1") == (True, True)
+
     def test_env_flag_off_values(self, monkeypatch):
         for raw in ("0", "false", "off", "no", ""):
             monkeypatch.setenv("REPRO_ENGINE_ARENA", raw)
@@ -151,8 +165,31 @@ class TestToggles:
         assert arena_mod._env_flag("REPRO_ENGINE_ARENA", False) is True
 
 
+def _fresh_process_arena(env_value):
+    """``(arena_enabled(), TrainConfig().resolved_arena())`` in a new
+    interpreter whose only arena variable is ``REPRO_ENGINE_ARENA=env_value``
+    (unset for ``None``) — the default is read at import time."""
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith("REPRO_ENGINE_ARENA")}
+    if env_value is not None:
+        env["REPRO_ENGINE_ARENA"] = env_value
+    src = Path(__file__).resolve().parent.parent / "src"
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + [p for p in [env.get("PYTHONPATH")] if p])
+    code = ("from repro.engine.arena import arena_enabled; "
+            "from repro.train import TrainConfig; "
+            "print(arena_enabled(), TrainConfig().resolved_arena())")
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    return tuple(word == "True" for word in result.stdout.split())
+
+
 def _train_run(dataset, split, steps=3):
-    """Fixed-batch DGNN BPR/Adam steps; returns (losses, named params)."""
+    """Fixed-batch DGNN BPR/Adam steps; returns (losses, named params).
+
+    Each step runs inside an arena scope exactly when pooling is on
+    (:func:`arena_enabled`), as ``Trainer`` does.
+    """
     with use_backend("fast"):
         graph = CollaborativeHeteroGraph(dataset, split.train_pairs)
         model = create_model("dgnn", graph, embed_dim=8, seed=0)
@@ -163,7 +200,8 @@ def _train_run(dataset, split, steps=3):
             users = rng.integers(0, graph.num_users, 16)
             positives = rng.integers(0, graph.num_items, 16)
             negatives = rng.integers(0, graph.num_items, 16)
-            with arena_mod.step_scope():
+            with (arena_mod.step_scope() if arena_enabled()
+                  else contextlib.nullcontext()):
                 model.zero_grad()
                 loss = model.bpr_loss(users, positives, negatives)
                 loss.backward()
@@ -178,26 +216,43 @@ class TestAllocateFreshParity:
                                                   tiny_split, monkeypatch):
         """Pooling forced on for *every* buffer changes nothing, bitwise.
 
-        The pooled arm swaps in an arena with ``min_bytes=0`` so even the
-        tiny-scale buffers of this test route through the pool; the
-        oracle arm never opens a scope (a zero-capacity pool with the
-        bypass threshold at infinity would also work, but a fresh
-        default arena outside any scope is exactly the ``arena=False``
-        production configuration).
+        The pooled arm switches pooling on explicitly and swaps in an
+        arena with ``min_bytes=0`` so even the tiny-scale buffers of this
+        test route through the pool; the oracle arm switches it off
+        explicitly, so it never opens a scope — the default production
+        configuration — whatever ``REPRO_ENGINE_ARENA`` says.
         """
         eager = BufferArena(min_bytes=0)
         monkeypatch.setattr(arena_mod, "_ARENA", eager)
-        pooled_losses, pooled_params = _train_run(tiny_dataset, tiny_split)
+        with use_arena(True):
+            pooled_losses, pooled_params = _train_run(tiny_dataset, tiny_split)
         assert eager.hits > 0  # pooling actually engaged
 
-        monkeypatch.setattr(arena_mod, "_ARENA", BufferArena(cap_bytes=0))
-        monkeypatch.setattr(arena_mod, "_ENABLED", False)
-        fresh_losses, fresh_params = _train_run(tiny_dataset, tiny_split)
+        fresh = BufferArena(min_bytes=0)
+        monkeypatch.setattr(arena_mod, "_ARENA", fresh)
+        with use_arena(False):
+            fresh_losses, fresh_params = _train_run(tiny_dataset, tiny_split)
+        assert fresh.hits == fresh.misses == 0  # nothing went through it
 
         assert pooled_losses == fresh_losses
         assert pooled_params.keys() == fresh_params.keys()
         for name in pooled_params:
             assert np.array_equal(pooled_params[name], fresh_params[name]), name
+
+    @pytest.mark.parametrize("arena", [True, False])
+    def test_trainer_pools_exactly_when_asked(self, tiny_dataset, tiny_split,
+                                              tiny_candidates, monkeypatch,
+                                              arena):
+        """``TrainConfig.arena`` overrides the process default both ways."""
+        pool = BufferArena(min_bytes=0)
+        monkeypatch.setattr(arena_mod, "_ARENA", pool)
+        graph = CollaborativeHeteroGraph(tiny_dataset, tiny_split.train_pairs)
+        model = create_model("dgnn", graph, embed_dim=8, seed=0)
+        config = TrainConfig(epochs=1, batch_size=256, batches_per_epoch=2,
+                             patience=None, arena=arena)
+        with use_arena(not arena):
+            Trainer(model, tiny_split, config, tiny_candidates).fit()
+        assert (pool.hits > 0) is arena
 
 
 class TestStepScopeExceptionSafety:

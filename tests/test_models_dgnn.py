@@ -147,6 +147,17 @@ class TestMemoryAttention:
         attention = model.memory_attention("item_from_user")
         assert attention.shape == (tiny_graph.num_items, 4)
 
+    def test_attention_is_inference_mode_in_train_mode(self, tiny_graph):
+        """Message dropout never perturbs the Fig. 10 gates."""
+        model = DGNN(tiny_graph, embed_dim=8, num_memory_units=4, seed=0)
+        model.eval()
+        expected = model.memory_attention("social", layer=1)
+        model.invalidate_cache()
+        model.train()
+        assert np.array_equal(model.memory_attention("social", layer=1),
+                              expected)
+        assert model.training
+
     def test_user_side_helper_validates(self, model):
         with pytest.raises(ValueError):
             model.user_memory_attention("item_from_user")

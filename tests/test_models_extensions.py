@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.autograd import no_grad
+from repro.autograd.tensor import Tensor
 from repro.eval import evaluate_full_ranking, full_ranking_ranks
 from repro.models import DGNN, SoRec, TrustMF, create_model
 from repro.models.coldstart import (
@@ -59,11 +61,62 @@ class TestColdStartUser:
         np.testing.assert_allclose(a, b)
 
 
+def _propagating_cold_embedding(model, ids, side, edge_type, norm, self_edge):
+    """Oracle: the cold embedding with a full-graph layer pass per layer.
+
+    Recomputes the neighbours' layer-``l`` tables by running every
+    trained layer over the whole graph, instead of reading the model's
+    cached :meth:`DGNN.layer_tables`.
+    """
+    tables = model._tables()
+
+    def neighbour_mean():
+        return Tensor(tables[side].data[ids].mean(axis=0, keepdims=True))
+
+    def step(index, state):
+        nonlocal tables
+        layer = model.layers[index]
+        message = layer._encode(edge_type, state, neighbour_mean())
+        tables = layer(model.graph, *tables)
+        return layer._stabilize(message, state, getattr(layer, norm),
+                                self_edge)
+
+    was_training = model.training
+    model.eval()
+    try:
+        with no_grad():
+            return model._stack().run(neighbour_mean(), step).data[0]
+    finally:
+        if was_training:
+            model.train()
+
+
+def _oracle_cold_user(model, friend_ids):
+    friend_ids = np.asarray(friend_ids, dtype=np.int64)
+    final = _propagating_cold_embedding(model, friend_ids, 0, "social",
+                                        "norm_user", "self_user")
+    if model.use_tau:
+        user_final, _ = model.final_embeddings()
+        final = final + user_final[friend_ids].mean(axis=0) / 2.0
+    return final
+
+
+def _oracle_cold_item(model, relation_ids):
+    return _propagating_cold_embedding(
+        model, np.asarray(relation_ids, dtype=np.int64), 2,
+        "item_from_relation", "norm_item", "self_item")
+
+
 @pytest.mark.parametrize("kwargs", [
     dict(use_memory=False), dict(use_layernorm=False), dict(use_tau=False),
-    dict(literal_eq4=True), dict(num_layers=0)])
+    dict(literal_eq4=True), dict(num_layers=0), dict(), dict(num_layers=3)])
 def test_cold_start_covers_every_variant(tiny_graph, kwargs):
-    """Each ablation switch takes its layer branch; the mode is restored."""
+    """Each ablation switch takes its layer branch; the mode is restored.
+
+    The cached-table path is bitwise equal to the per-call propagation
+    oracle, in train mode (cache built with dropout off) and again after
+    a parameter change plus ``invalidate_cache``.
+    """
     model = DGNN(tiny_graph, embed_dim=8, num_memory_units=2, seed=0,
                  **kwargs)
     user_emb, item_emb = model.final_embeddings()
@@ -74,6 +127,31 @@ def test_cold_start_covers_every_variant(tiny_graph, kwargs):
     assert user.shape == (user_emb.shape[1],)
     assert item.shape == (item_emb.shape[1],)
     assert np.all(np.isfinite(user)) and np.all(np.isfinite(item))
+    assert np.array_equal(user, _oracle_cold_user(model, [0, 1]))
+    assert np.array_equal(item, _oracle_cold_item(model, [0]))
+    assert model.training
+
+    for param in model.parameters():
+        param.data += 0.01
+    model.invalidate_cache()
+    moved_user = embed_cold_user(model, [2, 3, 4])
+    moved_item = embed_cold_item(model, [1])
+    assert np.array_equal(moved_user, _oracle_cold_user(model, [2, 3, 4]))
+    assert np.array_equal(moved_item, _oracle_cold_item(model, [1]))
+
+
+def test_layer_tables_cached_until_invalidated(tiny_graph):
+    model = DGNN(tiny_graph, embed_dim=8, num_memory_units=2, seed=0)
+    tables = model.layer_tables()
+    assert len(tables) == model.num_layers + 1
+    assert model.layer_tables() is tables
+    # Layer 0 is a copy: an in-place parameter update does not leak in.
+    before = tables[0][0].copy()
+    model.user_embedding.weight.data += 1.0
+    assert np.array_equal(model.layer_tables()[0][0], before)
+    model.invalidate_cache()
+    assert model.layer_tables() is not tables
+    assert np.array_equal(model.layer_tables()[0][0], before + 1.0)
 
 
 class TestColdStartItem:
