@@ -19,10 +19,11 @@ The op set is grouped as:
   ``sigmoid``, ``tanh``, ``softplus``, ``log_sigmoid``, ``softmax``,
   ``maximum``, ``where``
 
-The sparse/graph kernels (``spmm``, ``gathered_rowwise_dot``,
-``segment_sum``, ``memory_mixture``) dispatch through the active
-:mod:`repro.engine.backends` kernel backend, so a single switch selects
-the vectorized or the reference implementation for every model.
+The sparse/graph kernels (``spmm``, ``gather_rows``,
+``gathered_rowwise_dot``, ``segment_sum``, ``memory_mixture``) and their
+scatters call the instrumented kernels of :mod:`repro.engine.backends`
+as ``backends.<kernel>(...)``, so every model shares one kernel set and
+its counters.
 """
 
 from __future__ import annotations
@@ -35,9 +36,8 @@ import scipy.sparse as sp
 
 from repro.autograd.sparse import RowSparseGrad, sparse_grads_enabled
 from repro.autograd.tensor import Tensor, as_tensor
-from repro.engine import arena
+from repro.engine import arena, backends
 from repro.engine.adjcache import cached_transpose
-from repro.engine.backends import get_backend
 from repro.engine.precision import as_index_array
 from repro.engine.stable_math import stable_sigmoid, stable_softplus
 
@@ -201,14 +201,14 @@ def spmm(matrix: sp.spmatrix, dense) -> Tensor:
     if not sp.issparse(matrix):
         raise TypeError("spmm expects a scipy.sparse matrix as the first operand")
     matrix = matrix.tocsr()
-    data = get_backend().spmm(matrix, dense.data)
+    data = backends.spmm(matrix, dense.data)
 
     def factory(out: Tensor):
         def backward():
             # The CSR transpose is memoized per matrix (the seed rebuilt
             # it on every forward call).
-            dense._accumulate(get_backend().spmm(cached_transpose(matrix),
-                                                 out.grad))
+            dense._accumulate(backends.spmm(cached_transpose(matrix),
+                                            out.grad))
 
         return backward
 
@@ -311,14 +311,13 @@ def gather_rows(a, indices) -> Tensor:
     """Gather rows ``a[indices]`` for an integer index array.
 
     Equivalent to an embedding lookup; the backward pass scatter-adds the
-    incoming gradient into the selected rows.  Both halves dispatch
-    through the active kernel backend (``gather_rows`` /
-    ``scatter_add_rows``), so minibatch seed gathering is visible to the
-    engine counters and optimizable per backend.
+    incoming gradient into the selected rows.  Both halves run as
+    engine kernels (``gather_rows`` / ``scatter_add_rows``), so
+    minibatch seed gathering is visible to the engine counters.
     """
     a = as_tensor(a)
     indices = as_index_array(indices, a.shape[0])
-    data = get_backend().gather_rows(a.data, indices)
+    data = backends.gather_rows(a.data, indices)
 
     def factory(out: Tensor):
         def backward():
@@ -330,7 +329,7 @@ def gather_rows(a, indices) -> Tensor:
                     and a._backward is None and not a._parents):
                 a._accumulate(RowSparseGrad(indices, out.grad, a.shape[0]))
             else:
-                a._accumulate(get_backend().scatter_add_rows(
+                a._accumulate(backends.scatter_add_rows(
                     out.grad, indices, a.shape[0]))
 
         return backward
@@ -343,10 +342,11 @@ def gathered_rowwise_dot(a, b, a_indices, b_indices) -> Tensor:
 
     ``a`` and ``b`` are 2-D embedding tables; the index arrays are equal
     length.  Equivalent to gather → elementwise multiply → row sum, but
-    dispatched as one backend kernel, so no gathered ``(batch, d)``
-    copies are materialized in the graph.  Passing the same table (and
-    indices) for both sides yields per-row squared norms — the batch L2
-    regularizer.
+    recorded as one graph node, so no gathered ``(batch, d)`` copies are
+    kept alive by the graph.  The backward scatters both gradients
+    through the ``scatter_add_rows`` kernel.  Passing the same table
+    (and indices) for both sides yields per-row squared norms — the
+    batch L2 regularizer.
     """
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim != 2 or b.ndim != 2:
@@ -355,18 +355,16 @@ def gathered_rowwise_dot(a, b, a_indices, b_indices) -> Tensor:
     b_indices = as_index_array(b_indices, b.shape[0])
     if a_indices.shape != b_indices.shape or a_indices.ndim != 1:
         raise ValueError("index arrays must be 1-D and of equal length")
-    data = get_backend().gathered_rowwise_dot(a.data, a_indices,
-                                              b.data, b_indices)
+    data = backends.gathered_rowwise_dot(a.data, a_indices,
+                                         b.data, b_indices)
 
     def factory(out: Tensor):
         def backward():
             grad = out.grad.reshape(-1, 1)
-            grad_a = arena.zeros(a.data.shape, a.data.dtype)
-            np.add.at(grad_a, a_indices, grad * b.data[b_indices])
-            a._accumulate(grad_a)
-            grad_b = arena.zeros(b.data.shape, b.data.dtype)
-            np.add.at(grad_b, b_indices, grad * a.data[a_indices])
-            b._accumulate(grad_b)
+            a._accumulate(backends.scatter_add_rows(
+                grad * b.data[b_indices], a_indices, a.shape[0]))
+            b._accumulate(backends.scatter_add_rows(
+                grad * a.data[a_indices], b_indices, b.shape[0]))
 
         return backward
 
@@ -381,9 +379,9 @@ def memory_mixture(embeddings, gates, transforms) -> Tensor:
     ``out[n] = Σ_m gates[n, m] · (embeddings[n] @ transforms[m])``.
 
     Equivalent to the unfused five-op composition (transpose → reshape →
-    matmul → mul → sum) but dispatched as a single backend kernel: the
-    forward never materializes the ``(n, M, d)`` per-unit activations and
-    the backward is hand-written in :mod:`repro.engine.backends`, so the
+    matmul → mul → sum) but run as a single engine kernel: the forward
+    never materializes the ``(n, M, d)`` per-unit activations and the
+    backward is hand-written in :mod:`repro.engine.backends`, so the
     hottest path in the DGNN memory encoder costs one graph node instead
     of five.
     """
@@ -401,15 +399,15 @@ def memory_mixture(embeddings, gates, transforms) -> Tensor:
     if transforms.shape[1:] != (d, d):
         raise ValueError(f"transforms shape {transforms.shape} does not "
                          f"match (M, d={d}, d={d})")
-    data = get_backend().memory_mixture(embeddings.data, gates.data,
-                                        transforms.data)
+    data = backends.memory_mixture(embeddings.data, gates.data,
+                                   transforms.data)
 
     def factory(out: Tensor):
         def backward():
             needs = (embeddings.requires_grad, gates.requires_grad,
                      transforms.requires_grad)
             grad_emb, grad_gates, grad_transforms = (
-                get_backend().memory_mixture_backward(
+                backends.memory_mixture_backward(
                     out.grad, embeddings.data, gates.data, transforms.data,
                     needs=needs))
             if grad_emb is not None:
@@ -484,7 +482,7 @@ def segment_sum(a, segment_ids, num_segments: int) -> Tensor:
     segment_ids = as_index_array(segment_ids, num_segments)
     if segment_ids.ndim != 1 or segment_ids.shape[0] != a.shape[0]:
         raise ValueError("segment_ids must be 1-D and match a.shape[0]")
-    data = get_backend().segment_sum(a.data, segment_ids, num_segments)
+    data = backends.segment_sum(a.data, segment_ids, num_segments)
 
     def factory(out: Tensor):
         def backward():

@@ -13,11 +13,11 @@ strictly increasing, one value row each), produced by the backward of
 directly on ``Parameter.grad`` by :meth:`Tensor._accumulate`, and
 consumed natively by the lazy optimizers in :mod:`repro.nn.optim`.
 
-Coalescing and densification route through the active kernel backend's
-``scatter_add_rows`` and preserve the dense path's per-row accumulation
-order, so a coalesced-then-densified gradient is bitwise identical to
-the gradient the dense scatter would have produced — the property the
-lazy optimizers' bitwise parity tests rest on.
+Coalescing and densification route through the engine's
+``scatter_add_rows`` kernel and preserve the dense path's per-row
+accumulation order, so a coalesced-then-densified gradient is bitwise
+identical to the gradient the dense scatter would have produced — the
+property the lazy optimizers' bitwise parity tests rest on.
 
 Row-sparse production is opt-in (:func:`set_sparse_grads` /
 :func:`use_sparse_grads`) and only ever applies to *leaf* tensors:
@@ -32,7 +32,7 @@ from typing import Iterator, Tuple
 
 import numpy as np
 
-from repro.engine.backends import get_backend
+from repro.engine import backends
 from repro.engine.precision import index_dtype_for
 
 _SPARSE_GRADS = False
@@ -64,7 +64,7 @@ def use_sparse_grads(enabled: bool = True) -> Iterator[bool]:
 def _coalesce(rows: np.ndarray, values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Sort rows and sum duplicate rows' values.
 
-    The duplicate reduction dispatches through the backend's
+    The duplicate reduction runs through the engine's
     ``scatter_add_rows`` kernel, which accumulates in input order — the
     same per-row addition sequence the dense scatter performs, keeping
     the coalesced form bitwise-compatible with the dense gradient.
@@ -74,7 +74,7 @@ def _coalesce(rows: np.ndarray, values: np.ndarray) -> Tuple[np.ndarray, np.ndar
     unique, inverse = np.unique(rows, return_inverse=True)
     if unique.size == rows.size:  # no duplicates — just sort
         return unique, values[np.argsort(rows, kind="stable")]
-    return unique, get_backend().scatter_add_rows(values, inverse, unique.size)
+    return unique, backends.scatter_add_rows(values, inverse, unique.size)
 
 
 class RowSparseGrad:

@@ -339,7 +339,7 @@ def medium(seed: int = 0, **overrides) -> InteractionDataset:
     """Mid-scale profile for throughput benchmarks.
 
     Large enough that sparse-kernel cost dominates Python overhead
-    (meaningful naive-vs-fast backend ratios), small enough to run inside
+    (meaningful kernel-throughput numbers), small enough to run inside
     a test suite.
     """
     config = SyntheticConfig(

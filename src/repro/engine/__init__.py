@@ -5,9 +5,9 @@ Five layers (bottom to top):
 * :mod:`repro.engine.precision` — the engine-wide dtype policy
   (``float64`` default, opt-in ``float32`` via :func:`set_dtype` /
   ``REPRO_ENGINE_DTYPE``) and dtype-derived comparison tolerances;
-* :mod:`repro.engine.backends` — pluggable sparse kernel backends
-  (``"naive"`` loop oracle, ``"fast"`` vectorized CSR), selected via
-  :func:`set_backend` / ``REPRO_ENGINE_BACKEND``;
+* :mod:`repro.engine.backends` — the one instrumented set of sparse
+  kernels (vectorized CSR spmm, gathers, scatters, the fused Eq. 3
+  memory mixture) every model calls;
 * :mod:`repro.engine.adjcache` — normalized adjacencies memoized by
   matrix identity + scheme + dtype, so every matrix normalizes once
   per run;
@@ -18,8 +18,8 @@ Five layers (bottom to top):
   efficiency experiments.
 
 ``propagate`` is exposed lazily because it sits above
-:mod:`repro.autograd.ops`, which itself dispatches through the backends
-defined here.
+:mod:`repro.autograd.ops`, which itself calls the kernels defined
+here.
 """
 
 from repro.engine import arena, instrument, locality
@@ -34,16 +34,6 @@ from repro.engine.adjcache import (
     cached_transpose,
     get_cache,
     normalized,
-)
-from repro.engine.backends import (
-    FastBackend,
-    KernelBackend,
-    NaiveBackend,
-    available_backends,
-    get_backend,
-    register_backend,
-    set_backend,
-    use_backend,
 )
 from repro.engine.precision import (
     Tolerances,
@@ -60,18 +50,13 @@ from repro.engine.precision import (
 
 __all__ = [
     "AdjacencyCache",
-    "FastBackend",
-    "KernelBackend",
     "LayerStack",
-    "NaiveBackend",
     "Tolerances",
     "arena",
     "as_index_array",
-    "available_backends",
     "bpr_terms",
     "cached_transpose",
     "clear_block_cache",
-    "get_backend",
     "get_cache",
     "get_dtype",
     "get_index_dtype",
@@ -80,13 +65,10 @@ __all__ = [
     "instrument",
     "locality",
     "normalized",
-    "register_backend",
-    "set_backend",
     "set_dtype",
     "set_index_dtype",
     "set_spmm_block",
     "tolerances",
-    "use_backend",
     "use_dtype",
     "use_index_dtype",
     "use_spmm_block",

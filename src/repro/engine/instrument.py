@@ -1,6 +1,6 @@
 """Kernel-level counters for the propagation engine.
 
-Every sparse kernel dispatched through :mod:`repro.engine.backends` and
+Every sparse kernel in :mod:`repro.engine.backends` and
 every adjacency normalization performed by :mod:`repro.engine.adjcache`
 reports here: call counts, nonzeros processed, per-kernel dense-FLOP and
 bytes-moved estimates and wall-clock seconds.  The counters are
@@ -36,7 +36,7 @@ class KernelCounters:
     # ------------------------------------------------------------------
     def record_kernel(self, name: str, seconds: float, nnz: int = 0,
                       flops: float = 0.0, bytes_moved: float = 0.0) -> None:
-        """Account one backend kernel invocation.
+        """Account one engine kernel invocation.
 
         ``flops`` is a dense-equivalent FLOP estimate and ``bytes_moved``
         a best-effort memory-traffic model (operands read + results

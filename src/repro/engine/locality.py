@@ -1,6 +1,6 @@
 """Cache-blocked sparse kernels and the spmm blocking policy.
 
-The fast backend's flat spmm streams the dense operand ``B`` in whatever
+The engine's flat spmm kernel streams the dense operand ``B`` in whatever
 row order the CSR indices dictate: one ~``d × itemsize``-byte gather per
 nonzero, scattered across the whole table.  Once the table outgrows the
 cache the kernel is bandwidth-bound on those scattered reads.  This

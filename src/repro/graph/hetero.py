@@ -78,7 +78,7 @@ class CollaborativeHeteroGraph:
 
         # All three relation matrices are stored once, in the canonical
         # CSR/float64 format, and asserted — downstream code (kernel
-        # backends, ``Recommender.recommend``'s ``indices`` slicing) is
+        # kernels, ``Recommender.recommend``'s ``indices`` slicing) is
         # allowed to rely on it.
         pairs = dataset.interactions if train_pairs is None else train_pairs
         self.interaction = as_csr64(dataset.interaction_matrix(pairs))

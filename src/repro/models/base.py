@@ -16,7 +16,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.autograd.tensor import Tensor, no_grad
-from repro.engine.backends import get_backend
+from repro.engine import backends
 from repro.eval.metrics import top_k_indices
 from repro.engine.propagate import bpr_terms
 from repro.graph.hetero import CollaborativeHeteroGraph
@@ -170,7 +170,7 @@ class Recommender(Module):
         """Dot-product scores for per-user candidate item lists.
 
         ``users`` is ``(n,)`` and ``items`` is ``(n, c)``; the result has
-        shape ``(n, c)``.  Dispatched through the active backend's
+        shape ``(n, c)``.  Runs through the engine's
         ``gathered_rowwise_dot`` kernel, so evaluation scoring shows up
         in kernel instrumentation alongside training.
         """
@@ -178,7 +178,7 @@ class Recommender(Module):
         users = np.asarray(users, dtype=np.int64)
         items = np.asarray(items, dtype=np.int64)
         num_candidates = items.shape[1]
-        flat = get_backend().gathered_rowwise_dot(
+        flat = backends.gathered_rowwise_dot(
             user_emb, np.repeat(users, num_candidates),
             item_emb, items.reshape(-1))
         return flat.reshape(len(users), num_candidates)
@@ -186,11 +186,11 @@ class Recommender(Module):
     def score_pairs(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
         """Dot-product scores for aligned ``(user, item)`` arrays.
 
-        Routed through the backend's ``gathered_rowwise_dot`` (same
+        Routed through the engine's ``gathered_rowwise_dot`` (same
         kernel the BPR loss uses) for instrumentation parity.
         """
         user_emb, item_emb = self.final_embeddings()
-        return get_backend().gathered_rowwise_dot(
+        return backends.gathered_rowwise_dot(
             user_emb, np.asarray(users, dtype=np.int64),
             item_emb, np.asarray(items, dtype=np.int64))
 

@@ -20,7 +20,7 @@ Both factor the per-edge transform out of the neighbour sum (the gates
 are per-node, not per-edge), which is what makes DGNN cheaper than
 HGT-style per-edge attention — the property behind Table IV.
 
-The mixture itself runs through the fused ``memory_mixture`` backend
+The mixture itself runs through the fused ``memory_mixture`` engine
 kernel (one graph node, hand-written backward, no ``(n, |M|, d)``
 temporaries).
 """
@@ -81,7 +81,7 @@ class MemoryBank(Module):
 
         ``embeddings`` is ``(n, d)`` and ``gates`` is ``(n, |M|)``; the
         result is ``(n, d)``, computed by the fused ``memory_mixture``
-        backend kernel as one autograd node.
+        engine kernel as one autograd node.
         """
         return ops.memory_mixture(embeddings, gates, self.transforms)
 

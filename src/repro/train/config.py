@@ -59,6 +59,15 @@ class TrainConfig:
             raise ValueError("fanout must be positive (or None to keep all)")
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError("optimizer must be 'adam' or 'sgd'")
+        if self.l2 < 0:
+            raise ValueError("l2 must be >= 0")
+        if self.weight_decay < 0:
+            raise ValueError("weight_decay must be >= 0")
+        if not 0 <= self.momentum < 1:
+            raise ValueError("momentum must be in [0, 1)")
+        if self.patience is not None and self.patience < 1:
+            raise ValueError("patience must be >= 1 "
+                             "(or None to disable early stopping)")
         if self.workers != 0:
             raise ValueError(
                 f"workers must be 0, got {self.workers}: multi-process "

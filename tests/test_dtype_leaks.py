@@ -1,7 +1,7 @@
 """Float32 dtype-leak detection across every registered model.
 
 One training step per model runs under the float32 engine policy with
-:mod:`repro.engine.dtypecheck` wrapping the active backend: any float64
+:mod:`tests.oracles.dtypecheck` wrapping every engine kernel: any float64
 array crossing a kernel boundary — a silent numpy promotion somewhere
 upstream — fails the test by raising ``DtypeLeakError``.
 """
@@ -9,15 +9,11 @@ upstream — fails the test by raising ``DtypeLeakError``.
 import numpy as np
 import pytest
 
-from repro.engine import use_dtype
-from repro.engine.dtypecheck import (
-    DtypeCheckingBackend,
-    DtypeLeakError,
-    detect_leaks,
-)
+from repro.engine import backends, use_dtype
 from repro.graph import CollaborativeHeteroGraph
 from repro.models import available_models, create_model
 from repro.nn import Adam
+from tests.oracles.dtypecheck import DtypeLeakError, detect_leaks
 
 TRAINABLE = [name for name in available_models() if name != "most-popular"]
 
@@ -49,20 +45,14 @@ def test_no_float64_leaks_in_float32_train_step(name, tiny_dataset,
 
 
 def test_checker_raises_on_planted_float64():
-    from repro.engine.backends import get_backend
-
-    checker = DtypeCheckingBackend(get_backend())
-    with use_dtype(np.float32):
+    with use_dtype(np.float32), detect_leaks():
         table = np.ones((4, 3), dtype=np.float64)  # the planted leak
-        with pytest.raises(DtypeLeakError, match="gather_rows"):
-            checker.gather_rows(table, np.array([0, 1], dtype=np.int32))
+        with pytest.raises(DtypeLeakError, match="gather_rows.*table"):
+            backends.gather_rows(table, np.array([0, 1], dtype=np.int32))
 
 
 def test_checker_passes_clean_float32_call():
-    from repro.engine.backends import get_backend
-
-    checker = DtypeCheckingBackend(get_backend())
-    with use_dtype(np.float32):
+    with use_dtype(np.float32), detect_leaks():
         table = np.ones((4, 3), dtype=np.float32)
-        out = checker.gather_rows(table, np.array([0, 1], dtype=np.int32))
+        out = backends.gather_rows(table, np.array([0, 1], dtype=np.int32))
     assert out.dtype == np.float32

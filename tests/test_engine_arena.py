@@ -24,7 +24,6 @@ import numpy as np
 import pytest
 
 from repro.engine import arena as arena_mod
-from repro.engine import use_backend
 from repro.engine.arena import (
     BufferArena,
     arena_enabled,
@@ -190,23 +189,22 @@ def _train_run(dataset, split, steps=3):
     Each step runs inside an arena scope exactly when pooling is on
     (:func:`arena_enabled`), as ``Trainer`` does.
     """
-    with use_backend("fast"):
-        graph = CollaborativeHeteroGraph(dataset, split.train_pairs)
-        model = create_model("dgnn", graph, embed_dim=8, seed=0)
-        optimizer = Adam(model.parameters(), lr=0.01)
-        rng = np.random.default_rng(5)
-        losses = []
-        for _ in range(steps):
-            users = rng.integers(0, graph.num_users, 16)
-            positives = rng.integers(0, graph.num_items, 16)
-            negatives = rng.integers(0, graph.num_items, 16)
-            with (arena_mod.step_scope() if arena_enabled()
-                  else contextlib.nullcontext()):
-                model.zero_grad()
-                loss = model.bpr_loss(users, positives, negatives)
-                loss.backward()
-                optimizer.step()
-            losses.append(float(loss.data))
+    graph = CollaborativeHeteroGraph(dataset, split.train_pairs)
+    model = create_model("dgnn", graph, embed_dim=8, seed=0)
+    optimizer = Adam(model.parameters(), lr=0.01)
+    rng = np.random.default_rng(5)
+    losses = []
+    for _ in range(steps):
+        users = rng.integers(0, graph.num_users, 16)
+        positives = rng.integers(0, graph.num_items, 16)
+        negatives = rng.integers(0, graph.num_items, 16)
+        with (arena_mod.step_scope() if arena_enabled()
+              else contextlib.nullcontext()):
+            model.zero_grad()
+            loss = model.bpr_loss(users, positives, negatives)
+            loss.backward()
+            optimizer.step()
+        losses.append(float(loss.data))
     return losses, {name: param.data.copy()
                     for name, param in model.named_parameters()}
 

@@ -1,9 +1,11 @@
-"""Parity suite: every backend must match the naive loop oracle.
+"""Parity suite: the engine's kernels must match the naive loop oracle.
 
 Three levels: raw kernels (forward values), autograd ops built on them
 (gradients, including finite-difference checks), and end-to-end models
 (final embeddings, loss values and one full Adam step for DGNN plus four
-baselines).
+baselines).  ``"naive"`` runs a case on :mod:`tests.oracles.naive`
+swapped into the engine's kernel table, ``"fast"`` on the engine's own
+kernels; the seam-liveness tests check that the swap reaches the ops.
 """
 
 import numpy as np
@@ -11,23 +13,16 @@ import pytest
 import scipy.sparse as sp
 
 from repro.autograd import Tensor, gradcheck, no_grad, ops
-from repro.engine import (
-    available_backends,
-    get_backend,
-    instrument,
-    set_backend,
-    tolerances,
-    use_backend,
-)
+from repro.engine import backends, instrument, tolerances
 from repro.models import create_model
 from repro.nn.optim import Adam
+from tests.oracles import KERNEL_SETS, use_kernel_set, use_kernels
 
-ALL_BACKENDS = ("naive", "fast")
 PARITY_MODELS = ("dgnn", "lightgcn", "ngcf", "diffnet", "mhcn")
 
 
 def _parity_atol():
-    """Cross-backend disagreement is pure accumulation-order noise, so the
+    """Naive-vs-fast disagreement is pure accumulation-order noise, so the
     bar scales with the active engine precision: 1e-8 under the default
     float64, the policy atol (1e-4) under the float32 CI leg."""
     return max(1e-8, tolerances().atol)
@@ -39,30 +34,64 @@ def _random_csr(rng, rows, cols, density=0.2):
     return sp.csr_matrix(matrix, dtype=np.float64)
 
 
+class TestSeamLiveness:
+    """A kernel swapped into the table must reach the ops, then go away.
+
+    Were a caller to bind a kernel at import time, every naive-vs-fast
+    case below would silently compare the engine kernels with
+    themselves; these deliberately wrong kernels would go unseen.
+    """
+
+    def test_swapped_spmm_reaches_ops_and_is_restored(self, rng):
+        matrix = _random_csr(rng, 6, 4)
+        dense = Tensor(rng.normal(size=(4, 3)))
+        expected = matrix @ dense.data
+        assert np.abs(expected).max() > 0
+
+        def zeros_spmm(matrix, dense, out=None):
+            return np.zeros((matrix.shape[0],) + dense.shape[1:])
+
+        with use_kernels({"spmm": zeros_spmm}):
+            np.testing.assert_array_equal(ops.spmm(matrix, dense).data, 0.0)
+        np.testing.assert_allclose(ops.spmm(matrix, dense).data, expected,
+                                   atol=1e-12)
+
+    def test_swapped_memory_mixture_reaches_ops_and_is_restored(self, rng):
+        emb, gates = rng.normal(size=(5, 3)), rng.normal(size=(5, 2))
+        transforms = rng.normal(size=(2, 3, 3))
+        inputs = [Tensor(emb), Tensor(gates), Tensor(transforms)]
+        expected = ops.memory_mixture(*inputs).data
+        engine_mixture = backends._KERNELS["memory_mixture"]
+
+        def doubled(*args, **kwargs):
+            return 2.0 * engine_mixture(*args, **kwargs)
+
+        with use_kernels({"memory_mixture": doubled}):
+            np.testing.assert_allclose(ops.memory_mixture(*inputs).data,
+                                       2.0 * expected, atol=1e-12)
+        assert backends._KERNELS["memory_mixture"] is engine_mixture
+        np.testing.assert_array_equal(ops.memory_mixture(*inputs).data,
+                                      expected)
+
+    def test_table_restored_when_the_block_raises(self):
+        before = backends._KERNELS
+        with pytest.raises(RuntimeError):
+            with use_kernel_set("naive"):
+                assert backends._KERNELS is not before
+                raise RuntimeError
+        assert backends._KERNELS is before
+
+
 class TestKernelParity:
-    def test_registry_contains_all(self):
-        assert set(available_backends()) == {"naive", "fast"}
-
-    def test_use_backend_restores(self):
-        before = get_backend().name
-        with use_backend("naive"):
-            assert get_backend().name == "naive"
-        assert get_backend().name == before
-
-    def test_unknown_backend_raises(self):
-        with pytest.raises(KeyError):
-            set_backend("does-not-exist")
-
     def test_spmm_forward_parity(self, rng):
         matrix = _random_csr(rng, 17, 11)
         dense = rng.normal(size=(11, 5))
         outputs = {}
-        for name in ALL_BACKENDS:
-            with use_backend(name):
-                outputs[name] = get_backend().spmm(matrix, dense)
-        for name in ALL_BACKENDS[1:]:
-            np.testing.assert_allclose(outputs["naive"], outputs[name],
-                                       atol=1e-12, err_msg=name)
+        for name in KERNEL_SETS:
+            with use_kernel_set(name):
+                outputs[name] = backends.spmm(matrix, dense)
+        np.testing.assert_allclose(outputs["naive"], outputs["fast"],
+                                   atol=1e-12)
 
     def test_gathered_rowwise_dot_parity(self, rng):
         a = rng.normal(size=(9, 6))
@@ -70,42 +99,40 @@ class TestKernelParity:
         ai = rng.integers(0, 9, size=25).astype(np.int64)
         bi = rng.integers(0, 13, size=25).astype(np.int64)
         outputs = {}
-        for name in ALL_BACKENDS:
-            with use_backend(name):
-                outputs[name] = get_backend().gathered_rowwise_dot(a, ai, b, bi)
+        for name in KERNEL_SETS:
+            with use_kernel_set(name):
+                outputs[name] = backends.gathered_rowwise_dot(a, ai, b, bi)
         expected = np.sum(a[ai] * b[bi], axis=1)
-        for name in ALL_BACKENDS:
+        for name in KERNEL_SETS:
             np.testing.assert_allclose(outputs[name], expected, atol=1e-12,
                                        err_msg=name)
 
     def test_segment_reductions_parity(self, rng):
         values = rng.normal(size=(20, 4))
         ids = rng.integers(0, 6, size=20).astype(np.int64)
-        for method in ("segment_sum", "segment_mean"):
-            outputs = {}
-            for name in ALL_BACKENDS:
-                with use_backend(name):
-                    outputs[name] = getattr(get_backend(), method)(values, ids, 6)
-            for name in ALL_BACKENDS[1:]:
-                np.testing.assert_allclose(outputs["naive"], outputs[name],
-                                           atol=1e-12, err_msg=f"{method}/{name}")
+        outputs = {}
+        for name in KERNEL_SETS:
+            with use_kernel_set(name):
+                outputs[name] = backends.segment_sum(values, ids, 6)
+        np.testing.assert_allclose(outputs["naive"], outputs["fast"],
+                                   atol=1e-12)
 
 
 class TestOpGradParity:
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
-    def test_spmm_gradcheck(self, backend, rng):
+    @pytest.mark.parametrize("kernel_set", KERNEL_SETS)
+    def test_spmm_gradcheck(self, kernel_set, rng):
         matrix = _random_csr(rng, 7, 5)
         dense = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
-        with use_backend(backend):
+        with use_kernel_set(kernel_set):
             assert gradcheck(lambda d: ops.sum(ops.spmm(matrix, d)), [dense])
 
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
-    def test_gathered_rowwise_dot_gradcheck(self, backend, rng):
+    @pytest.mark.parametrize("kernel_set", KERNEL_SETS)
+    def test_gathered_rowwise_dot_gradcheck(self, kernel_set, rng):
         a = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
         b = Tensor(rng.normal(size=(8, 4)), requires_grad=True)
         ai = rng.integers(0, 6, size=10).astype(np.int64)
         bi = rng.integers(0, 8, size=10).astype(np.int64)
-        with use_backend(backend):
+        with use_kernel_set(kernel_set):
             assert gradcheck(
                 lambda x, y: ops.sum(ops.gathered_rowwise_dot(x, y, ai, bi)),
                 [a, b])
@@ -126,14 +153,12 @@ class TestOpGradParity:
         matrix = _random_csr(rng, 12, 9)
         values = rng.normal(size=(9, 4))
         grads = {}
-        for name in ALL_BACKENDS:
+        for name in KERNEL_SETS:
             dense = Tensor(values.copy(), requires_grad=True)
-            with use_backend(name):
+            with use_kernel_set(name):
                 ops.sum(ops.spmm(matrix, dense)).backward()
             grads[name] = dense.grad
-        for name in ALL_BACKENDS[1:]:
-            np.testing.assert_allclose(grads["naive"], grads[name],
-                                       atol=1e-12, err_msg=name)
+        np.testing.assert_allclose(grads["naive"], grads["fast"], atol=1e-12)
 
 
 def _batch(graph, rng, size=12):
@@ -143,77 +168,73 @@ def _batch(graph, rng, size=12):
 
 
 class TestModelParity:
-    """Final embeddings, loss and one Adam step agree across backends."""
+    """Final embeddings, loss and one Adam step agree across kernel sets."""
 
     @pytest.mark.parametrize("model_name", PARITY_MODELS)
     def test_final_embeddings_parity(self, model_name, tiny_graph):
         embeddings = {}
-        for backend in ALL_BACKENDS:
-            with use_backend(backend):
+        for kernel_set in KERNEL_SETS:
+            with use_kernel_set(kernel_set):
                 model = create_model(model_name, tiny_graph, embed_dim=8, seed=0)
                 with no_grad():
                     users, items = model.propagate()
-                embeddings[backend] = (users.data.copy(), items.data.copy())
-        for backend in ALL_BACKENDS[1:]:
-            for side in (0, 1):
-                np.testing.assert_allclose(embeddings["naive"][side],
-                                           embeddings[backend][side],
-                                           atol=_parity_atol(),
-                                           err_msg=backend)
+                embeddings[kernel_set] = (users.data.copy(),
+                                          items.data.copy())
+        for side in (0, 1):
+            np.testing.assert_allclose(embeddings["naive"][side],
+                                       embeddings["fast"][side],
+                                       atol=_parity_atol())
 
     @pytest.mark.parametrize("model_name", PARITY_MODELS)
     def test_one_training_step_parity(self, model_name, tiny_graph):
         snapshots = {}
-        for backend in ALL_BACKENDS:
+        for kernel_set in KERNEL_SETS:
             rng = np.random.default_rng(3)
             users, positives, negatives = _batch(tiny_graph, rng)
-            with use_backend(backend):
+            with use_kernel_set(kernel_set):
                 model = create_model(model_name, tiny_graph, embed_dim=8, seed=0)
                 optimizer = Adam(model.parameters(), lr=0.01)
                 loss = model.bpr_loss(users, positives, negatives)
                 loss.backward()
                 optimizer.step()
-                snapshots[backend] = (float(loss.data), model.state_dict())
+                snapshots[kernel_set] = (float(loss.data),
+                                         model.state_dict())
         loss_naive, state_naive = snapshots["naive"]
-        for backend in ALL_BACKENDS[1:]:
-            loss_other, state_other = snapshots[backend]
-            assert abs(loss_naive - loss_other) < _parity_atol()
-            assert set(state_naive) == set(state_other)
-            for name in state_naive:
-                np.testing.assert_allclose(state_naive[name], state_other[name],
-                                           atol=_parity_atol(),
-                                           err_msg=f"{backend}/{name}")
+        loss_fast, state_fast = snapshots["fast"]
+        assert abs(loss_naive - loss_fast) < _parity_atol()
+        assert set(state_naive) == set(state_fast)
+        for name in state_naive:
+            np.testing.assert_allclose(state_naive[name], state_fast[name],
+                                       atol=_parity_atol(), err_msg=name)
 
     def test_dgnn_sampled_loss_parity(self, tiny_graph):
         losses = {}
-        for backend in ALL_BACKENDS:
+        for kernel_set in KERNEL_SETS:
             rng = np.random.default_rng(5)
             users, positives, negatives = _batch(tiny_graph, rng)
-            with use_backend(backend):
+            with use_kernel_set(kernel_set):
                 model = create_model("dgnn", tiny_graph, embed_dim=8, seed=0)
                 loss = model.bpr_loss_sampled(users, positives, negatives,
                                               seed=11)
-                losses[backend] = float(loss.data)
-        for backend in ALL_BACKENDS[1:]:
-            assert abs(losses["naive"] - losses[backend]) < _parity_atol()
+                losses[kernel_set] = float(loss.data)
+        assert abs(losses["naive"] - losses["fast"]) < _parity_atol()
 
     def test_kernel_call_counts_match_across_backends(self, tiny_graph):
         # An identical DGNN training step must dispatch the identical
-        # kernel sequence whichever backend runs it: backends differ in
-        # how a kernel computes, never in which kernels a step calls.
+        # kernel sequence whichever kernel set runs it: the sets differ
+        # in how a kernel computes, never in which kernels a step calls.
         calls = {}
-        for backend in ALL_BACKENDS:
+        for kernel_set in KERNEL_SETS:
             rng = np.random.default_rng(7)
             users, positives, negatives = _batch(tiny_graph, rng)
-            with use_backend(backend), instrument.track() as used:
+            with use_kernel_set(kernel_set), instrument.track() as used:
                 model = create_model("dgnn", tiny_graph, embed_dim=8, seed=0)
                 optimizer = Adam(model.parameters(), lr=0.01)
                 loss = model.bpr_loss(users, positives, negatives)
                 loss.backward()
                 optimizer.step()
-            calls[backend] = {key: value for key, value in used.items()
-                              if key.startswith("calls.") and value}
+            calls[kernel_set] = {key: value for key, value in used.items()
+                                 if key.startswith("calls.") and value}
         assert calls["naive"]["calls.spmm"] > 0
         assert calls["naive"]["calls.memory_mixture"] > 0
-        for backend in ALL_BACKENDS[1:]:
-            assert calls[backend] == calls["naive"], backend
+        assert calls["fast"] == calls["naive"]

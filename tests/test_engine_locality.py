@@ -12,13 +12,12 @@ import pytest
 import scipy.sparse as sp
 
 from repro.engine import (
-    FastBackend,
     clear_block_cache,
     get_spmm_block,
     set_spmm_block,
     use_spmm_block,
 )
-from repro.engine import locality
+from repro.engine import backends, locality
 
 
 def _random_csr(rows, cols, nnz, seed=0, dtype=np.float64):
@@ -158,11 +157,10 @@ def test_build_blocks_falls_back_to_csr_on_scattered_matrix():
 def test_blocked_spmm_via_fast_backend_is_bitwise():
     matrix = _random_csr(2500, 1500, locality.MIN_BLOCKED_NNZ + 1)
     dense = np.random.default_rng(2).standard_normal((1500, 16))
-    backend = FastBackend()
     with use_spmm_block(0):
-        flat = backend.spmm(matrix, dense)
+        flat = backends.spmm(matrix, dense)
     with use_spmm_block(128 * 1024):
-        blocked = backend.spmm(matrix, dense)
+        blocked = backends.spmm(matrix, dense)
     np.testing.assert_array_equal(blocked, flat)
 
 

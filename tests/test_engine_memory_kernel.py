@@ -6,7 +6,7 @@ Covers the tentpole guarantees:
   (kept here as the reference), forward and backward, on the real
   :class:`MemoryBank` module;
 * finite-difference gradcheck of the fused op w.r.t. all three inputs;
-* naive / fast backends agree on the kernel at both engine
+* the naive loop oracle and the engine kernel agree at both engine
   dtypes, to dtype-derived tolerances;
 * the fused path cuts the autograd graph down to one node per mixture
   and shows up in kernel instrumentation.
@@ -16,10 +16,9 @@ import numpy as np
 import pytest
 
 from repro.autograd import Tensor, gradcheck, ops
-from repro.engine import instrument, tolerances, use_backend, use_dtype
+from repro.engine import instrument, tolerances, use_dtype
 from repro.models.memory import MemoryBank
-
-ALL_BACKENDS = ("naive", "fast")
+from tests.oracles import KERNEL_SETS, use_kernel_set
 
 
 def _inputs(rng, n=10, d=6, units=4, dtype=np.float64):
@@ -69,12 +68,12 @@ class TestFusedOp:
             ops.memory_mixture(Tensor(emb), Tensor(gates),
                                Tensor(transforms[:, :-1]))
 
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
-    def test_gradcheck(self, backend, rng):
+    @pytest.mark.parametrize("kernel_set", KERNEL_SETS)
+    def test_gradcheck(self, kernel_set, rng):
         emb = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
         gates = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
         transforms = Tensor(rng.normal(size=(3, 4, 4)), requires_grad=True)
-        with use_backend(backend):
+        with use_kernel_set(kernel_set):
             assert gradcheck(
                 lambda e, g, t: ops.sum(ops.memory_mixture(e, g, t)),
                 [emb, gates, transforms])
@@ -96,23 +95,21 @@ class TestFusedOp:
         with use_dtype(dtype):
             emb, gates, transforms = _inputs(rng, dtype=np.dtype(dtype))
             forwards, backwards = {}, {}
-            for name in ALL_BACKENDS:
+            for name in KERNEL_SETS:
                 e = Tensor(emb, requires_grad=True)
                 g = Tensor(gates, requires_grad=True)
                 t = Tensor(transforms, requires_grad=True)
-                with use_backend(name):
+                with use_kernel_set(name):
                     out = ops.memory_mixture(e, g, t)
                     assert out.data.dtype == np.dtype(dtype)
                     ops.sum(out).backward()
                 forwards[name] = out.data
                 backwards[name] = (e.grad, g.grad, t.grad)
-            for name in ALL_BACKENDS[1:]:
-                np.testing.assert_allclose(forwards["naive"], forwards[name],
-                                           atol=tol.atol, rtol=tol.rtol,
-                                           err_msg=name)
-                for ref, other in zip(backwards["naive"], backwards[name]):
-                    np.testing.assert_allclose(ref, other, atol=tol.atol,
-                                               rtol=tol.rtol, err_msg=name)
+            np.testing.assert_allclose(forwards["naive"], forwards["fast"],
+                                       atol=tol.atol, rtol=tol.rtol)
+            for ref, other in zip(backwards["naive"], backwards["fast"]):
+                np.testing.assert_allclose(ref, other, atol=tol.atol,
+                                           rtol=tol.rtol)
 
     def test_instrumentation_counts_kernel(self, rng):
         emb, gates, transforms = _inputs(rng)

@@ -21,7 +21,6 @@ from repro.engine import (
     get_dtype,
     set_dtype,
     tolerances,
-    use_backend,
     use_dtype,
 )
 from repro.engine.adjcache import get_cache
@@ -142,7 +141,7 @@ class TestArtifactDtypes:
 def _short_dgnn_run(dataset, split, dtype, steps=3):
     """A few fixed BPR/Adam steps; returns the per-step losses."""
     losses = []
-    with use_dtype(dtype), use_backend("fast"):
+    with use_dtype(dtype):
         graph = CollaborativeHeteroGraph(dataset, split.train_pairs)
         model = create_model("dgnn", graph, embed_dim=8, seed=0)
         optimizer = Adam(model.parameters(), lr=0.01)
@@ -175,7 +174,7 @@ class TestEndToEnd:
 
         outputs = {}
         for dtype in ("float64", "float32"):
-            with use_dtype(dtype), use_backend("fast"):
+            with use_dtype(dtype):
                 graph = CollaborativeHeteroGraph(tiny_dataset,
                                                  tiny_split.train_pairs)
                 model = create_model("dgnn", graph, embed_dim=8, seed=0)

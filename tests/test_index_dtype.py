@@ -21,7 +21,6 @@ import scipy.sparse as sp
 from repro.autograd.sparse import RowSparseGrad
 from repro.data.split import leave_one_out
 from repro.data.synthetic import medium
-from repro.engine import use_backend
 from repro.engine.precision import (
     INT32_LIMIT,
     as_index_array,
@@ -126,7 +125,7 @@ _VIEWS = ("user_social_joint", "user_item_joint", "item_user_joint",
 
 
 def _sampled_views(dataset, split, index_dtype):
-    with use_index_dtype(index_dtype), use_backend("fast"):
+    with use_index_dtype(index_dtype):
         graph = CollaborativeHeteroGraph(dataset, split.train_pairs)
         seeds = split.train_pairs[:32]
         view = sample_subgraph_view(graph, seeds[:, 0], seeds[:, 1],
@@ -153,11 +152,10 @@ class TestInt32Int64Parity:
         rng = np.random.default_rng(11)
         rows = rng.integers(0, 500, size=256)  # duplicates guaranteed
         values = rng.standard_normal((256, 8))
-        with use_backend("fast"):
-            with use_index_dtype("int32"):
-                grad32 = RowSparseGrad(rows, values, num_rows=500)
-            with use_index_dtype("int64"):
-                grad64 = RowSparseGrad(rows, values, num_rows=500)
+        with use_index_dtype("int32"):
+            grad32 = RowSparseGrad(rows, values, num_rows=500)
+        with use_index_dtype("int64"):
+            grad64 = RowSparseGrad(rows, values, num_rows=500)
         assert grad32.rows.dtype == np.int32
         assert grad64.rows.dtype == np.int64
         assert np.array_equal(grad32.rows, grad64.rows.astype(np.int32))

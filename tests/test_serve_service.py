@@ -214,7 +214,7 @@ class TestDtypeDiscipline:
     def test_serving_hot_path_leak_free_float32(self, tiny_dataset,
                                                 tiny_split, tmp_path,
                                                 retrieval):
-        from repro.engine.dtypecheck import detect_leaks
+        from tests.oracles.dtypecheck import detect_leaks
         from repro.graph import CollaborativeHeteroGraph
 
         with use_dtype("float32"):

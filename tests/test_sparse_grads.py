@@ -3,7 +3,7 @@
 Covers the full path: ``RowSparseGrad`` construction and coalescing,
 ``gather_rows`` backward emitting sparse gradients for leaf tables,
 ``Tensor._accumulate`` mixing rules, duplicate-index ``scatter_add_rows``
-on every kernel backend (the primitive coalescing relies on), the lazy
+on both kernel sets (the primitive coalescing relies on), the lazy
 SGD/Adam update semantics, and the trainer-level bitwise parity of
 densified sparse gradients against dense Adam.
 """
@@ -20,9 +20,9 @@ from repro.autograd import (
     sparse_grads_enabled,
     use_sparse_grads,
 )
-from repro.engine import available_backends, use_backend, use_dtype
-from repro.engine.backends import get_backend
+from repro.engine import backends, use_dtype
 from repro.nn import Adam, Parameter, SGD, clip_grad_norm
+from tests.oracles import KERNEL_SETS, use_kernel_set
 
 
 @pytest.fixture
@@ -161,7 +161,7 @@ class TestGatherRowsSparseBackward:
 
 
 class TestScatterAddDuplicateIndices:
-    """Satellite: duplicate-index scatter on every backend vs the oracle."""
+    """Duplicate-index scatter on both kernel sets vs a plain loop."""
 
     def _oracle(self, values, indices, num_rows):
         out = np.zeros((num_rows,) + values.shape[1:], dtype=values.dtype)
@@ -169,31 +169,30 @@ class TestScatterAddDuplicateIndices:
             out[row] += values[i]
         return out
 
-    @pytest.mark.parametrize("backend", ["naive", "fast"])
-    def test_duplicate_scatter_matches_oracle(self, backend, rng):
-        assert backend in available_backends()
+    @pytest.mark.parametrize("kernel_set", KERNEL_SETS)
+    def test_duplicate_scatter_matches_oracle(self, kernel_set, rng):
         values = rng.standard_normal((30, 5))
         indices = rng.integers(0, 7, size=30)  # heavy duplication
         expected = self._oracle(values, indices, 7)
-        with use_backend(backend):
-            result = get_backend().scatter_add_rows(values, indices, 7)
+        with use_kernel_set(kernel_set):
+            result = backends.scatter_add_rows(values, indices, 7)
         np.testing.assert_allclose(result, expected, rtol=1e-12)
 
-    @pytest.mark.parametrize("backend", ["naive", "fast"])
-    def test_gather_rows_backward_gradcheck_duplicates(self, backend, rng):
+    @pytest.mark.parametrize("kernel_set", KERNEL_SETS)
+    def test_gather_rows_backward_gradcheck_duplicates(self, kernel_set, rng):
         table = Tensor(rng.standard_normal((5, 3)), requires_grad=True)
         indices = np.array([0, 2, 2, 4, 0, 2])
         weights = Tensor(rng.standard_normal((6, 3)))
-        with use_backend(backend):
+        with use_kernel_set(kernel_set):
             assert gradcheck(
                 lambda t: (ops.gather_rows(t, indices) * weights).sum(),
                 [table])
 
-    @pytest.mark.parametrize("backend", ["naive", "fast"])
-    def test_sparse_backward_matches_dense_per_backend(self, backend, rng):
+    @pytest.mark.parametrize("kernel_set", KERNEL_SETS)
+    def test_sparse_backward_matches_dense_per_backend(self, kernel_set, rng):
         indices = np.array([1, 1, 1, 3, 0, 3])
         upstream = rng.standard_normal((6, 2))
-        with use_backend(backend):
+        with use_kernel_set(kernel_set):
             table = Tensor(rng.standard_normal((5, 2)), requires_grad=True)
             ops.gather_rows(table, indices).backward(upstream)
             dense = table.grad.copy()

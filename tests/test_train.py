@@ -17,7 +17,9 @@ class TestTrainConfig:
 
     @pytest.mark.parametrize("kwargs", [
         {"epochs": 0}, {"batch_size": 0}, {"learning_rate": 0.0},
-        {"eval_every": 0},
+        {"eval_every": 0}, {"l2": -1.0}, {"weight_decay": -0.5},
+        {"momentum": -0.3}, {"momentum": 1.0}, {"momentum": 1.5},
+        {"patience": 0}, {"patience": -2},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
