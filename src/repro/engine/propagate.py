@@ -19,7 +19,7 @@ import numpy as np
 from repro.autograd import ops
 from repro.autograd.tensor import Tensor
 
-_COMBINES = ("concat", "mean", "sum", "last")
+_COMBINES = ("concat", "mean", "last")
 
 Slots = Union[Tensor, Tuple[Tensor, ...]]
 
@@ -32,13 +32,10 @@ class LayerStack:
     num_layers:
         Propagation depth ``L``.
     combine:
-        How per-layer outputs are merged: ``"concat"`` along the feature
-        axis (NGCF / DGNN style), ``"mean"`` (LightGCN style), ``"sum"``,
-        or ``"last"`` (keep only the final layer, e.g. DiffNet's residual
-        diffusion).
-    include_input:
-        Whether the layer-0 input participates in the combination
-        (ignored for ``"last"``).
+        How per-layer outputs, the layer-0 input included, are merged:
+        ``"concat"`` along the feature axis (NGCF / DGNN style),
+        ``"mean"`` (LightGCN style), or ``"last"`` (keep only the final
+        layer, e.g. DiffNet's residual diffusion).
     final_norm:
         Optional callable (typically a registered
         :class:`~repro.nn.layers.LayerNorm`) applied to each combined
@@ -50,7 +47,6 @@ class LayerStack:
     """
 
     def __init__(self, num_layers: int, combine: str = "concat",
-                 include_input: bool = True,
                  final_norm: Optional[Callable[[Tensor], Tensor]] = None):
         if num_layers < 0:
             raise ValueError("num_layers must be >= 0")
@@ -58,7 +54,6 @@ class LayerStack:
             raise ValueError(f"combine must be one of {_COMBINES}")
         self.num_layers = int(num_layers)
         self.combine = combine
-        self.include_input = bool(include_input)
         self.final_norm = final_norm
 
     # ------------------------------------------------------------------
@@ -67,14 +62,11 @@ class LayerStack:
             merged = collected[-1]
         elif self.combine == "concat":
             merged = ops.cat(list(collected), axis=1)
-        else:
+        else:  # "mean"
             total = collected[0]
             for tensor in collected[1:]:
                 total = ops.add(total, tensor)
-            if self.combine == "mean":
-                total = ops.mul(total,
-                                Tensor(np.array(1.0 / len(collected))))
-            merged = total
+            merged = ops.mul(total, Tensor(np.array(1.0 / len(collected))))
         if self.final_norm is not None:
             merged = self.final_norm(merged)
         return merged
@@ -97,13 +89,8 @@ class LayerStack:
                 raise ValueError("step changed the number of node sets")
             for history, slot in zip(histories, current):
                 history.append(slot)
-        outputs = []
-        for history in histories:
-            collected = history if self.include_input else history[1:]
-            if not collected:
-                collected = history
-            outputs.append(self._merge(collected))
-        return outputs[0] if single else tuple(outputs)
+        outputs = tuple(self._merge(history) for history in histories)
+        return outputs[0] if single else outputs
 
 
 def bpr_terms(user_emb: Tensor, item_emb: Tensor, users: np.ndarray,
@@ -115,7 +102,7 @@ def bpr_terms(user_emb: Tensor, item_emb: Tensor, users: np.ndarray,
     fused gather+rowwise-dot kernel, so no per-batch gathered embedding
     copies enter the autograd graph.  Shared by
     :meth:`repro.models.base.Recommender.bpr_loss` (full graph) and
-    :meth:`repro.models.dgnn.DGNN.bpr_loss_sampled` (induced subgraph).
+    :meth:`repro.models.base.Recommender.bpr_loss_on` (sampled subgraph).
     """
     users = np.asarray(users, dtype=np.int64)
     positives = np.asarray(positives, dtype=np.int64)

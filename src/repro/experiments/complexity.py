@@ -18,6 +18,7 @@ import numpy as np
 from repro.data.synthetic import SyntheticConfig, generate_dataset
 from repro.experiments.common import ExperimentContext
 from repro.models.dgnn import DGNN
+from repro.train.config import PaperHyperparameters
 
 
 @dataclass
@@ -71,11 +72,11 @@ def _time_steps(model: DGNN, context: ExperimentContext, steps: int,
     return (time.perf_counter() - start) / steps
 
 
-def measure_memory_scaling(context: ExperimentContext,
-                           memory_grid: Sequence[int] = (2, 4, 8, 16),
-                           steps: int = 3, embed_dim: int = 16,
-                           batch_size: int = 1024,
-                           seed: int = 0) -> ScalingResults:
+def measure_memory_scaling(
+        context: ExperimentContext,
+        memory_grid: Sequence[int] = PaperHyperparameters.memory_grid,
+        steps: int = 3, embed_dim: int = 16, batch_size: int = 1024,
+        seed: int = 0) -> ScalingResults:
     """Seconds per training step as ``|M|`` grows on a fixed graph."""
     results = ScalingResults(factor="memory_units")
     for num_units in memory_grid:

@@ -16,12 +16,12 @@ from repro.experiments.common import (
     default_train_config,
     run_model,
 )
-from repro.train import TrainConfig
+from repro.train.config import PaperHyperparameters, TrainConfig
 
 PAPER_GRIDS = {
-    "embed_dim": (4, 8, 16, 32),
-    "num_layers": (0, 1, 2, 3),
-    "num_memory_units": (2, 4, 8, 16),
+    "embed_dim": PaperHyperparameters.embed_dim_grid,
+    "num_layers": PaperHyperparameters.layer_grid,
+    "num_memory_units": PaperHyperparameters.memory_grid,
 }
 
 

@@ -67,9 +67,9 @@ class Recommender(Module):
 
         The math lives in :func:`repro.engine.propagate.bpr_terms`; this
         method owns only the model plumbing (cache invalidation and the
-        forward propagation).  The regularizer is applied to the gathered
-        final embeddings of the batch (the standard BPR practice); global
-        weight decay can be added through the optimizer if desired.
+        forward propagation).  The regularizer, Eq. 11's λ (``l2``), is
+        applied to the gathered final embeddings of the batch (the
+        standard BPR practice).
         """
         self.invalidate_cache()
         user_emb, item_emb = self.propagate()

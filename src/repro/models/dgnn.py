@@ -225,7 +225,7 @@ class DGNN(Recommender):
     def _stack(self) -> LayerStack:
         """The Eq. 8 cross-layer aggregation as a shared LayerStack."""
         return LayerStack(
-            self.num_layers, combine="concat", include_input=True,
+            self.num_layers, combine="concat",
             final_norm=self.final_norm if self.use_layernorm else None)
 
     def _tables(self) -> Tuple[Tensor, Tensor, Tensor]:

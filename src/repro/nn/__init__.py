@@ -2,14 +2,13 @@
 
 Provides the module system (:class:`Module`, :class:`Parameter`), common
 layers (:class:`Linear`, :class:`Embedding`, :class:`LayerNorm`,
-:class:`Dropout`), weight initializers, and optimizers (:class:`SGD`,
-:class:`Adam`).
+:class:`Dropout`), weight initializers, and the :class:`Adam` optimizer.
 """
 
 from repro.nn.module import Module, ModuleDict, ModuleList, Parameter
 from repro.nn.layers import Linear, Embedding, LayerNorm, Dropout, Sequential
 from repro.nn import init
-from repro.nn.optim import SGD, Adam, Optimizer, clip_grad_norm
+from repro.nn.optim import Adam, clip_grad_norm
 
 __all__ = [
     "Module",
@@ -22,8 +21,6 @@ __all__ = [
     "Dropout",
     "Sequential",
     "init",
-    "Optimizer",
-    "SGD",
     "Adam",
     "clip_grad_norm",
 ]

@@ -28,11 +28,10 @@ def save_checkpoint(model, path: PathLike, epoch: int = -1,
                     optimizer=None) -> None:
     """Write ``model``'s parameters and metadata to ``path`` (.npz).
 
-    When ``optimizer`` is given, its :meth:`~repro.nn.optim.Optimizer.
-    state_dict` (moments, velocities, per-row lazy-update counters) is
-    stored under a namespaced prefix so training can resume exactly —
-    including the lazy optimizers' bias-correction and weight-decay
-    catch-up bookkeeping.
+    When ``optimizer`` is given, its :meth:`~repro.nn.optim.Adam.
+    state_dict` (moments and per-row lazy-update counters) is stored
+    under a namespaced prefix so training can resume exactly —
+    including lazy Adam's per-row bias correction.
     """
     payload = {name: values for name, values in model.state_dict().items()}
     if optimizer is not None:

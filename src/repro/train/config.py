@@ -7,7 +7,7 @@ Adam with learning rate 0.01, embedding dimension 16, batch size in the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 
@@ -18,10 +18,7 @@ class TrainConfig:
     epochs: int = 30
     batch_size: int = 1024
     learning_rate: float = 0.01
-    l2: float = 1e-4
-    weight_decay: float = 0.0  # Eq. 11's λ||Θ||², applied through Adam
-    optimizer: str = "adam"  # "adam" (Section V-A4) or "sgd" (Alg. 1 box)
-    momentum: float = 0.0  # SGD momentum (ignored by Adam)
+    l2: float = 1e-4  # Eq. 11's λ, on the batch's final embeddings
     batches_per_epoch: Optional[int] = None  # None -> cover the training set once
     propagation: str = "full"  # "full" (Alg. 1) or "minibatch" (sampled)
     hops: Optional[int] = None  # minibatch closure depth; None -> model's exact depth
@@ -57,14 +54,8 @@ class TrainConfig:
             raise ValueError("hops must be >= 0")
         if self.fanout is not None and self.fanout <= 0:
             raise ValueError("fanout must be positive (or None to keep all)")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError("optimizer must be 'adam' or 'sgd'")
         if self.l2 < 0:
             raise ValueError("l2 must be >= 0")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be >= 0")
-        if not 0 <= self.momentum < 1:
-            raise ValueError("momentum must be in [0, 1)")
         if self.patience is not None and self.patience < 1:
             raise ValueError("patience must be >= 1 "
                              "(or None to disable early stopping)")
@@ -90,7 +81,7 @@ class TrainConfig:
 
         Defaults to on exactly when the sampled propagation path is
         selected — that is where embedding lookups touch O(batch) rows
-        and the lazy optimizers pay off.  Full-graph propagation updates
+        and lazy Adam pays off.  Full-graph propagation updates
         every row anyway, so sparse carriers would only add overhead.
         """
         if self.sparse_grads is not None:
@@ -130,7 +121,13 @@ class TrainConfig:
 
 @dataclass
 class PaperHyperparameters:
-    """The model-side settings of Section V-A4, for reference and sweeps."""
+    """Section V-A4's settings and search grids: the one copy.
+
+    The Fig. 7 sweeps (:mod:`repro.experiments.hyperparams`), the
+    tuning grid (:func:`repro.train.search.paper_tuning_grid`) and the
+    ``|M|`` scaling measurement (:mod:`repro.experiments.complexity`)
+    all read their grids from here.
+    """
 
     embed_dim: int = 16
     num_layers: int = 2
@@ -138,4 +135,5 @@ class PaperHyperparameters:
     embed_dim_grid: Tuple[int, ...] = (4, 8, 16, 32)
     layer_grid: Tuple[int, ...] = (0, 1, 2, 3)
     memory_grid: Tuple[int, ...] = (2, 4, 8, 16)
-    l2_grid: Tuple[float, ...] = field(default=(1e-3, 1e-4, 1e-5))
+    l2_grid: Tuple[float, ...] = (1e-3, 1e-4, 1e-5)
+    batch_size_grid: Tuple[int, ...] = (512, 1024, 2048, 4096)

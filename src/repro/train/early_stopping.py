@@ -8,18 +8,18 @@ import numpy as np
 
 
 class EarlyStopping:
-    """Stop training when a metric has not improved for ``patience`` evals.
+    """Stop training when a metric has not risen for ``patience`` evals.
 
+    The monitored metric is a ranking metric (HR@N / NDCG@N), so higher
+    is better.
     Keeps the best parameter snapshot so the trainer can restore the best
     model at the end (the standard protocol for Table II-style numbers).
     """
 
-    def __init__(self, metric: str = "hr@10", patience: Optional[int] = 10,
-                 minimize: bool = False):
+    def __init__(self, metric: str = "hr@10", patience: Optional[int] = 10):
         self.metric = metric
         self.patience = patience
-        self.minimize = minimize
-        self.best_value: float = np.inf if minimize else -np.inf
+        self.best_value: float = -np.inf
         self.best_state: Optional[Dict[str, np.ndarray]] = None
         self.best_epoch: int = -1
         self._since_best = 0
@@ -27,8 +27,7 @@ class EarlyStopping:
     def update(self, metrics: Dict[str, float], model, epoch: int) -> bool:
         """Record an evaluation; return ``True`` when training should stop."""
         value = metrics[self.metric]
-        improved = value < self.best_value if self.minimize else value > self.best_value
-        if improved:
+        if value > self.best_value:
             self.best_value = value
             self.best_state = model.state_dict()
             self.best_epoch = epoch

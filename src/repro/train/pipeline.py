@@ -58,7 +58,7 @@ class MinibatchStep:
     users: np.ndarray
     positives: np.ndarray
     negatives: np.ndarray
-    subgraph: object  # SubgraphView
+    subgraph: object  # SubgraphView; None for a full-propagation batch
     sample_seconds: float
 
 

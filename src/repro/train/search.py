@@ -13,6 +13,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.train.config import PaperHyperparameters
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (train <-> experiments)
     from repro.experiments.common import ExperimentContext
 
@@ -98,6 +100,7 @@ def grid_search(model_name: str, context: "ExperimentContext",
 def paper_tuning_grid() -> Tuple[Dict[str, Sequence], Dict[str, Sequence]]:
     """The paper's Section V-A4 search space as ``(model_grid, config_grid)``."""
     return (
-        {"embed_dim": (4, 8, 16, 32)},
-        {"l2": (1e-3, 1e-4, 1e-5), "batch_size": (512, 1024, 2048, 4096)},
+        {"embed_dim": PaperHyperparameters.embed_dim_grid},
+        {"l2": PaperHyperparameters.l2_grid,
+         "batch_size": PaperHyperparameters.batch_size_grid},
     )

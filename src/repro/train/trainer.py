@@ -27,18 +27,21 @@ stream is identical either way).  Environment-resolved knobs
 are documented field-by-field in ``docs/operations.md``.
 
 Training runs in one process: one optimizer step per BPR batch, as in
-Alg. 1.  :func:`train_and_publish` chains a :class:`Trainer` run into
+Alg. 1, through one step body for both propagation modes.  A
+non-finite loss or gradient norm skips that step and ends training
+with the reason in ``TrainingHistory.stop_reason``.
+:func:`train_and_publish` chains a :class:`Trainer` run into
 the serving layer by publishing the trained model as an
 :class:`~repro.serve.snapshot.EmbeddingSnapshot`.
 """
 
 from __future__ import annotations
 
+import contextlib
+import math
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
-
-import contextlib
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.autograd.sparse import use_sparse_grads
 from repro.data.sampling import BprSampler, EvalCandidates, build_eval_candidates
@@ -48,11 +51,12 @@ from repro.engine import instrument
 from repro.engine import locality
 from repro.eval.protocol import evaluate_model
 from repro.models.base import Recommender
-from repro.nn.optim import SGD, Adam, clip_grad_norm
+from repro.nn.optim import Adam, clip_grad_norm
 from repro.train.config import TrainConfig
 from repro.train.early_stopping import EarlyStopping
 from repro.train.pipeline import (
     MinibatchPlanner,
+    MinibatchStep,
     PrefetchPipeline,
     prefetch_enabled,
 )
@@ -73,6 +77,9 @@ class TrainingHistory:
     touched_row_fractions: List[float] = field(default_factory=list)
     best_epoch: int = -1
     best_metrics: Dict[str, float] = field(default_factory=dict)
+    #: Why training stopped early on a failure (a non-finite loss or
+    #: gradient norm, with its epoch and batch); ``None`` otherwise.
+    stop_reason: Optional[str] = None
 
     @property
     def epochs_run(self) -> int:
@@ -150,15 +157,7 @@ class Trainer:
             split, seed=self.config.seed)
         self.sampler = BprSampler(split, batch_size=self.config.batch_size,
                                   seed=self.config.seed)
-        if self.config.optimizer == "sgd":
-            self.optimizer = SGD(model.parameters(),
-                                 lr=self.config.learning_rate,
-                                 momentum=self.config.momentum,
-                                 weight_decay=self.config.weight_decay)
-        else:
-            self.optimizer = Adam(model.parameters(),
-                                  lr=self.config.learning_rate,
-                                  weight_decay=self.config.weight_decay)
+        self.optimizer = Adam(model.parameters(), lr=self.config.learning_rate)
         self._sparse_grads = self.config.resolved_sparse_grads()
         self._arena = self.config.resolved_arena()
         self._epoch_touched: List[float] = []
@@ -175,131 +174,136 @@ class Trainer:
                 fanout=self.config.fanout, base_seed=self.config.seed)
 
     # ------------------------------------------------------------------
-    # One epoch, both propagation modes
+    # One loop over steps, both propagation modes
     # ------------------------------------------------------------------
-    def _apply_gradients(self, loss) -> None:
-        loss.backward()
-        if self.config.clip_norm is not None:
-            clip_grad_norm(self.model.parameters(), self.config.clip_norm)
-        self.optimizer.step()
-        self._epoch_touched.append(self.optimizer.touched_fraction())
-
     def _step_scope(self):
         """Arena scope for one optimizer step (a no-op by default).
 
         Only opened when the run opts into pooling
         (``TrainConfig.resolved_arena``).  The scope covers forward,
         backward, clipping and the parameter update; by scope exit every
-        gradient has been consumed and the loss value read, so the
-        step's buffers recycle safely.  Without a scope the step's graph
-        and buffers are freed by refcount at ``del loss``.
+        gradient has been consumed (or dropped) and the loss value read,
+        so the step's buffers recycle safely.  Without a scope the
+        step's graph and buffers are freed by refcount at ``del loss``.
         """
         if self._arena:
             return arena.step_scope()
         return contextlib.nullcontext()
 
-    def _full_epoch(self, batches: int) -> Tuple[float, float, float]:
-        """Alg. 1: full-graph propagation per batch."""
-        epoch_loss = sample_seconds = compute_seconds = 0.0
+    def _steps(self, epoch: int, batches: int) -> Iterator[MinibatchStep]:
+        """The epoch's batches; ``subgraph`` is ``None`` for ``"full"``."""
+        if self._planner is not None:
+            yield from self._planner.plan(batches, epoch)
+            return
         for _ in range(batches):
             start = time.perf_counter()
             users, positives, negatives = self.sampler.sample()
-            sample_seconds += time.perf_counter() - start
-            start = time.perf_counter()
-            with self._step_scope():
-                self.optimizer.zero_grad()
-                loss = self.model.bpr_loss(users, positives, negatives,
-                                           l2=self.config.l2)
-                self._apply_gradients(loss)
-                epoch_loss += loss.item()
-                del loss
-            compute_seconds += time.perf_counter() - start
-        return epoch_loss, sample_seconds, compute_seconds
+            yield MinibatchStep(users, positives, negatives, None,
+                                time.perf_counter() - start)
 
-    def _minibatch_epoch(self, epoch: int,
-                         batches: int) -> Tuple[float, float, float]:
-        """Sampled propagation, optionally with prefetch overlap.
+    def _train_epoch(self, epoch: int, batches: int
+                     ) -> Tuple[float, float, float, Optional[str]]:
+        """One optimizer step per batch; returns loss, sample and compute time.
 
         ``sample_seconds`` counts time spent building batches wherever it
         ran (inline or on the prefetch worker), so under prefetch the
         epoch wall-clock is less than ``sample + compute`` — the overlap
-        the pipeline buys.
+        the pipeline buys.  A batch whose loss or pre-clip gradient norm
+        is non-finite is not stepped: its gradients are dropped and the
+        epoch ends early, returning the reason as the fourth element.
         """
-        steps = self._planner.plan(batches, epoch)
+        config = self.config
+        steps = self._steps(epoch, batches)
         pipeline = None
-        if prefetch_enabled(self.config.prefetch):
-            pipeline = PrefetchPipeline(steps)
-            steps = pipeline
+        if self._planner is not None and prefetch_enabled(config.prefetch):
+            pipeline = steps = PrefetchPipeline(steps)
         epoch_loss = sample_seconds = compute_seconds = 0.0
+        self._epoch_touched = []
         try:
-            for step in steps:
+            for batch, step in enumerate(steps):
                 sample_seconds += step.sample_seconds
                 start = time.perf_counter()
                 with self._step_scope():
                     self.optimizer.zero_grad()
-                    loss = self.model.bpr_loss_on(
-                        step.subgraph, step.users, step.positives,
-                        step.negatives, l2=self.config.l2)
-                    self._apply_gradients(loss)
-                    epoch_loss += loss.item()
+                    if step.subgraph is None:
+                        loss = self.model.bpr_loss(
+                            step.users, step.positives, step.negatives,
+                            l2=config.l2)
+                    else:
+                        loss = self.model.bpr_loss_on(
+                            step.subgraph, step.users, step.positives,
+                            step.negatives, l2=config.l2)
+                    loss.backward()
+                    norm = 0.0
+                    if config.clip_norm is not None:
+                        norm = clip_grad_norm(self.model.parameters(),
+                                              config.clip_norm)
+                    value = loss.item()
                     del loss
+                    if not (math.isfinite(value) and math.isfinite(norm)):
+                        self.optimizer.zero_grad()
+                        what = (f"loss {value}" if not math.isfinite(value)
+                                else f"gradient norm {norm}")
+                        return (epoch_loss, sample_seconds, compute_seconds,
+                                f"non-finite {what} at epoch {epoch}, "
+                                f"batch {batch}")
+                    self.optimizer.step()
+                    self._epoch_touched.append(
+                        self.optimizer.touched_fraction())
+                epoch_loss += value
                 compute_seconds += time.perf_counter() - start
         finally:
             if pipeline is not None:
                 pipeline.close()
-        return epoch_loss, sample_seconds, compute_seconds
+        return epoch_loss, sample_seconds, compute_seconds, None
 
     def fit(self) -> TrainingHistory:
         """Run the training loop and return the recorded history.
 
-        Early stopping (if configured) restores the best snapshot before
-        returning, so the model is left at its best evaluated state.
+        Training ends after ``config.epochs``, when early stopping's
+        patience runs out, or at the first non-finite loss or gradient
+        norm (recorded in ``TrainingHistory.stop_reason``; the
+        interrupted epoch is not recorded).  Either way the best
+        evaluated snapshot is restored before returning.
         """
         config = self.config
         history = TrainingHistory()
         stopper = EarlyStopping(metric=config.early_stopping_metric,
                                 patience=config.patience)
         batches = config.batches_per_epoch or self.sampler.batches_for_full_epoch()
-        block_scope = locality.use_spmm_block(config.resolved_spmm_block())
-
-        with block_scope:
-            return self._fit_loop(config, history, stopper, batches)
-
-    def _fit_loop(self, config, history, stopper, batches) -> TrainingHistory:
-        for epoch in range(config.epochs):
-            start = time.perf_counter()
-            self.model.train()
-            counters_before = instrument.snapshot()
-            self._epoch_touched = []
-            with use_sparse_grads(self._sparse_grads):
-                if self._planner is not None:
-                    epoch_loss, sample_seconds, compute_seconds = (
-                        self._minibatch_epoch(epoch, batches))
-                else:
-                    epoch_loss, sample_seconds, compute_seconds = (
-                        self._full_epoch(batches))
-            self.model.invalidate_cache()
-            history.losses.append(epoch_loss / batches)
-            history.train_seconds.append(time.perf_counter() - start)
-            history.sample_seconds.append(sample_seconds)
-            history.compute_seconds.append(compute_seconds)
-            history.touched_row_fractions.append(
-                sum(self._epoch_touched) / max(len(self._epoch_touched), 1))
-            history.kernel_counters.append(
-                instrument.delta(counters_before, instrument.snapshot()))
-
-            if (epoch + 1) % config.eval_every == 0 or epoch == config.epochs - 1:
+        with locality.use_spmm_block(config.resolved_spmm_block()):
+            for epoch in range(config.epochs):
                 start = time.perf_counter()
-                metrics = evaluate_model(self.model, self.candidates, ks=config.eval_ks)
-                history.eval_seconds.append(time.perf_counter() - start)
-                history.eval_epochs.append(epoch)
-                history.metrics.append(metrics)
-                if config.verbose:
-                    summary = ", ".join(f"{k}={v:.4f}" for k, v in metrics.items())
-                    print(f"[{self.model.name}] epoch {epoch + 1}: "
-                          f"loss={history.losses[-1]:.4f}, {summary}")
-                if stopper.update(metrics, self.model, epoch):
+                self.model.train()
+                counters_before = instrument.snapshot()
+                with use_sparse_grads(self._sparse_grads):
+                    (epoch_loss, sample_seconds, compute_seconds,
+                     history.stop_reason) = self._train_epoch(epoch, batches)
+                self.model.invalidate_cache()
+                if history.stop_reason is not None:
                     break
+                history.losses.append(epoch_loss / batches)
+                history.train_seconds.append(time.perf_counter() - start)
+                history.sample_seconds.append(sample_seconds)
+                history.compute_seconds.append(compute_seconds)
+                history.touched_row_fractions.append(
+                    sum(self._epoch_touched) / max(len(self._epoch_touched), 1))
+                history.kernel_counters.append(
+                    instrument.delta(counters_before, instrument.snapshot()))
+
+                if (epoch + 1) % config.eval_every == 0 or epoch == config.epochs - 1:
+                    start = time.perf_counter()
+                    metrics = evaluate_model(self.model, self.candidates,
+                                             ks=config.eval_ks)
+                    history.eval_seconds.append(time.perf_counter() - start)
+                    history.eval_epochs.append(epoch)
+                    history.metrics.append(metrics)
+                    if config.verbose:
+                        summary = ", ".join(f"{k}={v:.4f}" for k, v in metrics.items())
+                        print(f"[{self.model.name}] epoch {epoch + 1}: "
+                              f"loss={history.losses[-1]:.4f}, {summary}")
+                    if stopper.update(metrics, self.model, epoch):
+                        break
 
         stopper.restore_best(self.model)
         history.best_epoch = stopper.best_epoch
@@ -321,12 +325,14 @@ def train_and_publish(model: Recommender, split: Split,
     :class:`~repro.serve.snapshot.SnapshotStore` (or a path for one) is
     given — published atomically for the serving layer to pick up via
     ``load_latest()``/``refresh()``.  Returns ``(history, version)``
-    where ``version`` is ``None`` if no store was given.
+    where ``version`` is ``None`` if no store was given or if training
+    stopped on a non-finite value (``history.stop_reason``): a diverged
+    model is never published.
     """
     from repro.serve.snapshot import EmbeddingSnapshot, SnapshotStore
 
     history = Trainer(model, split, config, candidates).fit()
-    if store is None:
+    if store is None or history.stop_reason is not None:
         return history, None
     if not isinstance(store, SnapshotStore):
         store = SnapshotStore(store)

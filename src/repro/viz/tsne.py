@@ -3,8 +3,9 @@
 Used for the Fig. 9 embedding visualization.  Implements the standard
 algorithm: per-point perplexity calibration via binary search over the
 Gaussian bandwidth, symmetrized affinities, Student-t low-dimensional
-kernel, gradient descent with momentum and early exaggeration.  numpy
-only; suitable for the few hundred points the case study projects.
+kernel, gradient descent with velocity (inertia 0.5, then 0.8) and
+early exaggeration.  numpy only; suitable for the few hundred points
+the case study projects.
 """
 
 from __future__ import annotations
@@ -92,8 +93,8 @@ def tsne(points: np.ndarray, num_dims: int = 2, perplexity: float = 20.0,
         low_joint = np.maximum(kernel / kernel.sum(), 1e-12)
         coefficient = (target - low_joint) * kernel
         gradient = 4.0 * ((np.diag(coefficient.sum(axis=1)) - coefficient) @ embedding)
-        momentum = 0.5 if step < exaggeration_steps else 0.8
-        velocity = momentum * velocity - learning_rate * gradient
+        inertia = 0.5 if step < exaggeration_steps else 0.8
+        velocity = inertia * velocity - learning_rate * gradient
         embedding = embedding + velocity
         embedding -= embedding.mean(axis=0)
     return embedding

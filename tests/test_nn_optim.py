@@ -1,11 +1,10 @@
-"""Tests for SGD, Adam and gradient clipping."""
+"""Tests for Adam and gradient clipping."""
 
 import numpy as np
 import pytest
 
 from repro.engine import use_dtype
-from repro.nn import Adam, Parameter, SGD, clip_grad_norm
-from repro.nn.optim import Optimizer
+from repro.nn import Adam, Parameter, clip_grad_norm
 
 
 def _param(values):
@@ -15,41 +14,6 @@ def _param(values):
     with use_dtype("float64"):
         p = Parameter(np.asarray(values, dtype=np.float64))
     return p
-
-
-class TestSGD:
-    def test_basic_step(self):
-        p = _param([1.0, 2.0])
-        p.grad = np.array([0.5, -0.5])
-        SGD([p], lr=0.1).step()
-        np.testing.assert_allclose(p.data, [0.95, 2.05])
-
-    def test_weight_decay_adds_l2_gradient(self):
-        p = _param([2.0])
-        p.grad = np.array([0.0])
-        SGD([p], lr=0.1, weight_decay=0.5).step()
-        np.testing.assert_allclose(p.data, [2.0 - 0.1 * 0.5 * 2.0])
-
-    def test_momentum_accumulates(self):
-        p = _param([0.0])
-        opt = SGD([p], lr=1.0, momentum=0.9)
-        p.grad = np.array([1.0])
-        opt.step()  # v=1, p=-1
-        p.grad = np.array([1.0])
-        opt.step()  # v=1.9, p=-2.9
-        np.testing.assert_allclose(p.data, [-2.9])
-
-    def test_skips_params_without_grad(self):
-        p = _param([1.0])
-        SGD([p], lr=0.1).step()
-        np.testing.assert_allclose(p.data, [1.0])
-
-    def test_zero_grad(self):
-        p = _param([1.0])
-        p.grad = np.array([1.0])
-        opt = SGD([p], lr=0.1)
-        opt.zero_grad()
-        assert p.grad is None
 
 
 class TestAdam:
@@ -77,11 +41,17 @@ class TestAdam:
             opt.step()
             np.testing.assert_allclose(p.data, [theta_expected], rtol=1e-10)
 
-    def test_weight_decay(self):
-        p = _param([10.0])
-        p.grad = np.array([0.0])
-        Adam([p], lr=0.1, weight_decay=1.0).step()
-        assert p.data[0] < 10.0
+    def test_skips_params_without_grad(self):
+        p = _param([1.0])
+        Adam([p], lr=0.1).step()
+        np.testing.assert_allclose(p.data, [1.0])
+
+    def test_zero_grad(self):
+        p = _param([1.0])
+        p.grad = np.array([1.0])
+        opt = Adam([p], lr=0.1)
+        opt.zero_grad()
+        assert p.grad is None
 
     def test_converges_on_quadratic(self):
         p = _param([5.0])
@@ -127,28 +97,19 @@ class TestClipGradNorm:
         np.testing.assert_array_equal(p.grad, np.ones(4))
 
 
-class TestOptimizerBase:
-    def test_step_not_implemented(self):
-        p = _param([0.0])
-        with pytest.raises(NotImplementedError):
-            Optimizer([p], lr=0.1).step()
-
-
 class TestFoldedAdamTrajectory:
     """The in-place dense Adam folds bias correction into a scalar step
     size instead of materializing m_hat/v_hat temporaries; the trajectory
     must match the textbook update to rounding error over many steps."""
 
     @staticmethod
-    def _reference(p0, grads, lr, betas, eps, wd):
+    def _reference(p0, grads, lr, betas, eps):
         theta = np.asarray(p0, dtype=np.float64).copy()
         m = np.zeros_like(theta)
         v = np.zeros_like(theta)
         trajectory = []
         for t, g in enumerate(grads, 1):
             g = np.asarray(g, dtype=np.float64)
-            if wd:
-                g = g + wd * theta
             m = betas[0] * m + (1 - betas[0]) * g
             v = betas[1] * v + (1 - betas[1]) * g * g
             m_hat = m / (1 - betas[0] ** t)
@@ -157,16 +118,15 @@ class TestFoldedAdamTrajectory:
             trajectory.append(theta.copy())
         return trajectory
 
-    @pytest.mark.parametrize("wd", [0.0, 0.01])
-    def test_trajectory_parity_with_textbook_adam(self, wd):
+    def test_trajectory_parity_with_textbook_adam(self):
         rng = np.random.default_rng(42)
         p0 = rng.standard_normal((8, 4))
         grads = [rng.standard_normal((8, 4)) for _ in range(50)]
         lr, betas, eps = 0.05, (0.9, 0.999), 1e-8
         with use_dtype("float64"):
             p = Parameter(p0.copy())
-        opt = Adam([p], lr=lr, betas=betas, eps=eps, weight_decay=wd)
-        expected = self._reference(p0, grads, lr, betas, eps, wd)
+        opt = Adam([p], lr=lr, betas=betas, eps=eps)
+        expected = self._reference(p0, grads, lr, betas, eps)
         for g, want in zip(grads, expected):
             p.grad = g.copy()
             opt.step()

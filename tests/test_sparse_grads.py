@@ -4,7 +4,7 @@ Covers the full path: ``RowSparseGrad`` construction and coalescing,
 ``gather_rows`` backward emitting sparse gradients for leaf tables,
 ``Tensor._accumulate`` mixing rules, duplicate-index ``scatter_add_rows``
 on both kernel sets (the primitive coalescing relies on), the lazy
-SGD/Adam update semantics, and the trainer-level bitwise parity of
+Adam update semantics, and the trainer-level bitwise parity of
 densified sparse gradients against dense Adam.
 """
 
@@ -21,7 +21,7 @@ from repro.autograd import (
     use_sparse_grads,
 )
 from repro.engine import backends, use_dtype
-from repro.nn import Adam, Parameter, SGD, clip_grad_norm
+from repro.nn import Adam, Parameter, clip_grad_norm
 from tests.oracles import KERNEL_SETS, use_kernel_set
 
 
@@ -266,51 +266,13 @@ class TestLazyAdam:
         expected = _reference_adam(p0[2:3], [g1, g2])
         np.testing.assert_allclose(param.data[2], expected[0], rtol=1e-12)
 
-    def test_weight_decay_catch_up_scales_with_elapsed_steps(self, rng):
-        # First-order catch-up: a row re-touched after sitting out sees
-        # an effective decay gradient of elapsed * wd * p, where elapsed
-        # counts the skipped steps plus the current one.
-        p0 = np.full((4, 2), 2.0)
-        zero = np.zeros((1, 2))
-
-        def run(skips):
-            param = _param64(p0)
-            opt = Adam([param], lr=0.1, weight_decay=0.5)
-            param.grad = RowSparseGrad([1], zero, 4)
-            opt.step()
-            for _ in range(skips):  # steps touching a different row only
-                param.grad = RowSparseGrad([0], zero, 4)
-                opt.step()
-            param.grad = RowSparseGrad([1], zero, 4)
-            opt.step()
-            return param.data[1].copy()
-
-        def reference(skips, lr=0.1, wd=0.5, betas=(0.9, 0.999), eps=1e-8):
-            # Per-row Adam where each touch sees g = elapsed * wd * p,
-            # with elapsed = skipped steps + 1 and per-row counts n.
-            p = p0[1].astype(np.float64).copy()
-            m = np.zeros_like(p)
-            v = np.zeros_like(p)
-            for n, elapsed in ((1, 1), (2, skips + 1)):
-                g = elapsed * wd * p
-                m = betas[0] * m + (1 - betas[0]) * g
-                v = betas[1] * v + (1 - betas[1]) * g * g
-                m_hat = m / (1 - betas[0] ** n)
-                v_hat = v / (1 - betas[1] ** n)
-                p = p - lr * m_hat / (np.sqrt(v_hat) + eps)
-            return p
-
-        for skips in (0, 2, 5):
-            np.testing.assert_allclose(run(skips), reference(skips),
-                                       rtol=1e-12)
-
     def test_dense_correct_mode_bitwise_equals_dense_adam(self, rng):
         """A densified sparse grad steps Adam exactly like the dense scatter."""
         p0 = rng.standard_normal((10, 4))
         sparse_param = _param64(p0)
         dense_param = _param64(p0)
-        sparse_opt = Adam([sparse_param], lr=0.01, weight_decay=0.01)
-        dense_opt = Adam([dense_param], lr=0.01, weight_decay=0.01)
+        sparse_opt = Adam([sparse_param], lr=0.01)
+        dense_opt = Adam([dense_param], lr=0.01)
         for _ in range(6):
             k = int(rng.integers(1, 12))
             rows = rng.integers(0, 10, k)
@@ -347,69 +309,6 @@ class TestLazyAdam:
         np.testing.assert_array_equal(clone._m[0], opt._m[0])
         np.testing.assert_array_equal(clone._v[0], opt._v[0])
         np.testing.assert_array_equal(clone._row_steps[0], opt._row_steps[0])
-        np.testing.assert_array_equal(clone._row_last[0], opt._row_last[0])
-
-
-class TestLazySGD:
-    def test_untouched_rows_do_not_move_without_decay(self, rng):
-        p0 = rng.standard_normal((5, 2))
-        param = _param64(p0)
-        opt = SGD([param], lr=0.1)
-        param.grad = RowSparseGrad([1], np.ones((1, 2)), 5)
-        opt.step()
-        np.testing.assert_array_equal(param.data[[0, 2, 3, 4]],
-                                      p0[[0, 2, 3, 4]])
-        np.testing.assert_allclose(param.data[1], p0[1] - 0.1)
-
-    def test_weight_decay_catch_up_is_exact(self, rng):
-        # After a final step touching every row, the lazy trajectory
-        # must equal the dense one exactly (multiplicative catch-up).
-        p0 = rng.standard_normal((4, 2))
-        lazy_param = _param64(p0)
-        dense_param = _param64(p0)
-        lazy_opt = SGD([lazy_param], lr=0.1, weight_decay=0.05)
-        dense_opt = SGD([dense_param], lr=0.1, weight_decay=0.05)
-        schedule = []
-        for _ in range(7):
-            rows = np.unique(rng.integers(0, 4, int(rng.integers(1, 4))))
-            schedule.append((rows, rng.standard_normal((rows.size, 2))))
-        schedule.append((np.arange(4), rng.standard_normal((4, 2))))
-        for rows, values in schedule:
-            lazy_param.grad = RowSparseGrad(rows, values.copy(), 4)
-            dense = np.zeros((4, 2))
-            dense[rows] = values
-            dense_param.grad = dense
-            lazy_opt.step()
-            dense_opt.step()
-        np.testing.assert_allclose(lazy_param.data, dense_param.data,
-                                   rtol=1e-12, atol=1e-13)
-
-    def test_momentum_velocity_decays_while_untouched(self, rng):
-        p0 = np.zeros((3, 1))
-        param = _param64(p0)
-        opt = SGD([param], lr=1.0, momentum=0.5)
-        one = np.ones((1, 1))
-        param.grad = RowSparseGrad([0], one, 3)
-        opt.step()  # v0 = 1, p0 = -1
-        param.grad = RowSparseGrad([1], one, 3)
-        opt.step()  # row 0 sits out one step
-        param.grad = RowSparseGrad([0], one, 3)
-        opt.step()  # v0 = 0.5^2 * 1 + 1 = 1.25, p0 = -1 - 1.25
-        np.testing.assert_allclose(param.data[0], [-2.25])
-
-    def test_state_dict_roundtrip(self, rng):
-        param = Parameter(rng.standard_normal((4, 2)))
-        opt = SGD([param], lr=0.1, momentum=0.9, weight_decay=0.01)
-        for _ in range(2):
-            param.grad = RowSparseGrad([0, 2], rng.standard_normal((2, 2)), 4)
-            opt.step()
-        state = opt.state_dict()
-        clone = SGD([Parameter(param.data.copy())], lr=0.1, momentum=0.9,
-                    weight_decay=0.01)
-        clone.load_state_dict(state)
-        assert clone._step_count == opt._step_count
-        np.testing.assert_array_equal(clone._velocity[0], opt._velocity[0])
-        np.testing.assert_array_equal(clone._row_last[0], opt._row_last[0])
 
 
 class TestSparseClipGradNorm:
@@ -483,11 +382,6 @@ class TestTrainerIntegration:
         _, history = self._fit(context, sparse_grads=False)
         assert history.mean_touched_row_fraction() == 1.0
 
-    def test_sgd_optimizer_knob(self, context):
-        model, history = self._fit(context, sparse_grads=True,
-                                   optimizer="sgd", momentum=0.5)
-        assert history.epochs_run == 2
-
     def test_sparse_flag_restored_after_fit(self, context):
         self._fit(context, sparse_grads=True)
         assert not sparse_grads_enabled()
@@ -505,10 +399,14 @@ class TestConfigKnobs:
                            sparse_grads=True).resolved_sparse_grads()
 
     def test_invalid_knobs_raise(self):
+        # Adam is the only optimizer and l2 the only Eq. 11 regularizer:
+        # a removed knob is an unknown field, never a silently ignored one.
         from repro.train import TrainConfig
 
-        with pytest.raises(ValueError):
-            TrainConfig(optimizer="lbfgs")
+        for knob in ({"optimizer": "sgd"}, {"momentum": 0.5},
+                     {"weight_decay": 1e-4}):
+            with pytest.raises(TypeError):
+                TrainConfig(**knob)
 
 
 class TestOptimizerCheckpoint:

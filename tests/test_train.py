@@ -17,8 +17,8 @@ class TestTrainConfig:
 
     @pytest.mark.parametrize("kwargs", [
         {"epochs": 0}, {"batch_size": 0}, {"learning_rate": 0.0},
-        {"eval_every": 0}, {"l2": -1.0}, {"weight_decay": -0.5},
-        {"momentum": -0.3}, {"momentum": 1.0}, {"momentum": 1.5},
+        {"eval_every": 0}, {"l2": -1.0}, {"propagation": "sampled"},
+        {"hops": -1}, {"fanout": 0}, {"spmm_block": -1},
         {"patience": 0}, {"patience": -2},
     ])
     def test_validation(self, kwargs):
@@ -63,10 +63,26 @@ class TestTrainConfig:
         assert config.early_stopping_metric == metric
 
     def test_paper_hyperparameters_grid(self):
+        # Section V-A4's grids are written once; every sweep reads them.
+        import inspect
+
+        from repro.experiments.complexity import measure_memory_scaling
+        from repro.experiments.hyperparams import PAPER_GRIDS
+        from repro.train import paper_tuning_grid
+
         hp = PaperHyperparameters()
         assert hp.embed_dim == 16
         assert hp.num_memory_units == 8
         assert 2 in hp.memory_grid and 16 in hp.memory_grid
+        assert PAPER_GRIDS == {"embed_dim": hp.embed_dim_grid,
+                               "num_layers": hp.layer_grid,
+                               "num_memory_units": hp.memory_grid}
+        assert paper_tuning_grid() == (
+            {"embed_dim": hp.embed_dim_grid},
+            {"l2": hp.l2_grid, "batch_size": hp.batch_size_grid})
+        default_grid = inspect.signature(
+            measure_memory_scaling).parameters["memory_grid"].default
+        assert default_grid == hp.memory_grid
 
 
 class TestEarlyStopping:
@@ -94,13 +110,6 @@ class TestEarlyStopping:
         for epoch in range(20):
             assert not stopper.update({"hr@10": 0.0}, model, epoch=epoch)
 
-    def test_minimize_mode(self, tiny_graph):
-        model = BprMF(tiny_graph, embed_dim=4, seed=0)
-        stopper = EarlyStopping(metric="loss", patience=1, minimize=True)
-        stopper.update({"loss": 1.0}, model, epoch=0)
-        assert stopper.update({"loss": 2.0}, model, epoch=1)
-        assert stopper.best_value == 1.0
-
 
 class TestTrainer:
     def test_history_lengths(self, tiny_graph, tiny_split, tiny_candidates):
@@ -112,6 +121,7 @@ class TestTrainer:
         assert len(history.train_seconds) == 4
         assert history.eval_epochs == [1, 3]
         assert len(history.metrics) == 2
+        assert history.stop_reason is None
 
     def test_training_learns_to_rank_training_pairs(self, tiny_graph,
                                                     tiny_split, tiny_candidates):
@@ -170,3 +180,73 @@ class TestTrainer:
         history = Trainer(model, tiny_split, config, tiny_candidates).fit()
         assert history.mean_train_seconds() > 0
         assert history.mean_eval_seconds() > 0
+
+
+class TestNonFiniteStop:
+    """A diverged run stops with a recorded reason instead of training on."""
+
+    @staticmethod
+    def _plant_nan_after(trainer, steps):
+        # After ``steps`` optimizer steps, poison one entry of the final
+        # LayerNorm's shift: every score, hence every later loss, is NaN.
+        model, step = trainer.model, trainer.optimizer.step
+        calls = [0]
+
+        def planting_step():
+            step()
+            calls[0] += 1
+            if calls[0] == steps:
+                model.final_norm.shift.data[0] = np.nan
+
+        trainer.optimizer.step = planting_step
+
+    @pytest.mark.parametrize("propagation", ["full", "minibatch"])
+    def test_nan_parameter_stops_and_restores_best(
+            self, tiny_graph, tiny_split, tiny_candidates, propagation):
+        model = create_model("dgnn", tiny_graph, embed_dim=8, num_layers=1,
+                             num_memory_units=2, seed=0)
+        config = TrainConfig(epochs=4, batch_size=64, batches_per_epoch=3,
+                             propagation=propagation, prefetch=True,
+                             patience=None)
+        trainer = Trainer(model, tiny_split, config, tiny_candidates)
+        self._plant_nan_after(trainer, steps=4)  # epoch 1, after batch 0
+        history = trainer.fit()
+        assert history.stop_reason == "non-finite loss nan at epoch 1, batch 1"
+        assert history.losses and len(history.losses) == 1
+        assert history.best_epoch == 0
+        for name, values in model.state_dict().items():
+            assert np.isfinite(values).all(), f"{name} not restored"
+
+    def test_non_finite_gradient_norm_skips_the_step(
+            self, tiny_graph, tiny_split, tiny_candidates, monkeypatch):
+        import repro.train.trainer as trainer_module
+
+        model = BprMF(tiny_graph, embed_dim=4, seed=0)
+        before = model.state_dict()
+        monkeypatch.setattr(trainer_module, "clip_grad_norm",
+                            lambda parameters, max_norm: float("inf"))
+        config = TrainConfig(epochs=2, batch_size=64, patience=None)
+        trainer = Trainer(model, tiny_split, config, tiny_candidates)
+        history = trainer.fit()
+        assert history.stop_reason == (
+            "non-finite gradient norm inf at epoch 0, batch 0")
+        assert history.epochs_run == 0
+        assert all(p.grad is None for p in model.parameters())
+        for name, values in model.state_dict().items():
+            np.testing.assert_array_equal(values, before[name])
+
+    def test_train_and_publish_publishes_nothing(
+            self, tiny_graph, tiny_split, tiny_candidates, tmp_path):
+        from repro.serve import SnapshotStore
+        from repro.train import train_and_publish
+
+        model = create_model("dgnn", tiny_graph, embed_dim=8, num_layers=1,
+                             num_memory_units=2, seed=0)
+        model.final_norm.shift.data[0] = np.nan
+        config = TrainConfig(epochs=2, batch_size=64, patience=None)
+        history, version = train_and_publish(model, tiny_split, config,
+                                             tiny_candidates,
+                                             store=tmp_path / "store")
+        assert history.stop_reason == "non-finite loss nan at epoch 0, batch 0"
+        assert version is None
+        assert SnapshotStore(tmp_path / "store").versions() == []
