@@ -15,11 +15,14 @@ def test_complexity_scaling(benchmark):
     context = get_context()
     memory_grid = (2, 4, 8) if MODE == "smoke" else (2, 4, 8, 16)
     user_grid = (60, 120) if MODE == "smoke" else (100, 200, 400)
+    # A smoke-scale step takes ~15 ms on 2 CPUs, so two steps sit inside
+    # the process's warm-up and scheduler noise; sixteen do not.
+    steps = 16 if MODE == "smoke" else 2
 
     def run():
         memory = measure_memory_scaling(context, memory_grid=memory_grid,
-                                        steps=2)
-        edges = measure_edge_scaling(user_grid=user_grid, steps=2)
+                                        steps=steps)
+        edges = measure_edge_scaling(user_grid=user_grid, steps=steps)
         return memory, edges
 
     memory, edges = benchmark.pedantic(run, rounds=1, iterations=1)

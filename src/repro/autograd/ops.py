@@ -14,16 +14,22 @@ The op set is grouped as:
 * shape — ``reshape``, ``transpose``, ``cat``, ``stack``, ``getitem``
 * reductions — ``sum``, ``mean``
 * indexing / graph — ``gather_rows``, ``gathered_rowwise_dot``,
-  ``segment_sum``, ``segment_softmax``, ``memory_mixture``
+  ``segment_sum``, ``segment_softmax``
+* DGNN layer ops — ``memory_gates``, ``memory_mixture`` (Eq. 3) and
+  ``layer_norm`` (Eq. 7 with its dropout and LeakyReLU fused in)
 * nonlinearities — ``exp``, ``log``, ``sqrt``, ``relu``, ``leaky_relu``,
   ``sigmoid``, ``tanh``, ``softplus``, ``log_sigmoid``, ``softmax``,
-  ``maximum``, ``where``
+  ``maximum``, ``where``, ``dropout``
 
 The sparse/graph kernels (``spmm``, ``gather_rows``,
-``gathered_rowwise_dot``, ``segment_sum``, ``memory_mixture``) and their
-scatters call the instrumented kernels of :mod:`repro.engine.backends`
+``gathered_rowwise_dot``, ``segment_sum``), the DGNN layer ops and their
+backwards call the instrumented kernels of :mod:`repro.engine.backends`
 as ``backends.<kernel>(...)``, so every model shares one kernel set and
 its counters.
+
+A closure whose gradient array it allocated itself passes it with
+``owned=True`` and ``Tensor._accumulate`` adopts it instead of copying;
+a closure that forwards ``out.grad`` (or a view of it) never does.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from repro.autograd.sparse import RowSparseGrad, sparse_grads_enabled
 from repro.autograd.tensor import Tensor, as_tensor
 from repro.engine import arena, backends
 from repro.engine.adjcache import cached_transpose
-from repro.engine.precision import as_index_array
+from repro.engine.precision import as_index_array, get_dtype
 from repro.engine.stable_math import stable_sigmoid, stable_softplus
 
 Axis = Union[None, int, Tuple[int, ...]]
@@ -55,6 +61,21 @@ def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
         if dim == 1 and grad.shape[axis] != 1:
             grad = grad.sum(axis=axis, keepdims=True)
     return grad
+
+
+def _check_slope(negative_slope: float) -> float:
+    """The fused ops read the LeakyReLU mask off the output's sign."""
+    slope = float(negative_slope)
+    if slope < 0.0:
+        raise ValueError(f"negative_slope must be >= 0, got {slope}")
+    return slope
+
+
+def _accumulate_owned(tensors, grads) -> None:
+    """Hand each freshly allocated kernel gradient to its input."""
+    for tensor, grad in zip(tensors, grads):
+        if grad is not None:
+            tensor._accumulate(grad, owned=True)
 
 
 def _normalize_axis(axis: Axis, ndim: int) -> Optional[Tuple[int, ...]]:
@@ -105,8 +126,10 @@ def mul(a, b) -> Tensor:
 
     def factory(out: Tensor):
         def backward():
-            a._accumulate(_unbroadcast(out.grad * b.data, a.shape))
-            b._accumulate(_unbroadcast(out.grad * a.data, b.shape))
+            a._accumulate(_unbroadcast(out.grad * b.data, a.shape),
+                          owned=True)
+            b._accumulate(_unbroadcast(out.grad * a.data, b.shape),
+                          owned=True)
 
         return backward
 
@@ -181,8 +204,8 @@ def matmul(a, b) -> Tensor:
                 a._accumulate(np.outer(grad, b_data))
                 b._accumulate(a_data.T @ grad)
             else:
-                a._accumulate(grad @ b_data.T)
-                b._accumulate(a_data.T @ grad)
+                a._accumulate(grad @ b_data.T, owned=True)
+                b._accumulate(a_data.T @ grad, owned=True)
 
         return backward
 
@@ -208,7 +231,7 @@ def spmm(matrix: sp.spmatrix, dense) -> Tensor:
             # The CSR transpose is memoized per matrix (the seed rebuilt
             # it on every forward call).
             dense._accumulate(backends.spmm(cached_transpose(matrix),
-                                            out.grad))
+                                            out.grad), owned=True)
 
         return backward
 
@@ -330,7 +353,7 @@ def gather_rows(a, indices) -> Tensor:
                 a._accumulate(RowSparseGrad(indices, out.grad, a.shape[0]))
             else:
                 a._accumulate(backends.scatter_add_rows(
-                    out.grad, indices, a.shape[0]))
+                    out.grad, indices, a.shape[0]), owned=True)
 
         return backward
 
@@ -362,9 +385,9 @@ def gathered_rowwise_dot(a, b, a_indices, b_indices) -> Tensor:
         def backward():
             grad = out.grad.reshape(-1, 1)
             a._accumulate(backends.scatter_add_rows(
-                grad * b.data[b_indices], a_indices, a.shape[0]))
+                grad * b.data[b_indices], a_indices, a.shape[0]), owned=True)
             b._accumulate(backends.scatter_add_rows(
-                grad * a.data[a_indices], b_indices, b.shape[0]))
+                grad * a.data[a_indices], b_indices, b.shape[0]), owned=True)
 
         return backward
 
@@ -406,20 +429,85 @@ def memory_mixture(embeddings, gates, transforms) -> Tensor:
         def backward():
             needs = (embeddings.requires_grad, gates.requires_grad,
                      transforms.requires_grad)
-            grad_emb, grad_gates, grad_transforms = (
-                backends.memory_mixture_backward(
-                    out.grad, embeddings.data, gates.data, transforms.data,
-                    needs=needs))
-            if grad_emb is not None:
-                embeddings._accumulate(grad_emb)
-            if grad_gates is not None:
-                gates._accumulate(grad_gates)
-            if grad_transforms is not None:
-                transforms._accumulate(grad_transforms)
+            _accumulate_owned((embeddings, gates, transforms),
+                              backends.memory_mixture_backward(
+                                  out.grad, embeddings.data, gates.data,
+                                  transforms.data, needs=needs))
 
         return backward
 
     return Tensor._make(data, (embeddings, gates, transforms), factory)
+
+
+def memory_gates(embeddings, keys, bias, negative_slope: float = 0.2) -> Tensor:
+    """DGNN Eq. 3's gates ``η = LeakyReLU(embeddings @ keys + bias)``.
+
+    ``embeddings`` is ``(n, d)``, ``keys`` is ``(d, M)`` and ``bias`` is
+    ``(M,)``; the result is ``(n, M)``.  One graph node with a
+    hand-written backward (:func:`repro.engine.backends.memory_gates`),
+    equal to matmul → add → leaky_relu.
+    """
+    embeddings, keys, bias = (as_tensor(embeddings), as_tensor(keys),
+                              as_tensor(bias))
+    if embeddings.ndim != 2 or keys.ndim != 2 or bias.ndim != 1:
+        raise ValueError("memory_gates expects embeddings (n, d), keys "
+                         "(d, M), bias (M,)")
+    if keys.shape != (embeddings.shape[1], bias.shape[0]):
+        raise ValueError(f"keys shape {keys.shape} does not match "
+                         f"(d={embeddings.shape[1]}, M={bias.shape[0]})")
+    slope = _check_slope(negative_slope)
+    data = backends.memory_gates(embeddings.data, keys.data, bias.data, slope)
+
+    def factory(out: Tensor):
+        def backward():
+            needs = (embeddings.requires_grad, keys.requires_grad,
+                     bias.requires_grad)
+            _accumulate_owned((embeddings, keys, bias),
+                              backends.memory_gates_backward(
+                                  out.grad, embeddings.data, keys.data,
+                                  out.data, slope, needs=needs))
+
+        return backward
+
+    return Tensor._make(data, (embeddings, keys, bias), factory)
+
+
+def layer_norm(x, scale, shift, eps: float = 1e-5,
+               keep: Optional[np.ndarray] = None,
+               negative_slope: Optional[float] = None) -> Tensor:
+    """LayerNorm over the last axis (Ba et al., 2016), as one graph node.
+
+    ``normed * scale + shift`` with ``normed = (x - mean) / sqrt(var +
+    eps)``.  DGNN's Eq. 7 runs its whole message stabilization through
+    this op: ``keep`` (a :func:`dropout_mask`) is applied to ``x``
+    first, and ``negative_slope`` adds a LeakyReLU on the output.  The
+    backward is hand-written (:func:`repro.engine.backends.layer_norm`),
+    so the op keeps only the normalized rows and per-row deviations
+    alive instead of the nine nodes of the composed chain.
+    """
+    x, scale, shift = as_tensor(x), as_tensor(scale), as_tensor(shift)
+    if scale.shape != x.shape[-1:] or shift.shape != x.shape[-1:]:
+        raise ValueError(f"scale {scale.shape} and shift {shift.shape} must "
+                         f"match the last axis of x {x.shape}")
+    if keep is not None and keep.shape != x.shape:
+        raise ValueError(f"keep mask shape {keep.shape} does not match "
+                         f"x shape {x.shape}")
+    slope = None if negative_slope is None else _check_slope(negative_slope)
+    data, normed, std = backends.layer_norm(x.data, scale.data, shift.data,
+                                            eps, keep, slope)
+
+    def factory(out: Tensor):
+        def backward():
+            needs = (x.requires_grad, scale.requires_grad,
+                     shift.requires_grad)
+            _accumulate_owned((x, scale, shift),
+                              backends.layer_norm_backward(
+                                  out.grad, out.data, normed, std,
+                                  scale.data, keep, slope, needs=needs))
+
+        return backward
+
+    return Tensor._make(data, (x, scale, shift), factory)
 
 
 # ----------------------------------------------------------------------
@@ -581,7 +669,9 @@ def leaky_relu(a, negative_slope: float = 0.2) -> Tensor:
 
     def factory(out: Tensor):
         def backward():
-            a._accumulate(out.grad * np.where(mask, 1.0, slope))
+            grad = out.grad
+            a._accumulate(np.where(mask, grad, grad * grad.dtype.type(slope)),
+                          owned=True)
 
         return backward
 
@@ -686,12 +776,23 @@ def where(condition: np.ndarray, a, b) -> Tensor:
     return Tensor._make(data, (a, b), factory)
 
 
+def dropout_mask(shape: Tuple[int, ...], rate: float,
+                 rng: np.random.Generator) -> np.ndarray:
+    """Inverted-dropout keep mask: ``0`` with probability ``rate``, else
+    ``1 / (1 - rate)``, in the engine dtype.
+
+    Draws one ``rng.random(shape)`` per call.  The scale is cast to the
+    engine dtype once, so the mask equals the float64 mask cast down.
+    """
+    if not 0.0 <= rate < 1.0:
+        raise ValueError("dropout rate must be in [0, 1)")
+    scale = get_dtype().type(1.0 / (1.0 - rate))
+    return (rng.random(shape) >= rate) * scale
+
+
 def dropout(a, rate: float, rng: np.random.Generator, training: bool = True) -> Tensor:
     """Inverted dropout: zero entries with probability ``rate`` and rescale."""
     a = as_tensor(a)
     if not training or rate <= 0.0:
         return a
-    if not 0.0 <= rate < 1.0:
-        raise ValueError("dropout rate must be in [0, 1)")
-    keep = (rng.random(a.shape) >= rate) / (1.0 - rate)
-    return mul(a, Tensor(keep))
+    return mul(a, Tensor(dropout_mask(a.shape, rate, rng)))

@@ -176,13 +176,21 @@ class Tensor:
             out._backward = backward_factory(weakref.proxy(out))
         return out
 
-    def _accumulate(self, grad) -> None:
+    def _accumulate(self, grad, owned: bool = False) -> None:
         """Add ``grad`` into this tensor's gradient buffer.
 
         ``grad`` may be a dense array or a
         :class:`repro.autograd.sparse.RowSparseGrad` (only ever produced
         for leaf tensors).  Mixing rules: sparse+sparse merges without
         densifying; any dense contribution densifies the buffer.
+
+        ``owned=True`` declares that the caller allocated ``grad`` for
+        this call and keeps no other reference to it, so the first
+        dense contribution adopts it as the buffer instead of copying
+        it (when its dtype and shape already match).  The caller must
+        say so: an op that hands one array to several inputs (``add``
+        passes ``out.grad`` to both parents) must not, because the
+        adopted buffer is later accumulated into in place.
         """
         if not self.requires_grad:
             return
@@ -196,11 +204,13 @@ class Tensor:
             else:
                 grad.add_into_dense(self.grad)
             return
-        if self.grad is None:
-            self.grad = _grad_copy(grad, self.data.dtype)
-        elif isinstance(self.grad, RowSparseGrad):
-            dense = _grad_copy(grad, self.data.dtype)
-            self.grad = self.grad.add_into_dense(dense)
+        if self.grad is None or isinstance(self.grad, RowSparseGrad):
+            if not (owned and isinstance(grad, np.ndarray)
+                    and grad.dtype == self.data.dtype
+                    and grad.shape == self.data.shape):
+                grad = _grad_copy(grad, self.data.dtype)
+            self.grad = (grad if self.grad is None
+                         else self.grad.add_into_dense(grad))
         else:
             self.grad += grad
 

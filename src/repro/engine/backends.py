@@ -5,11 +5,19 @@ handful of kernels — sparse-matrix × dense-matrix products (``spmm``:
 the per-relation means of DGNN Eqs. 4–6 and the τ of Eqs. 9–10), the
 gathered row-wise dot behind BPR scoring (Eq. 11), row gather and
 scatter-add for embedding lookups, ``segment_sum`` for edge-list
-aggregations, and the fused memory mixture of Eq. 3
-(``out[n] = Σ_m gates[n, m] · (embeddings[n] @ transforms[m])``) with its
-hand-written backward.  The kernels are vectorized: scipy's compiled
-CSR spmm, einsum gather+dot, ``np.add.at`` scatter reductions, and the
-memory mixture as ``|M|`` BLAS GEMMs with ``(n, d)`` temporaries only.
+aggregations — plus DGNN's per-layer dense math, each with a
+hand-written backward: Eq. 3's memory gates
+(``η = LeakyReLU(x @ W² + b)``) and memory mixture
+(``out[n] = Σ_m gates[n, m] · (embeddings[n] @ transforms[m])``), and
+Eq. 7's dropout → LayerNorm → LeakyReLU (``layer_norm``, also every plain
+LayerNorm).  The kernels are vectorized: scipy's compiled CSR spmm,
+einsum gather+dot, ``np.add.at`` scatter reductions, the mixture forward
+as ``|M|`` BLAS GEMMs with ``(n, d)`` temporaries only, and its backward
+as one stacked GEMM for the embedding and gate gradients.
+
+Every backward kernel returns freshly allocated gradients, which
+:meth:`repro.autograd.tensor.Tensor._accumulate` adopts instead of
+copying.
 
 Each public function times its kernel and records call counts,
 nonzeros, dense-FLOP and bytes-moved estimates in
@@ -143,31 +151,92 @@ def _memory_mixture(embeddings, gates, transforms, out=None) -> np.ndarray:
 
 
 def _memory_mixture_backward(grad_out, embeddings, gates, transforms, needs):
+    # One stacked GEMM gives every unit's ``grad_out @ W_m.T`` at once as
+    # G (n, M, d); the embedding and gate gradients are two contractions
+    # of it.  Only the transform gradient keeps the per-unit loop.
     dtype = np.result_type(grad_out.dtype, embeddings.dtype,
                            gates.dtype, transforms.dtype)
-    grad_emb = arena.zeros(embeddings.shape, dtype) if needs[0] else None
-    grad_gates = arena.zeros(gates.shape, dtype) if needs[1] else None
-    grad_transforms = (arena.zeros(transforms.shape, dtype)
-                       if needs[2] else None)
-    g_wt = (arena.empty(grad_out.shape, dtype)
-            if needs[0] or needs[1] else None)
-    tmp = arena.empty(grad_out.shape, dtype) if needs[0] else None
-    scaled = arena.empty(embeddings.shape, dtype) if needs[2] else None
-    for unit in range(transforms.shape[0]):
-        if needs[0] or needs[1]:
-            np.matmul(grad_out, transforms[unit].T, out=g_wt)
+    units, dim = transforms.shape[0], transforms.shape[1]
+    grad_emb = grad_gates = grad_transforms = None
+    if needs[0] or needs[1]:
+        stacked = arena.empty((grad_out.shape[0], units * dim), dtype)
+        np.matmul(grad_out, transforms.reshape(units * dim, dim).T,
+                  out=stacked)
+        per_unit = stacked.reshape(grad_out.shape[0], units, dim)
         if needs[0]:
-            np.multiply(g_wt, gates[:, unit:unit + 1], out=tmp)
-            grad_emb += tmp
+            # A strided ``out=`` view would push matmul off its fast
+            # batched path; the fresh (n, 1, d) result is reshaped instead.
+            grad_emb = np.matmul(gates[:, None, :],
+                                 per_unit).reshape(embeddings.shape)
         if needs[1]:
-            np.einsum("ni,ni->n", embeddings, g_wt, out=grad_gates[:, unit])
-        if needs[2]:
+            grad_gates = arena.empty(gates.shape, dtype)
+            np.einsum("nmi,ni->nm", per_unit, embeddings, out=grad_gates)
+        arena.release(stacked)
+    if needs[2]:
+        grad_transforms = arena.empty(transforms.shape, dtype)
+        scaled = arena.empty(embeddings.shape, dtype)
+        for unit in range(units):
             np.multiply(embeddings, gates[:, unit:unit + 1], out=scaled)
             np.matmul(scaled.T, grad_out, out=grad_transforms[unit])
-    for buf in (g_wt, tmp, scaled):
-        if buf is not None:
-            arena.release(buf)
+        arena.release(scaled)
     return grad_emb, grad_gates, grad_transforms
+
+
+def _memory_gates(embeddings, keys, bias, negative_slope) -> np.ndarray:
+    raw = embeddings @ keys
+    raw += bias
+    return np.where(raw > 0, raw, negative_slope * raw)
+
+
+def _memory_gates_backward(grad_out, embeddings, keys, gates,
+                           negative_slope, needs):
+    # ``gates > 0`` exactly where the pre-activation is, for any slope >= 0.
+    grad_raw = np.where(gates > 0, grad_out,
+                        grad_out * grad_out.dtype.type(negative_slope))
+    return (grad_raw @ keys.T if needs[0] else None,
+            embeddings.T @ grad_raw if needs[1] else None,
+            grad_raw.sum(axis=0) if needs[2] else None)
+
+
+def _layer_norm(x, scale, shift, eps, keep, negative_slope):
+    # The same arithmetic, in the same order, as mean -> sub -> mul ->
+    # mean -> add -> sqrt -> div -> mul -> add -> leaky_relu, so the
+    # forward equals the composed chain bitwise.
+    if keep is not None:
+        x = x * keep
+    normed = x - x.mean(axis=-1, keepdims=True)
+    std = (normed * normed).mean(axis=-1, keepdims=True)
+    std += eps
+    np.sqrt(std, out=std)
+    normed /= std
+    out = normed * scale
+    out += shift
+    if negative_slope is not None:
+        out = np.where(out > 0, out, negative_slope * out)
+    return out, normed, std
+
+
+def _layer_norm_backward(grad_out, out, normed, std, scale, keep,
+                         negative_slope, needs):
+    grad = grad_out
+    if negative_slope is not None:
+        grad = np.where(out > 0, grad_out,
+                        grad_out * grad_out.dtype.type(negative_slope))
+    rows = tuple(range(grad.ndim - 1))
+    grad_scale = (grad * normed).sum(axis=rows) if needs[1] else None
+    grad_shift = grad.sum(axis=rows) if needs[2] else None
+    grad_x = None
+    if needs[0]:
+        # d/dx of (x - mean) / std, with g = grad * scale:
+        # (g - mean(g) - normed * mean(g * normed)) / std.
+        grad_normed = grad * scale
+        projection = (grad_normed * normed).mean(axis=-1, keepdims=True)
+        grad_x = grad_normed - grad_normed.mean(axis=-1, keepdims=True)
+        grad_x -= normed * projection
+        grad_x /= std
+        if keep is not None:
+            grad_x *= keep
+    return grad_x, grad_scale, grad_shift
 
 
 #: Kernel name -> implementation; looked up on every call (see module
@@ -180,6 +249,10 @@ _KERNELS = {
     "segment_sum": _segment_sum,
     "memory_mixture": _memory_mixture,
     "memory_mixture_backward": _memory_mixture_backward,
+    "memory_gates": _memory_gates,
+    "memory_gates_backward": _memory_gates_backward,
+    "layer_norm": _layer_norm,
+    "layer_norm_backward": _layer_norm_backward,
 }
 
 
@@ -314,4 +387,86 @@ def memory_mixture_backward(
     counters().record_kernel(
         "memory_mixture_backward", time.perf_counter() - start,
         flops=2.0 * sum(needs) * embeddings.shape[0] * units * dim * dim)
+    return grads
+
+
+def memory_gates(embeddings: np.ndarray, keys: np.ndarray, bias: np.ndarray,
+                 negative_slope: float) -> np.ndarray:
+    """Memory gates ``η = LeakyReLU(embeddings @ keys + bias)`` (Eq. 3).
+
+    ``embeddings`` is ``(n, d)``, ``keys`` is ``(d, M)`` and ``bias`` is
+    ``(M,)``; the result is ``(n, M)``.
+    """
+    start = time.perf_counter()
+    out = _KERNELS["memory_gates"](embeddings, keys, bias, negative_slope)
+    counters().record_kernel(
+        "memory_gates", time.perf_counter() - start,
+        flops=2.0 * embeddings.shape[0] * keys.shape[0] * keys.shape[1])
+    return out
+
+
+def memory_gates_backward(
+        grad_out: np.ndarray, embeddings: np.ndarray, keys: np.ndarray,
+        gates: np.ndarray, negative_slope: float,
+        needs: Tuple[bool, bool, bool] = (True, True, True),
+) -> Tuple[Optional[np.ndarray], Optional[np.ndarray], Optional[np.ndarray]]:
+    """Hand-written backward of :func:`memory_gates`.
+
+    ``gates`` is the forward result (its sign is the LeakyReLU mask, so
+    ``negative_slope`` must be ``>= 0``).  Returns ``(grad_embeddings,
+    grad_keys, grad_bias)``; entries whose ``needs`` flag is ``False``
+    are returned as ``None``.  Every returned array is freshly allocated.
+    """
+    start = time.perf_counter()
+    grads = _KERNELS["memory_gates_backward"](grad_out, embeddings, keys,
+                                              gates, negative_slope, needs)
+    counters().record_kernel(
+        "memory_gates_backward", time.perf_counter() - start,
+        flops=2.0 * sum(needs[:2]) * embeddings.shape[0] * keys.shape[0]
+        * keys.shape[1])
+    return grads
+
+
+def layer_norm(x: np.ndarray, scale: np.ndarray, shift: np.ndarray,
+               eps: float, keep: Optional[np.ndarray] = None,
+               negative_slope: Optional[float] = None,
+               ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """LayerNorm over the last axis, with optional dropout and LeakyReLU.
+
+    Computes ``LeakyReLU(normed * scale + shift)`` with ``normed =
+    (x' - mean(x')) / sqrt(var(x') + eps)`` and ``x' = x * keep`` — DGNN
+    Eq. 7's dropout → LayerNorm → LeakyReLU in one pass.  ``keep`` (an
+    inverted-dropout mask) and ``negative_slope`` are each skipped when
+    ``None``.  Returns ``(out, normed, std)``; the backward reads the
+    last two.
+    """
+    start = time.perf_counter()
+    result = _KERNELS["layer_norm"](x, scale, shift, eps, keep,
+                                    negative_slope)
+    counters().record_kernel("layer_norm", time.perf_counter() - start,
+                             flops=8.0 * x.size)
+    return result
+
+
+def layer_norm_backward(
+        grad_out: np.ndarray, out: np.ndarray, normed: np.ndarray,
+        std: np.ndarray, scale: np.ndarray, keep: Optional[np.ndarray],
+        negative_slope: Optional[float],
+        needs: Tuple[bool, bool, bool] = (True, True, True),
+) -> Tuple[Optional[np.ndarray], Optional[np.ndarray], Optional[np.ndarray]]:
+    """Hand-written backward of :func:`layer_norm`.
+
+    ``out``, ``normed`` and ``std`` are the forward results (``out``'s
+    sign is the LeakyReLU mask, so ``negative_slope`` must be ``>= 0``).
+    Returns ``(grad_x, grad_scale, grad_shift)``; entries whose ``needs``
+    flag is ``False`` are returned as ``None``.  Every returned array is
+    freshly allocated.
+    """
+    start = time.perf_counter()
+    grads = _KERNELS["layer_norm_backward"](grad_out, out, normed, std,
+                                            scale, keep, negative_slope,
+                                            needs)
+    counters().record_kernel("layer_norm_backward",
+                             time.perf_counter() - start,
+                             flops=10.0 * grad_out.size)
     return grads

@@ -9,9 +9,10 @@ implementation.
 
 from __future__ import annotations
 
+import gc
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -53,23 +54,44 @@ class ScalingResults:
         return "\n".join(lines)
 
 
-def _time_steps(model: DGNN, context: ExperimentContext, steps: int,
-                batch_size: int, seed: int) -> float:
-    """Average seconds per BPR step (forward + backward) over ``steps``."""
+def _time_steps(runs: Sequence[Tuple[DGNN, ExperimentContext]], steps: int,
+                batch_size: int, seed: int) -> List[float]:
+    """Median seconds per BPR step (forward + backward) of each run.
+
+    The runs are timed round-robin, one step of each in turn, so a slow
+    spell of a shared host lands on every grid point alike instead of
+    deciding the comparison between two of them; the median drops the
+    single slow steps that remain.
+    """
     from repro.data.sampling import BprSampler
 
-    sampler = BprSampler(context.split, batch_size=batch_size, seed=seed)
+    samplers = [BprSampler(context.split, batch_size=batch_size, seed=seed)
+                for _, context in runs]
     # warmup step excluded from timing (allocations, cache effects)
-    users, positives, negatives = sampler.sample()
-    model.bpr_loss(users, positives, negatives).backward()
-    model.zero_grad()
-    start = time.perf_counter()
-    for _ in range(steps):
+    for (model, _), sampler in zip(runs, samplers):
         users, positives, negatives = sampler.sample()
-        loss = model.bpr_loss(users, positives, negatives)
-        loss.backward()
+        model.bpr_loss(users, positives, negatives).backward()
         model.zero_grad()
-    return (time.perf_counter() - start) / steps
+    seconds: List[List[float]] = [[] for _ in runs]
+    # As in ``timeit``: the cyclic collector stays off while timing, so a
+    # full collection over the host process's objects (large under a test
+    # runner) is not billed to one step.  A step's graph is freed by
+    # refcount, so nothing accumulates.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for _ in range(steps):
+            for (model, _), sampler, record in zip(runs, samplers, seconds):
+                users, positives, negatives = sampler.sample()
+                start = time.perf_counter()
+                loss = model.bpr_loss(users, positives, negatives)
+                loss.backward()
+                model.zero_grad()
+                record.append(time.perf_counter() - start)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+    return [float(np.median(record)) for record in seconds]
 
 
 def measure_memory_scaling(
@@ -78,14 +100,13 @@ def measure_memory_scaling(
         steps: int = 3, embed_dim: int = 16, batch_size: int = 1024,
         seed: int = 0) -> ScalingResults:
     """Seconds per training step as ``|M|`` grows on a fixed graph."""
-    results = ScalingResults(factor="memory_units")
-    for num_units in memory_grid:
-        model = DGNN(context.graph, embed_dim=embed_dim,
-                     num_memory_units=num_units, seed=seed)
-        results.values.append(float(num_units))
-        results.seconds.append(_time_steps(model, context, steps,
-                                           batch_size, seed))
-    return results
+    runs = [(DGNN(context.graph, embed_dim=embed_dim,
+                  num_memory_units=num_units, seed=seed), context)
+            for num_units in memory_grid]
+    return ScalingResults(
+        factor="memory_units",
+        values=[float(num_units) for num_units in memory_grid],
+        seconds=_time_steps(runs, steps, batch_size, seed))
 
 
 def measure_edge_scaling(user_grid: Sequence[int] = (100, 200, 400, 800),
@@ -97,7 +118,7 @@ def measure_edge_scaling(user_grid: Sequence[int] = (100, 200, 400, 800),
     Users, items and edges all scale together (items = 4 × users, mean
     degrees fixed), so the x-axis records the resulting total edge count.
     """
-    results = ScalingResults(factor="edges")
+    runs = []
     for num_users in user_grid:
         config = SyntheticConfig(
             num_users=num_users, num_items=4 * num_users, num_relations=12,
@@ -106,9 +127,10 @@ def measure_edge_scaling(user_grid: Sequence[int] = (100, 200, 400, 800),
         dataset = generate_dataset(config)
         context = ExperimentContext.build(dataset=dataset, seed=seed,
                                           num_negatives=50)
-        edges = sum(context.graph.num_edges.values())
-        model = DGNN(context.graph, embed_dim=embed_dim, seed=seed)
-        results.values.append(float(edges))
-        results.seconds.append(_time_steps(model, context, steps,
-                                           batch_size, seed))
-    return results
+        runs.append((DGNN(context.graph, embed_dim=embed_dim, seed=seed),
+                     context))
+    return ScalingResults(
+        factor="edges",
+        values=[float(sum(context.graph.num_edges.values()))
+                for _, context in runs],
+        seconds=_time_steps(runs, steps, batch_size, seed))

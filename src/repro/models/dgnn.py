@@ -115,11 +115,16 @@ class _DgnnLayer(Module):
 
         Message dropout (training only) regularizes the aggregated message
         before normalization — the standard graph-recommender training
-        detail (NGCF / LightGCN family release code).
+        detail (NGCF / LightGCN family release code).  Dropout, LayerNorm
+        and LeakyReLU run as one ``layer_norm`` node; the "-LN" ablation
+        keeps plain dropout → LeakyReLU.
         """
-        aggregated = self.dropout(aggregated)
-        activated = (ops.leaky_relu(norm(aggregated), 0.2) if self.use_layernorm
-                     else ops.leaky_relu(aggregated, 0.2))
+        if self.use_layernorm:
+            activated = ops.layer_norm(
+                aggregated, norm.scale, norm.shift, norm.eps,
+                keep=self.dropout.mask(aggregated.shape), negative_slope=0.2)
+        else:
+            activated = ops.leaky_relu(self.dropout(aggregated), 0.2)
         return ops.add(activated, self._self_loop(edge_type, previous))
 
     # -- full layer --------------------------------------------------------

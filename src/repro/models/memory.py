@@ -20,9 +20,9 @@ Both factor the per-edge transform out of the neighbour sum (the gates
 are per-node, not per-edge), which is what makes DGNN cheaper than
 HGT-style per-edge attention — the property behind Table IV.
 
-The mixture itself runs through the fused ``memory_mixture`` engine
-kernel (one graph node, hand-written backward, no ``(n, |M|, d)``
-temporaries).
+The gates and the mixture each run as one engine op with a hand-written
+backward (``memory_gates`` and ``memory_mixture``: one graph node each,
+no ``(n, |M|, d)`` forward temporaries).
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ import scipy.sparse as sp
 
 from repro.autograd import ops
 from repro.autograd.tensor import Tensor
+from repro.engine import backends
 from repro.nn import init
 from repro.nn.module import Module, Parameter
 
@@ -72,9 +73,13 @@ class MemoryBank(Module):
 
     # ------------------------------------------------------------------
     def gates(self, embeddings: Tensor) -> Tensor:
-        """Per-node memory gates ``η`` — shape ``(n, |M|)`` (Eq. 3, line 2)."""
-        return ops.leaky_relu(ops.add(ops.matmul(embeddings, self.keys), self.bias),
-                              self.negative_slope)
+        """Per-node memory gates ``η`` — shape ``(n, |M|)`` (Eq. 3, line 2).
+
+        One ``memory_gates`` engine op (one graph node, hand-written
+        backward).
+        """
+        return ops.memory_gates(embeddings, self.keys, self.bias,
+                                self.negative_slope)
 
     def mixture_transform(self, embeddings: Tensor, gates: Tensor) -> Tensor:
         """Apply the gated mixture ``(Σ_m gates_m W¹_m)`` to ``embeddings``.
@@ -111,5 +116,5 @@ class MemoryBank(Module):
 
     def gate_values(self, embeddings: np.ndarray) -> np.ndarray:
         """Numpy gates for trained embeddings (Fig. 10 visualization)."""
-        raw = embeddings @ self.keys.data + self.bias.data
-        return np.where(raw > 0, raw, self.negative_slope * raw)
+        return backends.memory_gates(embeddings, self.keys.data,
+                                     self.bias.data, self.negative_slope)

@@ -68,7 +68,8 @@ class LayerNorm(Module):
     """Layer normalization over the last dimension (Ba et al., 2016).
 
     Matches Eq. 7 of the paper: normalize, then apply learned scale
-    ``omega_1`` and shift ``omega_2``.
+    ``omega_1`` and shift ``omega_2``.  Runs as the one-node
+    :func:`repro.autograd.ops.layer_norm`.
     """
 
     def __init__(self, dim: int, eps: float = 1e-5):
@@ -79,11 +80,7 @@ class LayerNorm(Module):
         self.shift = Parameter(init.zeros((dim,)))
 
     def forward(self, x: Tensor) -> Tensor:
-        mu = ops.mean(x, axis=-1, keepdims=True)
-        centered = ops.sub(x, mu)
-        var = ops.mean(ops.mul(centered, centered), axis=-1, keepdims=True)
-        normed = ops.div(centered, ops.sqrt(ops.add(var, Tensor(np.array(self.eps)))))
-        return ops.add(ops.mul(normed, self.scale), self.shift)
+        return ops.layer_norm(x, self.scale, self.shift, self.eps)
 
 
 class Dropout(Module):
@@ -96,6 +93,18 @@ class Dropout(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return ops.dropout(x, self.rate, self._rng, training=self.training)
+
+    def mask(self, shape) -> Optional[np.ndarray]:
+        """The keep mask :meth:`forward` would apply, or ``None`` when it
+        would be the identity (eval mode or rate 0).
+
+        Draws from the same generator as :meth:`forward`, so a caller
+        that fuses the mask into its own op consumes the stream exactly
+        as the unfused dropout would.
+        """
+        if not self.training or self.rate <= 0.0:
+            return None
+        return ops.dropout_mask(shape, self.rate, self._rng)
 
 
 class Sequential(Module):

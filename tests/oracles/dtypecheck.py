@@ -10,6 +10,11 @@ of a sparse matrix) entering or leaving it must carry the active engine
 dtype.  A mismatch raises :class:`DtypeLeakError` naming the kernel, the
 argument and the offending dtype.
 
+Composed ops between kernels never cross that boundary, so
+:func:`detect_leaks` also wraps :meth:`Tensor._accumulate`, the one place
+every backward closure hands its gradient over: a float64 gradient there
+is an upcast that the accumulation would silently cast back down.
+
 Integer arrays (indices, segment ids) are exempt here — their policy is
 enforced structurally by :func:`repro.engine.precision.get_index_dtype`
 and the adjacency canonicalizers.
@@ -22,6 +27,7 @@ from typing import Iterator
 import numpy as np
 import scipy.sparse as sp
 
+from repro.autograd.tensor import Tensor
 from repro.engine import backends
 from repro.engine.precision import get_dtype
 from tests.oracles import use_kernels
@@ -60,7 +66,18 @@ def _checking(name: str, kernel):
 
 @contextlib.contextmanager
 def detect_leaks() -> Iterator[None]:
-    """Check the engine dtype at every kernel call inside a ``with`` block."""
-    with use_kernels({name: _checking(name, kernel)
-                      for name, kernel in backends._KERNELS.items()}):
-        yield
+    """Check the engine dtype at every kernel call and every dense
+    gradient accumulation inside a ``with`` block."""
+    accumulate = Tensor._accumulate
+
+    def checked_accumulate(self, grad, *args, **kwargs):
+        _check("Tensor._accumulate", f"grad of {self!r}", grad)
+        accumulate(self, grad, *args, **kwargs)
+
+    Tensor._accumulate = checked_accumulate
+    try:
+        with use_kernels({name: _checking(name, kernel)
+                          for name, kernel in backends._KERNELS.items()}):
+            yield
+    finally:
+        Tensor._accumulate = accumulate

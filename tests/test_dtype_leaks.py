@@ -9,6 +9,7 @@ upstream — fails the test by raising ``DtypeLeakError``.
 import numpy as np
 import pytest
 
+from repro.autograd import Tensor, ops
 from repro.engine import backends, use_dtype
 from repro.graph import CollaborativeHeteroGraph
 from repro.models import available_models, create_model
@@ -56,3 +57,21 @@ def test_checker_passes_clean_float32_call():
         table = np.ones((4, 3), dtype=np.float32)
         out = backends.gather_rows(table, np.array([0, 1], dtype=np.int32))
     assert out.dtype == np.float32
+
+
+def test_checker_raises_on_float64_gradient_accumulation():
+    with use_dtype(np.float32), detect_leaks():
+        leaf = Tensor(np.ones((2, 3)), requires_grad=True)
+        with pytest.raises(DtypeLeakError, match="_accumulate"):
+            leaf._accumulate(np.ones((2, 3), dtype=np.float64))
+
+
+@pytest.mark.parametrize("op", [ops.leaky_relu, ops.relu, ops.sigmoid,
+                                ops.tanh, ops.softplus])
+def test_elementwise_backward_keeps_float32(op):
+    # leaky_relu's backward once built its slope multiplier in float64,
+    # upcasting every gradient it passed on.
+    with use_dtype(np.float32), detect_leaks():
+        x = Tensor(np.array([[-1.5, 0.5], [2.0, -0.25]]), requires_grad=True)
+        ops.sum(op(x)).backward()
+    assert x.grad.dtype == np.float32
