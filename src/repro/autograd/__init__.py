@@ -35,7 +35,6 @@ from repro.autograd.ops import (
     log,
     log_sigmoid,
     matmul,
-    maximum,
     mean,
     mul,
     relu,
@@ -47,7 +46,6 @@ from repro.autograd.ops import (
     stack,
     sum as sum_,
     tanh,
-    where,
 )
 from repro.autograd.gradcheck import gradcheck, numerical_gradient
 
@@ -72,8 +70,6 @@ __all__ = [
     "sqrt",
     "mean",
     "sum_",
-    "maximum",
-    "where",
     "relu",
     "leaky_relu",
     "sigmoid",

@@ -1,11 +1,13 @@
 """Differentiable operations for :class:`repro.autograd.Tensor`.
 
-Each op validates inputs, computes the numpy forward result, and registers
-a backward closure that reads ``out.grad`` and accumulates into the
-parents.  ``out`` is a weak proxy (see :meth:`Tensor._make`): closures
-only read it while they run and never store it.  Broadcasting follows
-numpy semantics; gradients of broadcast operands are reduced back to the
-operand shape by :func:`_unbroadcast`.
+Each op validates inputs, computes the numpy forward result, and records
+a ``backward(out)`` function with :meth:`Tensor._make`.  The backward
+pass calls it with the output node; it reads ``out.grad`` (and
+``out.data`` where the derivative needs it) and accumulates into the
+parents, which it closes over.  It never closes over its output, so a
+graph holds no reference cycles.  Broadcasting follows numpy semantics;
+gradients of broadcast operands are reduced back to the operand shape by
+:func:`_unbroadcast`.
 
 The op set is grouped as:
 
@@ -19,7 +21,7 @@ The op set is grouped as:
   ``layer_norm`` (Eq. 7 with its dropout and LeakyReLU fused in)
 * nonlinearities — ``exp``, ``log``, ``sqrt``, ``relu``, ``leaky_relu``,
   ``sigmoid``, ``tanh``, ``softplus``, ``log_sigmoid``, ``softmax``,
-  ``maximum``, ``where``, ``dropout``
+  ``dropout``
 
 The sparse/graph kernels (``spmm``, ``gather_rows``,
 ``gathered_rowwise_dot``, ``segment_sum``), the DGNN layer ops and their
@@ -27,9 +29,9 @@ backwards call the instrumented kernels of :mod:`repro.engine.backends`
 as ``backends.<kernel>(...)``, so every model shares one kernel set and
 its counters.
 
-A closure whose gradient array it allocated itself passes it with
+A backward that allocated its gradient array itself passes it with
 ``owned=True`` and ``Tensor._accumulate`` adopts it instead of copying;
-a closure that forwards ``out.grad`` (or a view of it) never does.
+a backward that forwards ``out.grad`` (or a view of it) never does.
 """
 
 from __future__ import annotations
@@ -94,14 +96,11 @@ def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     data = a.data + b.data
 
-    def factory(out: Tensor):
-        def backward():
-            a._accumulate(_unbroadcast(out.grad, a.shape))
-            b._accumulate(_unbroadcast(out.grad, b.shape))
+    def backward(out: Tensor):
+        a._accumulate(_unbroadcast(out.grad, a.shape))
+        b._accumulate(_unbroadcast(out.grad, b.shape))
 
-        return backward
-
-    return Tensor._make(data, (a, b), factory)
+    return Tensor._make(data, (a, b), backward)
 
 
 def sub(a, b) -> Tensor:
@@ -109,14 +108,11 @@ def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     data = a.data - b.data
 
-    def factory(out: Tensor):
-        def backward():
-            a._accumulate(_unbroadcast(out.grad, a.shape))
-            b._accumulate(_unbroadcast(-out.grad, b.shape))
+    def backward(out: Tensor):
+        a._accumulate(_unbroadcast(out.grad, a.shape))
+        b._accumulate(_unbroadcast(-out.grad, b.shape))
 
-        return backward
-
-    return Tensor._make(data, (a, b), factory)
+    return Tensor._make(data, (a, b), backward)
 
 
 def mul(a, b) -> Tensor:
@@ -124,16 +120,11 @@ def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     data = a.data * b.data
 
-    def factory(out: Tensor):
-        def backward():
-            a._accumulate(_unbroadcast(out.grad * b.data, a.shape),
-                          owned=True)
-            b._accumulate(_unbroadcast(out.grad * a.data, b.shape),
-                          owned=True)
+    def backward(out: Tensor):
+        a._accumulate(_unbroadcast(out.grad * b.data, a.shape), owned=True)
+        b._accumulate(_unbroadcast(out.grad * a.data, b.shape), owned=True)
 
-        return backward
-
-    return Tensor._make(data, (a, b), factory)
+    return Tensor._make(data, (a, b), backward)
 
 
 def div(a, b) -> Tensor:
@@ -141,27 +132,21 @@ def div(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     data = a.data / b.data
 
-    def factory(out: Tensor):
-        def backward():
-            a._accumulate(_unbroadcast(out.grad / b.data, a.shape))
-            b._accumulate(_unbroadcast(-out.grad * a.data / (b.data * b.data), b.shape))
+    def backward(out: Tensor):
+        a._accumulate(_unbroadcast(out.grad / b.data, a.shape))
+        b._accumulate(_unbroadcast(-out.grad * a.data / (b.data * b.data), b.shape))
 
-        return backward
-
-    return Tensor._make(data, (a, b), factory)
+    return Tensor._make(data, (a, b), backward)
 
 
 def neg(a) -> Tensor:
     """Elementwise negation."""
     a = as_tensor(a)
 
-    def factory(out: Tensor):
-        def backward():
-            a._accumulate(-out.grad)
+    def backward(out: Tensor):
+        a._accumulate(-out.grad)
 
-        return backward
-
-    return Tensor._make(-a.data, (a,), factory)
+    return Tensor._make(-a.data, (a,), backward)
 
 
 def power(a, exponent: float) -> Tensor:
@@ -170,13 +155,10 @@ def power(a, exponent: float) -> Tensor:
     exponent = float(exponent)
     data = a.data ** exponent
 
-    def factory(out: Tensor):
-        def backward():
-            a._accumulate(out.grad * exponent * a.data ** (exponent - 1.0))
+    def backward(out: Tensor):
+        a._accumulate(out.grad * exponent * a.data ** (exponent - 1.0))
 
-        return backward
-
-    return Tensor._make(data, (a,), factory)
+    return Tensor._make(data, (a,), backward)
 
 
 # ----------------------------------------------------------------------
@@ -190,26 +172,23 @@ def matmul(a, b) -> Tensor:
                          "reshape batched operands explicitly")
     data = a.data @ b.data
 
-    def factory(out: Tensor):
-        def backward():
-            grad = out.grad
-            a_data, b_data = a.data, b.data
-            if a.ndim == 1 and b.ndim == 1:  # dot product -> scalar
-                a._accumulate(grad * b_data)
-                b._accumulate(grad * a_data)
-            elif a.ndim == 1:  # (d,) @ (d, k) -> (k,)
-                a._accumulate(grad @ b_data.T)
-                b._accumulate(np.outer(a_data, grad))
-            elif b.ndim == 1:  # (n, d) @ (d,) -> (n,)
-                a._accumulate(np.outer(grad, b_data))
-                b._accumulate(a_data.T @ grad)
-            else:
-                a._accumulate(grad @ b_data.T, owned=True)
-                b._accumulate(a_data.T @ grad, owned=True)
+    def backward(out: Tensor):
+        grad = out.grad
+        a_data, b_data = a.data, b.data
+        if a.ndim == 1 and b.ndim == 1:  # dot product -> scalar
+            a._accumulate(grad * b_data)
+            b._accumulate(grad * a_data)
+        elif a.ndim == 1:  # (d,) @ (d, k) -> (k,)
+            a._accumulate(grad @ b_data.T)
+            b._accumulate(np.outer(a_data, grad))
+        elif b.ndim == 1:  # (n, d) @ (d,) -> (n,)
+            a._accumulate(np.outer(grad, b_data))
+            b._accumulate(a_data.T @ grad)
+        else:
+            a._accumulate(grad @ b_data.T, owned=True)
+            b._accumulate(a_data.T @ grad, owned=True)
 
-        return backward
-
-    return Tensor._make(data, (a, b), factory)
+    return Tensor._make(data, (a, b), backward)
 
 
 def spmm(matrix: sp.spmatrix, dense) -> Tensor:
@@ -226,16 +205,13 @@ def spmm(matrix: sp.spmatrix, dense) -> Tensor:
     matrix = matrix.tocsr()
     data = backends.spmm(matrix, dense.data)
 
-    def factory(out: Tensor):
-        def backward():
-            # The CSR transpose is memoized per matrix (the seed rebuilt
-            # it on every forward call).
-            dense._accumulate(backends.spmm(cached_transpose(matrix),
-                                            out.grad), owned=True)
+    def backward(out: Tensor):
+        # The CSR transpose is memoized per matrix (the seed rebuilt
+        # it on every forward call).
+        dense._accumulate(backends.spmm(cached_transpose(matrix),
+                                        out.grad), owned=True)
 
-        return backward
-
-    return Tensor._make(data, (dense,), factory)
+    return Tensor._make(data, (dense,), backward)
 
 
 # ----------------------------------------------------------------------
@@ -247,13 +223,10 @@ def reshape(a, shape: Sequence[int]) -> Tensor:
     shape = tuple(int(s) for s in shape)
     data = a.data.reshape(shape)
 
-    def factory(out: Tensor):
-        def backward():
-            a._accumulate(out.grad.reshape(a.shape))
+    def backward(out: Tensor):
+        a._accumulate(out.grad.reshape(a.shape))
 
-        return backward
-
-    return Tensor._make(data, (a,), factory)
+    return Tensor._make(data, (a,), backward)
 
 
 def transpose(a, axes: Optional[Sequence[int]] = None) -> Tensor:
@@ -265,13 +238,10 @@ def transpose(a, axes: Optional[Sequence[int]] = None) -> Tensor:
     inverse = tuple(np.argsort(axes))
     data = a.data.transpose(axes)
 
-    def factory(out: Tensor):
-        def backward():
-            a._accumulate(out.grad.transpose(inverse))
+    def backward(out: Tensor):
+        a._accumulate(out.grad.transpose(inverse))
 
-        return backward
-
-    return Tensor._make(data, (a,), factory)
+    return Tensor._make(data, (a,), backward)
 
 
 def cat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -284,16 +254,13 @@ def cat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     sizes = [t.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
 
-    def factory(out: Tensor):
-        def backward():
-            slicer = [builtins.slice(None)] * out.grad.ndim
-            for tensor, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
-                slicer[axis] = builtins.slice(int(start), int(stop))
-                tensor._accumulate(out.grad[tuple(slicer)])
+    def backward(out: Tensor):
+        slicer = [builtins.slice(None)] * out.grad.ndim
+        for tensor, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
+            slicer[axis] = builtins.slice(int(start), int(stop))
+            tensor._accumulate(out.grad[tuple(slicer)])
 
-        return backward
-
-    return Tensor._make(data, tensors, factory)
+    return Tensor._make(data, tensors, backward)
 
 
 def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -301,15 +268,12 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     tensors = [as_tensor(t) for t in tensors]
     data = np.stack([t.data for t in tensors], axis=axis)
 
-    def factory(out: Tensor):
-        def backward():
-            grads = np.moveaxis(out.grad, axis, 0)
-            for tensor, grad in zip(tensors, grads):
-                tensor._accumulate(grad)
+    def backward(out: Tensor):
+        grads = np.moveaxis(out.grad, axis, 0)
+        for tensor, grad in zip(tensors, grads):
+            tensor._accumulate(grad)
 
-        return backward
-
-    return Tensor._make(data, tensors, factory)
+    return Tensor._make(data, tensors, backward)
 
 
 def getitem(a, index) -> Tensor:
@@ -319,15 +283,12 @@ def getitem(a, index) -> Tensor:
         index = index.data.astype(np.int64)
     data = a.data[index]
 
-    def factory(out: Tensor):
-        def backward():
-            grad = arena.zeros(a.data.shape, a.data.dtype)
-            np.add.at(grad, index, out.grad)
-            a._accumulate(grad)
+    def backward(out: Tensor):
+        grad = arena.zeros(a.data.shape, a.data.dtype)
+        np.add.at(grad, index, out.grad)
+        a._accumulate(grad)
 
-        return backward
-
-    return Tensor._make(data, (a,), factory)
+    return Tensor._make(data, (a,), backward)
 
 
 def gather_rows(a, indices) -> Tensor:
@@ -342,22 +303,19 @@ def gather_rows(a, indices) -> Tensor:
     indices = as_index_array(indices, a.shape[0])
     data = backends.gather_rows(a.data, indices)
 
-    def factory(out: Tensor):
-        def backward():
-            # Leaf tables (embedding weights) can take a row-sparse
-            # gradient — nothing downstream reads it but the optimizer.
-            # Non-leaf parents feed further backward closures that expect
-            # dense arrays, so they always get the dense scatter.
-            if (sparse_grads_enabled()
-                    and a._backward is None and not a._parents):
-                a._accumulate(RowSparseGrad(indices, out.grad, a.shape[0]))
-            else:
-                a._accumulate(backends.scatter_add_rows(
-                    out.grad, indices, a.shape[0]), owned=True)
+    def backward(out: Tensor):
+        # Leaf tables (embedding weights) can take a row-sparse
+        # gradient — nothing downstream reads it but the optimizer.
+        # Non-leaf parents feed further backward closures that expect
+        # dense arrays, so they always get the dense scatter.
+        if (sparse_grads_enabled()
+                and a._backward is None and not a._parents):
+            a._accumulate(RowSparseGrad(indices, out.grad, a.shape[0]))
+        else:
+            a._accumulate(backends.scatter_add_rows(
+                out.grad, indices, a.shape[0]), owned=True)
 
-        return backward
-
-    return Tensor._make(data, (a,), factory)
+    return Tensor._make(data, (a,), backward)
 
 
 def gathered_rowwise_dot(a, b, a_indices, b_indices) -> Tensor:
@@ -381,17 +339,14 @@ def gathered_rowwise_dot(a, b, a_indices, b_indices) -> Tensor:
     data = backends.gathered_rowwise_dot(a.data, a_indices,
                                          b.data, b_indices)
 
-    def factory(out: Tensor):
-        def backward():
-            grad = out.grad.reshape(-1, 1)
-            a._accumulate(backends.scatter_add_rows(
-                grad * b.data[b_indices], a_indices, a.shape[0]), owned=True)
-            b._accumulate(backends.scatter_add_rows(
-                grad * a.data[a_indices], b_indices, b.shape[0]), owned=True)
+    def backward(out: Tensor):
+        grad = out.grad.reshape(-1, 1)
+        a._accumulate(backends.scatter_add_rows(
+            grad * b.data[b_indices], a_indices, a.shape[0]), owned=True)
+        b._accumulate(backends.scatter_add_rows(
+            grad * a.data[a_indices], b_indices, b.shape[0]), owned=True)
 
-        return backward
-
-    return Tensor._make(data, (a, b), factory)
+    return Tensor._make(data, (a, b), backward)
 
 
 def memory_mixture(embeddings, gates, transforms) -> Tensor:
@@ -425,18 +380,15 @@ def memory_mixture(embeddings, gates, transforms) -> Tensor:
     data = backends.memory_mixture(embeddings.data, gates.data,
                                    transforms.data)
 
-    def factory(out: Tensor):
-        def backward():
-            needs = (embeddings.requires_grad, gates.requires_grad,
-                     transforms.requires_grad)
-            _accumulate_owned((embeddings, gates, transforms),
-                              backends.memory_mixture_backward(
-                                  out.grad, embeddings.data, gates.data,
-                                  transforms.data, needs=needs))
+    def backward(out: Tensor):
+        needs = (embeddings.requires_grad, gates.requires_grad,
+                 transforms.requires_grad)
+        _accumulate_owned((embeddings, gates, transforms),
+                          backends.memory_mixture_backward(
+                              out.grad, embeddings.data, gates.data,
+                              transforms.data, needs=needs))
 
-        return backward
-
-    return Tensor._make(data, (embeddings, gates, transforms), factory)
+    return Tensor._make(data, (embeddings, gates, transforms), backward)
 
 
 def memory_gates(embeddings, keys, bias, negative_slope: float = 0.2) -> Tensor:
@@ -458,18 +410,15 @@ def memory_gates(embeddings, keys, bias, negative_slope: float = 0.2) -> Tensor:
     slope = _check_slope(negative_slope)
     data = backends.memory_gates(embeddings.data, keys.data, bias.data, slope)
 
-    def factory(out: Tensor):
-        def backward():
-            needs = (embeddings.requires_grad, keys.requires_grad,
-                     bias.requires_grad)
-            _accumulate_owned((embeddings, keys, bias),
-                              backends.memory_gates_backward(
-                                  out.grad, embeddings.data, keys.data,
-                                  out.data, slope, needs=needs))
+    def backward(out: Tensor):
+        needs = (embeddings.requires_grad, keys.requires_grad,
+                 bias.requires_grad)
+        _accumulate_owned((embeddings, keys, bias),
+                          backends.memory_gates_backward(
+                              out.grad, embeddings.data, keys.data,
+                              out.data, slope, needs=needs))
 
-        return backward
-
-    return Tensor._make(data, (embeddings, keys, bias), factory)
+    return Tensor._make(data, (embeddings, keys, bias), backward)
 
 
 def layer_norm(x, scale, shift, eps: float = 1e-5,
@@ -496,18 +445,14 @@ def layer_norm(x, scale, shift, eps: float = 1e-5,
     data, normed, std = backends.layer_norm(x.data, scale.data, shift.data,
                                             eps, keep, slope)
 
-    def factory(out: Tensor):
-        def backward():
-            needs = (x.requires_grad, scale.requires_grad,
-                     shift.requires_grad)
-            _accumulate_owned((x, scale, shift),
-                              backends.layer_norm_backward(
-                                  out.grad, out.data, normed, std,
-                                  scale.data, keep, slope, needs=needs))
+    def backward(out: Tensor):
+        needs = (x.requires_grad, scale.requires_grad, shift.requires_grad)
+        _accumulate_owned((x, scale, shift),
+                          backends.layer_norm_backward(
+                              out.grad, out.data, normed, std,
+                              scale.data, keep, slope, needs=needs))
 
-        return backward
-
-    return Tensor._make(data, (x, scale, shift), factory)
+    return Tensor._make(data, (x, scale, shift), backward)
 
 
 # ----------------------------------------------------------------------
@@ -519,17 +464,14 @@ def sum(a, axis: Axis = None, keepdims: bool = False) -> Tensor:  # noqa: A001
     norm_axis = _normalize_axis(axis, a.ndim)
     data = a.data.sum(axis=norm_axis, keepdims=keepdims)
 
-    def factory(out: Tensor):
-        def backward():
-            grad = out.grad
-            if norm_axis is not None and not keepdims:
-                for ax in sorted(norm_axis):
-                    grad = np.expand_dims(grad, ax)
-            a._accumulate(np.broadcast_to(grad, a.shape))
+    def backward(out: Tensor):
+        grad = out.grad
+        if norm_axis is not None and not keepdims:
+            for ax in sorted(norm_axis):
+                grad = np.expand_dims(grad, ax)
+        a._accumulate(np.broadcast_to(grad, a.shape))
 
-        return backward
-
-    return Tensor._make(data, (a,), factory)
+    return Tensor._make(data, (a,), backward)
 
 
 def mean(a, axis: Axis = None, keepdims: bool = False) -> Tensor:
@@ -542,17 +484,14 @@ def mean(a, axis: Axis = None, keepdims: bool = False) -> Tensor:
         count = int(np.prod([a.shape[ax] for ax in norm_axis]))
     data = a.data.mean(axis=norm_axis, keepdims=keepdims)
 
-    def factory(out: Tensor):
-        def backward():
-            grad = out.grad / count
-            if norm_axis is not None and not keepdims:
-                for ax in sorted(norm_axis):
-                    grad = np.expand_dims(grad, ax)
-            a._accumulate(np.broadcast_to(grad, a.shape))
+    def backward(out: Tensor):
+        grad = out.grad / count
+        if norm_axis is not None and not keepdims:
+            for ax in sorted(norm_axis):
+                grad = np.expand_dims(grad, ax)
+        a._accumulate(np.broadcast_to(grad, a.shape))
 
-        return backward
-
-    return Tensor._make(data, (a,), factory)
+    return Tensor._make(data, (a,), backward)
 
 
 # ----------------------------------------------------------------------
@@ -572,13 +511,10 @@ def segment_sum(a, segment_ids, num_segments: int) -> Tensor:
         raise ValueError("segment_ids must be 1-D and match a.shape[0]")
     data = backends.segment_sum(a.data, segment_ids, num_segments)
 
-    def factory(out: Tensor):
-        def backward():
-            a._accumulate(out.grad[segment_ids])
+    def backward(out: Tensor):
+        a._accumulate(out.grad[segment_ids])
 
-        return backward
-
-    return Tensor._make(data, (a,), factory)
+    return Tensor._make(data, (a,), backward)
 
 
 def segment_softmax(scores, segment_ids, num_segments: int, eps: float = 1e-12) -> Tensor:
@@ -608,13 +544,10 @@ def exp(a) -> Tensor:
     a = as_tensor(a)
     data = np.exp(a.data)
 
-    def factory(out: Tensor):
-        def backward():
-            a._accumulate(out.grad * out.data)
+    def backward(out: Tensor):
+        a._accumulate(out.grad * out.data)
 
-        return backward
-
-    return Tensor._make(data, (a,), factory)
+    return Tensor._make(data, (a,), backward)
 
 
 def log(a) -> Tensor:
@@ -622,13 +555,10 @@ def log(a) -> Tensor:
     a = as_tensor(a)
     data = np.log(a.data)
 
-    def factory(out: Tensor):
-        def backward():
-            a._accumulate(out.grad / a.data)
+    def backward(out: Tensor):
+        a._accumulate(out.grad / a.data)
 
-        return backward
-
-    return Tensor._make(data, (a,), factory)
+    return Tensor._make(data, (a,), backward)
 
 
 def sqrt(a) -> Tensor:
@@ -636,13 +566,10 @@ def sqrt(a) -> Tensor:
     a = as_tensor(a)
     data = np.sqrt(a.data)
 
-    def factory(out: Tensor):
-        def backward():
-            a._accumulate(out.grad * 0.5 / out.data)
+    def backward(out: Tensor):
+        a._accumulate(out.grad * 0.5 / out.data)
 
-        return backward
-
-    return Tensor._make(data, (a,), factory)
+    return Tensor._make(data, (a,), backward)
 
 
 def relu(a) -> Tensor:
@@ -651,13 +578,10 @@ def relu(a) -> Tensor:
     mask = a.data > 0
     data = np.where(mask, a.data, 0.0)
 
-    def factory(out: Tensor):
-        def backward():
-            a._accumulate(out.grad * mask)
+    def backward(out: Tensor):
+        a._accumulate(out.grad * mask)
 
-        return backward
-
-    return Tensor._make(data, (a,), factory)
+    return Tensor._make(data, (a,), backward)
 
 
 def leaky_relu(a, negative_slope: float = 0.2) -> Tensor:
@@ -667,15 +591,12 @@ def leaky_relu(a, negative_slope: float = 0.2) -> Tensor:
     mask = a.data > 0
     data = np.where(mask, a.data, slope * a.data)
 
-    def factory(out: Tensor):
-        def backward():
-            grad = out.grad
-            a._accumulate(np.where(mask, grad, grad * grad.dtype.type(slope)),
-                          owned=True)
+    def backward(out: Tensor):
+        grad = out.grad
+        a._accumulate(np.where(mask, grad, grad * grad.dtype.type(slope)),
+                      owned=True)
 
-        return backward
-
-    return Tensor._make(data, (a,), factory)
+    return Tensor._make(data, (a,), backward)
 
 
 def sigmoid(a) -> Tensor:
@@ -683,13 +604,10 @@ def sigmoid(a) -> Tensor:
     a = as_tensor(a)
     data = stable_sigmoid(a.data)
 
-    def factory(out: Tensor):
-        def backward():
-            a._accumulate(out.grad * out.data * (1.0 - out.data))
+    def backward(out: Tensor):
+        a._accumulate(out.grad * out.data * (1.0 - out.data))
 
-        return backward
-
-    return Tensor._make(data, (a,), factory)
+    return Tensor._make(data, (a,), backward)
 
 
 def tanh(a) -> Tensor:
@@ -697,13 +615,10 @@ def tanh(a) -> Tensor:
     a = as_tensor(a)
     data = np.tanh(a.data)
 
-    def factory(out: Tensor):
-        def backward():
-            a._accumulate(out.grad * (1.0 - out.data * out.data))
+    def backward(out: Tensor):
+        a._accumulate(out.grad * (1.0 - out.data * out.data))
 
-        return backward
-
-    return Tensor._make(data, (a,), factory)
+    return Tensor._make(data, (a,), backward)
 
 
 def softplus(a) -> Tensor:
@@ -711,13 +626,10 @@ def softplus(a) -> Tensor:
     a = as_tensor(a)
     data = stable_softplus(a.data)
 
-    def factory(out: Tensor):
-        def backward():
-            a._accumulate(out.grad * stable_sigmoid(a.data))
+    def backward(out: Tensor):
+        a._accumulate(out.grad * stable_sigmoid(a.data))
 
-        return backward
-
-    return Tensor._make(data, (a,), factory)
+    return Tensor._make(data, (a,), backward)
 
 
 def log_sigmoid(a) -> Tensor:
@@ -733,47 +645,12 @@ def softmax(a, axis: int = -1) -> Tensor:
     exps = np.exp(shifted)
     data = exps / exps.sum(axis=axis, keepdims=True)
 
-    def factory(out: Tensor):
-        def backward():
-            s = out.data
-            dot = (out.grad * s).sum(axis=axis, keepdims=True)
-            a._accumulate((out.grad - dot) * s)
+    def backward(out: Tensor):
+        s = out.data
+        dot = (out.grad * s).sum(axis=axis, keepdims=True)
+        a._accumulate((out.grad - dot) * s)
 
-        return backward
-
-    return Tensor._make(data, (a,), factory)
-
-
-def maximum(a, b) -> Tensor:
-    """Elementwise max; ties send the gradient to the first operand."""
-    a, b = as_tensor(a), as_tensor(b)
-    take_a = a.data >= b.data
-    data = np.where(take_a, a.data, b.data)
-
-    def factory(out: Tensor):
-        def backward():
-            a._accumulate(_unbroadcast(out.grad * take_a, a.shape))
-            b._accumulate(_unbroadcast(out.grad * ~take_a, b.shape))
-
-        return backward
-
-    return Tensor._make(data, (a, b), factory)
-
-
-def where(condition: np.ndarray, a, b) -> Tensor:
-    """Select from ``a`` where ``condition`` else ``b`` (condition is constant)."""
-    a, b = as_tensor(a), as_tensor(b)
-    condition = np.asarray(condition, dtype=bool)
-    data = np.where(condition, a.data, b.data)
-
-    def factory(out: Tensor):
-        def backward():
-            a._accumulate(_unbroadcast(out.grad * condition, a.shape))
-            b._accumulate(_unbroadcast(out.grad * ~condition, b.shape))
-
-        return backward
-
-    return Tensor._make(data, (a, b), factory)
+    return Tensor._make(data, (a,), backward)
 
 
 def dropout_mask(shape: Tuple[int, ...], rate: float,

@@ -7,6 +7,12 @@ runs a topologically ordered sweep over the recorded graph and accumulates
 gradients into the ``grad`` attribute of every tensor that participates
 and has ``requires_grad=True``.
 
+Each recorded node keeps its parents and a ``backward(out)`` function
+that the sweep calls with the node itself (:meth:`Tensor._make`).  No
+backward function holds its own output, so a graph has no reference
+cycles and is freed by refcount once its output (typically the loss)
+is dropped.
+
 The engine intentionally supports a small, well-tested op set (see
 :mod:`repro.autograd.ops`) rather than full numpy coverage: every op the
 DGNN models need, and nothing speculative.
@@ -15,7 +21,6 @@ DGNN models need, and nothing speculative.
 from __future__ import annotations
 
 import contextlib
-import weakref
 from typing import Callable, Iterable, Optional, Tuple
 
 import numpy as np
@@ -93,7 +98,7 @@ class Tensor:
         self.data: np.ndarray = _as_array(data)
         self.grad: Optional[np.ndarray] = None
         self.requires_grad: bool = bool(requires_grad) and _GRAD_ENABLED
-        self._backward: Optional[Callable[[], None]] = None
+        self._backward: Optional[Callable[["Tensor"], None]] = None
         self._parents: Tuple["Tensor", ...] = ()
         self.name = name
 
@@ -148,24 +153,18 @@ class Tensor:
     # ------------------------------------------------------------------
     @staticmethod
     def _make(data: np.ndarray, parents: Iterable["Tensor"],
-              backward_factory: Callable[["Tensor"], Callable[[], None]]) -> "Tensor":
+              backward: Callable[["Tensor"], None]) -> "Tensor":
         """Create a non-leaf tensor.
 
-        ``backward_factory`` receives a weak proxy of the freshly created
-        output tensor and must return a zero-argument closure that reads
-        ``out.grad`` (and, if it needs it, ``out.data``) and accumulates
-        into each parent via :meth:`_accumulate`.  The factory
-        indirection lets op implementations capture the output node
-        without a forward reference.
-
-        Contract: a closure never stores ``out`` (or the proxy) anywhere
-        that outlives the call.  The output owns its closure and the
-        closure holds only the parents and the proxy, so the graph has no
-        reference cycles: it is freed by refcount as soon as the last
-        reference to the output (typically the loss) is dropped, not when
-        the cyclic garbage collector next runs.  The proxy is always
-        alive while the closure runs, because :meth:`backward` reaches
-        each node through a strong reference.
+        ``backward`` is called as ``backward(out)`` with the output node
+        during :meth:`backward`; it reads ``out.grad`` (and, if it needs
+        it, ``out.data``) and accumulates into each parent via
+        :meth:`_accumulate`.  It is handed its output rather than
+        closing over it, so the output owns the function, the function
+        holds only the parents, and the graph has no reference cycles:
+        it is freed by refcount as soon as the last reference to the
+        output (typically the loss) is dropped, not when the cyclic
+        garbage collector next runs.
         """
         parents = tuple(parents)
         requires = _GRAD_ENABLED and any(p.requires_grad for p in parents)
@@ -173,7 +172,7 @@ class Tensor:
         if requires:
             out.requires_grad = True
             out._parents = parents
-            out._backward = backward_factory(weakref.proxy(out))
+            out._backward = backward
         return out
 
     def _accumulate(self, grad, owned: bool = False) -> None:
@@ -222,7 +221,7 @@ class Tensor:
 
         Gradients accumulate into every leaf that requires grad (the
         model's ``Parameter``s).  A non-leaf node's ``grad`` is freed
-        (set to ``None``) as soon as its closure has pushed it into the
+        (set to ``None``) as soon as its backward has pushed it into the
         parents, so intermediate gradients live only while they are
         being consumed — PyTorch's default.  The graph itself stays
         intact, so ``backward`` may run on it again.
@@ -249,7 +248,7 @@ class Tensor:
         self._accumulate(grad)
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
-                node._backward()
+                node._backward(node)
                 node.grad = None
 
     def _topological_order(self):

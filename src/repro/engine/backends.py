@@ -15,21 +15,24 @@ einsum gather+dot, ``np.add.at`` scatter reductions, the mixture forward
 as ``|M|`` BLAS GEMMs with ``(n, d)`` temporaries only, and its backward
 as one stacked GEMM for the embedding and gate gradients.
 
-Every backward kernel returns freshly allocated gradients, which
+Every kernel allocates its own result; ``spmm``, ``gather_rows``,
+``scatter_add_rows``, ``segment_sum`` and ``memory_mixture`` take it
+from the buffer arena when a step scope pools that shape.  Every
+backward kernel returns freshly allocated gradients, which
 :meth:`repro.autograd.tensor.Tensor._accumulate` adopts instead of
 copying.
 
-Each public function times its kernel and records call counts,
-nonzeros, dense-FLOP and bytes-moved estimates in
-:mod:`repro.engine.instrument`.  Kernels compute in the dtype of their
-inputs; the engine-wide precision policy lives in
-:mod:`repro.engine.precision`.
+Each public function computes its call's cost model (nonzeros,
+dense-FLOP and bytes-moved estimates) and hands it to one private
+helper, ``_run``, which looks the kernel up in the private ``_KERNELS``
+table, times it and records the call in :mod:`repro.engine.instrument`.
+Kernels compute in the dtype of their inputs; the engine-wide precision
+policy lives in :mod:`repro.engine.precision`.
 
-The public functions look their kernel up in the private ``_KERNELS``
-table at call time.  That table is the one seam the test suite swaps
-(``tests/oracles``: Python-loop reference kernels and a dtype-leak
-checker), so callers reach the kernels as ``backends.<kernel>(...)``
-and never bind a kernel at import time.
+Because the lookup happens at call time, ``_KERNELS`` is the one seam
+the test suite swaps (``tests/oracles``: Python-loop reference kernels
+and a dtype-leak checker), so callers reach the kernels as
+``backends.<kernel>(...)`` and never bind a kernel at import time.
 
 :mod:`repro.engine.locality` supplies a cache-blocked spmm (plus
 chunked gather and coalescing scatter) that these kernels switch to
@@ -55,25 +58,14 @@ except ImportError:  # pragma: no cover
     _csr_tools = None
 
 
-def _out_buffer(shape, dtype, out: Optional[np.ndarray],
-                zero: bool) -> np.ndarray:
-    """Resolve an ``out=`` argument: caller buffer, arena, or fresh."""
-    if out is None:
-        return arena.zeros(shape, dtype) if zero else arena.empty(shape, dtype)
-    if zero:
-        out[...] = 0
-    return out
-
-
 # -- kernels -------------------------------------------------------------
-def _spmm(matrix: sp.csr_matrix, dense: np.ndarray, out=None) -> np.ndarray:
+def _spmm(matrix: sp.csr_matrix, dense: np.ndarray) -> np.ndarray:
     dtype = np.result_type(matrix.dtype, dense.dtype)
     out_shape = (matrix.shape[0],) + dense.shape[1:]
     block_bytes = locality.get_spmm_block()
-    if (out is None and block_bytes is None
-            and not arena.get_arena().pools(out_shape, dtype)):
+    if block_bytes is None and not arena.get_arena().pools(out_shape, dtype):
         return matrix @ dense
-    out = _out_buffer(out_shape, dtype, out, zero=False)
+    out = arena.empty(out_shape, dtype)
     if (block_bytes is not None
             and locality.can_block_spmm(matrix, dense, out)):
         # Row-block CSC streaming: the output tile stays cache-resident
@@ -103,13 +95,13 @@ def _gathered_rowwise_dot(a, a_indices, b, b_indices) -> np.ndarray:
     return np.einsum("nd,nd->n", a[a_indices], b[b_indices])
 
 
-def _gather_rows(table, indices, out=None) -> np.ndarray:
+def _gather_rows(table, indices) -> np.ndarray:
     out_shape = indices.shape + table.shape[1:]
     block_bytes = locality.get_spmm_block()
-    if (out is None and block_bytes is None
+    if (block_bytes is None
             and not arena.get_arena().pools(out_shape, table.dtype)):
         return table[indices]
-    out = _out_buffer(out_shape, table.dtype, out, zero=False)
+    out = arena.empty(out_shape, table.dtype)
     if block_bytes is not None and table.ndim > 1:
         return locality.gather_rows_blocked(table, indices, out,
                                             block_bytes=block_bytes)
@@ -117,9 +109,8 @@ def _gather_rows(table, indices, out=None) -> np.ndarray:
     return out
 
 
-def _scatter_add_rows(grad, indices, num_rows, out=None) -> np.ndarray:
-    out = _out_buffer((num_rows,) + grad.shape[indices.ndim:],
-                      grad.dtype, out, zero=True)
+def _scatter_add_rows(grad, indices, num_rows) -> np.ndarray:
+    out = arena.zeros((num_rows,) + grad.shape[indices.ndim:], grad.dtype)
     if (locality.get_spmm_block() is not None
             and locality.scatter_add_rows_clustered(grad, indices, out)):
         return out
@@ -133,12 +124,12 @@ def _segment_sum(values, segment_ids, num_segments) -> np.ndarray:
     return out
 
 
-def _memory_mixture(embeddings, gates, transforms, out=None) -> np.ndarray:
+def _memory_mixture(embeddings, gates, transforms) -> np.ndarray:
     # |M| BLAS GEMMs with (n, d) temporaries only.  On this op shape
     # (small d, M ~ 8) the loop-of-GEMMs beats a single einsum by an
     # order of magnitude because einsum cannot route it through BLAS.
     dtype = np.result_type(embeddings.dtype, gates.dtype, transforms.dtype)
-    out = _out_buffer(embeddings.shape, dtype, out, zero=False)
+    out = arena.empty(embeddings.shape, dtype)
     tmp = arena.empty(embeddings.shape, dtype)
     np.matmul(embeddings, transforms[0], out=tmp)
     np.multiply(tmp, gates[:, 0:1], out=out)
@@ -257,28 +248,32 @@ _KERNELS = {
 
 
 # -- public, instrumented entry points -----------------------------------
-def spmm(matrix: sp.csr_matrix, dense: np.ndarray,
-         out: Optional[np.ndarray] = None) -> np.ndarray:
+def _run(name: str, *args, **cost):
+    """Run kernel ``name`` of ``_KERNELS`` on ``args``, timed, and record
+    the call with its ``cost`` (``nnz``, ``flops``, ``bytes_moved``)."""
+    start = time.perf_counter()
+    result = _KERNELS[name](*args)
+    counters().record_kernel(name, time.perf_counter() - start, **cost)
+    return result
+
+
+def spmm(matrix: sp.csr_matrix, dense: np.ndarray) -> np.ndarray:
     """``matrix @ dense`` for a CSR matrix and an ``(n, d)`` array.
 
-    ``out``, when given, receives the product in place (it is fully
-    overwritten).  When omitted and an arena step scope is active, the
-    result buffer is checked out of the pool.
+    When an arena step scope is active, the result buffer is checked
+    out of the pool.
     """
-    start = time.perf_counter()
-    out = _KERNELS["spmm"](matrix, dense, out=out)
     width = dense.shape[1] if dense.ndim > 1 else 1
     item = dense.dtype.itemsize
     index_bytes = matrix.indices.dtype.itemsize + matrix.data.dtype.itemsize
-    counters().record_kernel(
-        "spmm", time.perf_counter() - start,
+    return _run(
+        "spmm", matrix, dense,
         nnz=matrix.nnz,
         flops=2.0 * matrix.nnz * width,
         # one dense-row read per nonzero, CSR structure once, the output
         # tile zeroed + accumulated once
         bytes_moved=(matrix.nnz * (width * item + index_bytes)
                      + 2.0 * matrix.shape[0] * width * item))
-    return out
 
 
 def gathered_rowwise_dot(a: np.ndarray, a_indices: np.ndarray,
@@ -288,18 +283,15 @@ def gathered_rowwise_dot(a: np.ndarray, a_indices: np.ndarray,
     The BPR scoring kernel: gathers both ``(batch, d)`` row sets, then
     reduces each aligned pair with one einsum.
     """
-    start = time.perf_counter()
-    out = _KERNELS["gathered_rowwise_dot"](a, a_indices, b, b_indices)
-    counters().record_kernel(
-        "gathered_rowwise_dot", time.perf_counter() - start,
+    out_item = np.result_type(a.dtype, b.dtype).itemsize
+    return _run(
+        "gathered_rowwise_dot", a, a_indices, b, b_indices,
         flops=2.0 * len(a_indices) * a.shape[1],
         bytes_moved=(2.0 * len(a_indices) * a.shape[1] * a.dtype.itemsize
-                     + len(a_indices) * out.dtype.itemsize))
-    return out
+                     + len(a_indices) * out_item))
 
 
-def gather_rows(table: np.ndarray, indices: np.ndarray,
-                out: Optional[np.ndarray] = None) -> np.ndarray:
+def gather_rows(table: np.ndarray, indices: np.ndarray) -> np.ndarray:
     """Row gather ``table[indices]`` — the embedding-lookup kernel.
 
     The forward half of minibatch seed gathering: sampled paths pull the
@@ -307,52 +299,41 @@ def gather_rows(table: np.ndarray, indices: np.ndarray,
     kernel so the engine counters see lookup traffic alongside spmm
     traffic.
     """
-    start = time.perf_counter()
-    out = _KERNELS["gather_rows"](table, indices, out=out)
     width = int(np.prod(table.shape[1:])) if table.ndim > 1 else 1
-    counters().record_kernel(
-        "gather_rows", time.perf_counter() - start,
+    return _run(
+        "gather_rows", table, indices,
         flops=float(indices.size) * width,
         bytes_moved=2.0 * indices.size * width * table.dtype.itemsize)
-    return out
 
 
-def scatter_add_rows(grad: np.ndarray, indices: np.ndarray, num_rows: int,
-                     out: Optional[np.ndarray] = None) -> np.ndarray:
+def scatter_add_rows(grad: np.ndarray, indices: np.ndarray,
+                     num_rows: int) -> np.ndarray:
     """Scatter-add rows into a zeroed ``(num_rows, ...)`` array.
 
     The backward half of :func:`gather_rows`: duplicated indices
     accumulate, which routes subgraph gradients back to the global
-    embedding tables.  ``out``, when given, is zeroed then accumulated
-    into.
+    embedding tables.
     """
-    start = time.perf_counter()
-    out = _KERNELS["scatter_add_rows"](grad, indices, num_rows, out=out)
     width = int(np.prod(grad.shape[indices.ndim:])) if grad.ndim else 1
-    counters().record_kernel(
-        "scatter_add_rows", time.perf_counter() - start,
+    return _run(
+        "scatter_add_rows", grad, indices, num_rows,
         flops=float(indices.size) * width,
         # each gradient row read once, its target row read + written,
         # plus the zeroing pass over the output table
         bytes_moved=(3.0 * indices.size * width * grad.dtype.itemsize
                      + float(num_rows) * width * grad.dtype.itemsize))
-    return out
 
 
 def segment_sum(values: np.ndarray, segment_ids: np.ndarray,
                 num_segments: int) -> np.ndarray:
     """Sum rows of ``values`` sharing a segment id."""
-    start = time.perf_counter()
-    out = _KERNELS["segment_sum"](values, segment_ids, num_segments)
     width = int(np.prod(values.shape[1:])) if values.ndim > 1 else 1
-    counters().record_kernel("segment_sum", time.perf_counter() - start,
-                             flops=float(values.shape[0]) * width)
-    return out
+    return _run("segment_sum", values, segment_ids, num_segments,
+                flops=float(values.shape[0]) * width)
 
 
 def memory_mixture(embeddings: np.ndarray, gates: np.ndarray,
-                   transforms: np.ndarray,
-                   out: Optional[np.ndarray] = None) -> np.ndarray:
+                   transforms: np.ndarray) -> np.ndarray:
     """Fused gated mixture-of-transforms (DGNN Eq. 3 forward).
 
     ``embeddings`` is ``(n, d)``, ``gates`` is ``(n, M)`` and
@@ -360,13 +341,9 @@ def memory_mixture(embeddings: np.ndarray, gates: np.ndarray,
     ``out[n] = Σ_m gates[n, m] · (embeddings[n] @ transforms[m])``,
     computed without materializing ``(n, M, d)`` per-unit temporaries.
     """
-    start = time.perf_counter()
-    out = _KERNELS["memory_mixture"](embeddings, gates, transforms, out=out)
     units, dim = transforms.shape[0], transforms.shape[1]
-    counters().record_kernel(
-        "memory_mixture", time.perf_counter() - start,
-        flops=2.0 * embeddings.shape[0] * units * dim * dim)
-    return out
+    return _run("memory_mixture", embeddings, gates, transforms,
+                flops=2.0 * embeddings.shape[0] * units * dim * dim)
 
 
 def memory_mixture_backward(
@@ -380,14 +357,11 @@ def memory_mixture_backward(
     whose ``needs`` flag is ``False`` are skipped and returned as
     ``None``.
     """
-    start = time.perf_counter()
-    grads = _KERNELS["memory_mixture_backward"](grad_out, embeddings, gates,
-                                                transforms, needs)
     units, dim = transforms.shape[0], transforms.shape[1]
-    counters().record_kernel(
-        "memory_mixture_backward", time.perf_counter() - start,
-        flops=2.0 * sum(needs) * embeddings.shape[0] * units * dim * dim)
-    return grads
+    return _run("memory_mixture_backward", grad_out, embeddings, gates,
+                transforms, needs,
+                flops=2.0 * sum(needs) * embeddings.shape[0] * units
+                * dim * dim)
 
 
 def memory_gates(embeddings: np.ndarray, keys: np.ndarray, bias: np.ndarray,
@@ -397,12 +371,9 @@ def memory_gates(embeddings: np.ndarray, keys: np.ndarray, bias: np.ndarray,
     ``embeddings`` is ``(n, d)``, ``keys`` is ``(d, M)`` and ``bias`` is
     ``(M,)``; the result is ``(n, M)``.
     """
-    start = time.perf_counter()
-    out = _KERNELS["memory_gates"](embeddings, keys, bias, negative_slope)
-    counters().record_kernel(
-        "memory_gates", time.perf_counter() - start,
-        flops=2.0 * embeddings.shape[0] * keys.shape[0] * keys.shape[1])
-    return out
+    return _run("memory_gates", embeddings, keys, bias, negative_slope,
+                flops=2.0 * embeddings.shape[0] * keys.shape[0]
+                * keys.shape[1])
 
 
 def memory_gates_backward(
@@ -417,14 +388,10 @@ def memory_gates_backward(
     grad_keys, grad_bias)``; entries whose ``needs`` flag is ``False``
     are returned as ``None``.  Every returned array is freshly allocated.
     """
-    start = time.perf_counter()
-    grads = _KERNELS["memory_gates_backward"](grad_out, embeddings, keys,
-                                              gates, negative_slope, needs)
-    counters().record_kernel(
-        "memory_gates_backward", time.perf_counter() - start,
-        flops=2.0 * sum(needs[:2]) * embeddings.shape[0] * keys.shape[0]
-        * keys.shape[1])
-    return grads
+    return _run("memory_gates_backward", grad_out, embeddings, keys, gates,
+                negative_slope, needs,
+                flops=2.0 * sum(needs[:2]) * embeddings.shape[0]
+                * keys.shape[0] * keys.shape[1])
 
 
 def layer_norm(x: np.ndarray, scale: np.ndarray, shift: np.ndarray,
@@ -440,12 +407,8 @@ def layer_norm(x: np.ndarray, scale: np.ndarray, shift: np.ndarray,
     ``None``.  Returns ``(out, normed, std)``; the backward reads the
     last two.
     """
-    start = time.perf_counter()
-    result = _KERNELS["layer_norm"](x, scale, shift, eps, keep,
-                                    negative_slope)
-    counters().record_kernel("layer_norm", time.perf_counter() - start,
-                             flops=8.0 * x.size)
-    return result
+    return _run("layer_norm", x, scale, shift, eps, keep, negative_slope,
+                flops=8.0 * x.size)
 
 
 def layer_norm_backward(
@@ -462,11 +425,6 @@ def layer_norm_backward(
     flag is ``False`` are returned as ``None``.  Every returned array is
     freshly allocated.
     """
-    start = time.perf_counter()
-    grads = _KERNELS["layer_norm_backward"](grad_out, out, normed, std,
-                                            scale, keep, negative_slope,
-                                            needs)
-    counters().record_kernel("layer_norm_backward",
-                             time.perf_counter() - start,
-                             flops=10.0 * grad_out.size)
-    return grads
+    return _run("layer_norm_backward", grad_out, out, normed, std, scale,
+                keep, negative_slope, needs,
+                flops=10.0 * grad_out.size)

@@ -82,7 +82,11 @@ def full_ranking_ranks(model, split: Split, batch_size: int = 256,
         The subsample is drawn from a generator seeded with ``seed``
         alone, so repeated calls with the same arguments select the
         same users.
+
+    Raises ``ValueError`` for ``batch_size`` below 1.
     """
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be positive, got {batch_size}")
     user_emb, item_emb = model.final_embeddings()
     users = split.test_users
     positives = split.test_items

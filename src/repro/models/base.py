@@ -196,11 +196,20 @@ class Recommender(Module):
 
     def recommend(self, user: int, top_n: int = 10,
                   exclude_train: bool = True) -> np.ndarray:
-        """Top-N item ids for one user, optionally masking training items."""
+        """Top-N item ids for one user, optionally masking training items.
+
+        Raises ``ValueError`` for a user id outside ``[0, num_users)``:
+        a negative id would otherwise index from the end and answer for
+        the wrong user.
+        """
+        user = int(user)
         user_emb, item_emb = self.final_embeddings()
-        scores = item_emb @ user_emb[int(user)]
+        if not 0 <= user < user_emb.shape[0]:
+            raise ValueError(f"user id {user} out of range "
+                             f"[0, {user_emb.shape[0]})")
+        scores = item_emb @ user_emb[user]
         if exclude_train:
-            seen = self.graph.interaction[int(user)].indices
+            seen = self.graph.interaction[user].indices
             scores = scores.copy()
             scores[seen] = -np.inf
         return top_k_indices(scores, top_n)

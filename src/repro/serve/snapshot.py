@@ -337,7 +337,13 @@ class SnapshotStore:
         return self.load(name, mmap=mmap, validate=validate)
 
     def prune(self, keep: int = 3) -> List[str]:
-        """Delete all but the ``keep`` newest versions; returns deleted."""
+        """Delete all but the ``keep`` newest versions; returns deleted.
+
+        ``LATEST`` is never deleted.  Raises ``ValueError`` for ``keep``
+        below 0 (a negative slice bound would delete from the old end).
+        """
+        if keep < 0:
+            raise ValueError(f"keep must be >= 0, got {keep}")
         versions = self.versions()
         latest = self.latest_version()
         deletable = [v for v in versions[:-keep] if v != latest] if keep else [

@@ -8,17 +8,10 @@ them for :func:`tests.oracles.use_kernels`.
 import numpy as np
 
 
-def _zeroed(shape, dtype, out):
-    if out is None:
-        return np.zeros(shape, dtype=dtype)
-    out[...] = 0
-    return out
-
-
-def spmm(matrix, dense, out=None):
+def spmm(matrix, dense):
     indptr, indices, data = matrix.indptr, matrix.indices, matrix.data
-    out = _zeroed((matrix.shape[0],) + dense.shape[1:],
-                  np.result_type(matrix.dtype, dense.dtype), out)
+    out = np.zeros((matrix.shape[0],) + dense.shape[1:],
+                   dtype=np.result_type(matrix.dtype, dense.dtype))
     for row in range(matrix.shape[0]):
         for position in range(indptr[row], indptr[row + 1]):
             out[row] += data[position] * dense[indices[position]]
@@ -32,20 +25,19 @@ def gathered_rowwise_dot(a, a_indices, b, b_indices):
     return out
 
 
-def gather_rows(table, indices, out=None):
+def gather_rows(table, indices):
     flat = indices.reshape(-1)
-    if out is None:
-        out = np.empty(indices.shape + table.shape[1:], dtype=table.dtype)
+    out = np.empty(indices.shape + table.shape[1:], dtype=table.dtype)
     flat_out = out.reshape((len(flat),) + table.shape[1:])
     for position in range(len(flat)):
         flat_out[position] = table[flat[position]]
     return out
 
 
-def scatter_add_rows(grad, indices, num_rows, out=None):
+def scatter_add_rows(grad, indices, num_rows):
     flat = indices.reshape(-1)
     rows = grad.reshape((len(flat),) + grad.shape[indices.ndim:])
-    out = _zeroed((num_rows,) + rows.shape[1:], grad.dtype, out)
+    out = np.zeros((num_rows,) + rows.shape[1:], dtype=grad.dtype)
     for position in range(len(flat)):
         out[flat[position]] += rows[position]
     return out
@@ -58,8 +50,8 @@ def segment_sum(values, segment_ids, num_segments):
     return out
 
 
-def memory_mixture(embeddings, gates, transforms, out=None):
-    out = _zeroed(embeddings.shape, embeddings.dtype, out)
+def memory_mixture(embeddings, gates, transforms):
+    out = np.zeros(embeddings.shape, dtype=embeddings.dtype)
     for node in range(embeddings.shape[0]):
         mixed = np.zeros_like(transforms[0])
         for unit in range(transforms.shape[0]):

@@ -234,21 +234,6 @@ class TestNonlinearities:
         weights = Tensor(np.arange(12.0).reshape(3, 4))
         assert gradcheck(lambda a: (ops.softmax(a, axis=1) * weights).sum(), [a])
 
-    def test_maximum_gradcheck(self):
-        a = Tensor(np.array([1.0, 5.0, -2.0]), requires_grad=True)
-        b = Tensor(np.array([2.0, 3.0, -1.0]), requires_grad=True)
-        assert gradcheck(lambda a, b: ops.maximum(a, b).sum(), [a, b])
-
-    def test_where_selects_and_routes_grads(self):
-        cond = np.array([True, False, True])
-        a = Tensor(np.ones(3), requires_grad=True)
-        b = Tensor(np.zeros(3), requires_grad=True)
-        out = ops.where(cond, a, b)
-        out.sum().backward()
-        np.testing.assert_allclose(out.data, [1.0, 0.0, 1.0])
-        np.testing.assert_allclose(a.grad, [1.0, 0.0, 1.0])
-        np.testing.assert_allclose(b.grad, [0.0, 1.0, 0.0])
-
 
 class TestDropout:
     def test_eval_mode_is_identity(self, rng):

@@ -1,6 +1,7 @@
 """Guards against documentation rot.
 
 Checks that the import blocks in docs/api.md actually import, that the
+engine kernels docs/api.md lists are exactly the kernel table's, that the
 README's example table matches the files on disk, that DESIGN.md's
 per-experiment index names real bench files, that docs/operations.md
 stays in lockstep with the code's configuration surface (every
@@ -19,6 +20,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import build_parser
+from repro.engine import backends
 from repro.train import TrainConfig
 
 ROOT = Path(__file__).parent.parent
@@ -50,6 +52,21 @@ class TestApiDocImports:
                         collecting = None
             for statement in statements:
                 exec(statement, {})  # raises ImportError on rot
+
+
+class TestApiDocKernels:
+    def test_named_kernels_equal_the_kernel_table(self):
+        # docs/api.md names the engine kernels one by one; a kernel added
+        # to or removed from backends._KERNELS must update that list.
+        text = (ROOT / "docs" / "api.md").read_text()
+        match = re.search(r"The one kernel set every model runs on is"
+                          r"\s(.*?`)\.", text, flags=re.S)
+        assert match, "api.md should list the engine kernels"
+        sentence = match.group(1)
+        assert "*" not in sentence, "list the kernels one by one"
+        named = re.findall(r"`(?:backends\.)?(\w+)`", sentence)
+        assert len(named) == len(set(named)), f"duplicates in {named}"
+        assert set(named) == set(backends._KERNELS)
 
 
 class TestReadmeExamples:

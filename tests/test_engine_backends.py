@@ -48,7 +48,7 @@ class TestSeamLiveness:
         expected = matrix @ dense.data
         assert np.abs(expected).max() > 0
 
-        def zeros_spmm(matrix, dense, out=None):
+        def zeros_spmm(matrix, dense):
             return np.zeros((matrix.shape[0],) + dense.shape[1:])
 
         with use_kernels({"spmm": zeros_spmm}):

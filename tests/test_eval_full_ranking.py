@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.eval.full_ranking import full_ranking_ranks, full_ranking_topk
+from repro.eval.full_ranking import (evaluate_full_ranking, full_ranking_ranks,
+                                     full_ranking_topk)
 from repro.eval.metrics import top_k_indices
 from repro.models.lightgcn import LightGCN
 
@@ -83,6 +84,14 @@ def test_topk_rejects_invalid_arguments(model, tiny_split, make_kwargs,
     kwargs = make_kwargs(tiny_split.dataset.num_users)
     with pytest.raises(ValueError, match=message):
         full_ranking_topk(model, tiny_split, **kwargs)
+
+
+@pytest.mark.parametrize("batch_size", [0, -1])
+def test_ranks_reject_non_positive_batch_size(model, tiny_split, batch_size):
+    with pytest.raises(ValueError, match="batch_size must be positive"):
+        full_ranking_ranks(model, tiny_split, batch_size=batch_size)
+    with pytest.raises(ValueError, match="batch_size must be positive"):
+        evaluate_full_ranking(model, tiny_split, batch_size=batch_size)
 
 
 class TestMaxUsersDeterminism:

@@ -57,7 +57,7 @@ class TestGradcheck:
         def broken(x):
             out = Tensor._make(
                 x.data * 2.0, (x,),
-                lambda out: lambda: x._accumulate(out.grad * 3.0))  # wrong: 3 != 2
+                lambda out: x._accumulate(out.grad * 3.0))  # wrong: 3 != 2
             return out.sum()
 
         with pytest.raises(AssertionError):

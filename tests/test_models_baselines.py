@@ -100,6 +100,14 @@ class TestScoringContract:
         top = model.recommend(0, top_n=5, exclude_train=False)
         assert counts[top[0]] == counts.max()
 
+    @pytest.mark.parametrize("user", [-1, "past-end"])
+    def test_recommend_rejects_out_of_range_user(self, user, tiny_graph):
+        model = create_model("lightgcn", tiny_graph, embed_dim=8, seed=0)
+        if user == "past-end":
+            user = tiny_graph.num_users
+        with pytest.raises(ValueError, match="out of range"):
+            model.recommend(user, top_n=5)
+
     def test_most_popular_refuses_training(self, tiny_graph):
         model = create_model("most-popular", tiny_graph)
         with pytest.raises(RuntimeError):

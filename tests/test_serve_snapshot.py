@@ -79,6 +79,15 @@ class TestLifecycle:
         assert store.versions() == ["v000003", "v000004"]
         assert store.load_latest().version == "v000004"
 
+    def test_prune_rejects_negative_keep(self, snapshot, tmp_path):
+        store = SnapshotStore(tmp_path)
+        for _ in range(4):
+            store.publish(snapshot)
+        with pytest.raises(ValueError, match="keep must be >= 0"):
+            store.prune(keep=-2)
+        assert store.versions() == ["v000001", "v000002", "v000003",
+                                    "v000004"]
+
 
 class TestIntegrity:
     def test_corrupted_array_raises(self, snapshot, tmp_path):
