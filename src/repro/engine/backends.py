@@ -11,7 +11,8 @@ hand-written backward: Eq. 3's memory gates
 (``out[n] = Σ_m gates[n, m] · (embeddings[n] @ transforms[m])``), and
 Eq. 7's dropout → LayerNorm → LeakyReLU (``layer_norm``, also every plain
 LayerNorm).  The kernels are vectorized: scipy's compiled CSR spmm,
-einsum gather+dot, ``np.add.at`` scatter reductions, the mixture forward
+einsum gather+dot, scatter reductions as a one-hot CSR product (bitwise
+equal to ``np.add.at``), the mixture forward
 as ``|M|`` BLAS GEMMs with ``(n, d)`` temporaries only, and its backward
 as one stacked GEMM for the embedding and gate gradients.
 
@@ -34,11 +35,11 @@ the test suite swaps (``tests/oracles``: Python-loop reference kernels
 and a dtype-leak checker), so callers reach the kernels as
 ``backends.<kernel>(...)`` and never bind a kernel at import time.
 
-:mod:`repro.engine.locality` supplies a cache-blocked spmm (plus
-chunked gather and coalescing scatter) that these kernels switch to
-when an spmm block budget is active (``REPRO_ENGINE_SPMM_BLOCK`` /
-``TrainConfig.spmm_block``); the blocked spmm is bitwise identical to
-the flat kernel.
+:mod:`repro.engine.locality` supplies a cache-blocked spmm (plus a
+chunked gather) that these kernels switch to when an spmm block budget
+is active (``REPRO_ENGINE_SPMM_BLOCK`` / ``TrainConfig.spmm_block``);
+both are bitwise identical to the flat kernels, and the scatter
+reductions reach the blocked spmm through their one-hot product.
 """
 
 from __future__ import annotations
@@ -109,19 +110,23 @@ def _gather_rows(table, indices) -> np.ndarray:
     return out
 
 
-def _scatter_add_rows(grad, indices, num_rows) -> np.ndarray:
-    out = arena.zeros((num_rows,) + grad.shape[indices.ndim:], grad.dtype)
-    if (locality.get_spmm_block() is not None
-            and locality.scatter_add_rows_clustered(grad, indices, out)):
-        return out
-    np.add.at(out, indices, grad)
-    return out
-
-
-def _segment_sum(values, segment_ids, num_segments) -> np.ndarray:
-    out = arena.zeros((num_segments,) + values.shape[1:], values.dtype)
-    np.add.at(out, segment_ids, values)
-    return out
+def _one_hot_sum(values, indices, num_rows) -> np.ndarray:
+    # Row ``r`` of the one-hot ``(num_rows, n)`` CSR lists, in batch
+    # order, the positions whose index is ``r`` (a stable argsort, with
+    # bincount for the row pointer), so the product sums each output
+    # row's contributions in the order ``np.add.at`` does: bitwise equal.
+    flat = indices.reshape(-1)
+    if flat.size and (flat.min() < 0 or flat.max() >= num_rows):
+        raise IndexError(f"scatter index out of range [0, {num_rows})")
+    indptr = np.zeros(num_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(flat, minlength=num_rows), out=indptr[1:])
+    one_hot = sp.csr_matrix(
+        (np.ones(flat.size, values.dtype), np.argsort(flat, kind="stable"),
+         indptr), shape=(num_rows, flat.size))
+    trailing = values.shape[indices.ndim:]
+    width = int(np.prod(trailing, dtype=np.int64))
+    summed = _spmm(one_hot, values.reshape(flat.size, width))
+    return summed.reshape((num_rows,) + trailing)
 
 
 def _memory_mixture(embeddings, gates, transforms) -> np.ndarray:
@@ -236,8 +241,8 @@ _KERNELS = {
     "spmm": _spmm,
     "gathered_rowwise_dot": _gathered_rowwise_dot,
     "gather_rows": _gather_rows,
-    "scatter_add_rows": _scatter_add_rows,
-    "segment_sum": _segment_sum,
+    "scatter_add_rows": _one_hot_sum,
+    "segment_sum": _one_hot_sum,
     "memory_mixture": _memory_mixture,
     "memory_mixture_backward": _memory_mixture_backward,
     "memory_gates": _memory_gates,
@@ -312,7 +317,9 @@ def scatter_add_rows(grad: np.ndarray, indices: np.ndarray,
 
     The backward half of :func:`gather_rows`: duplicated indices
     accumulate, which routes subgraph gradients back to the global
-    embedding tables.
+    embedding tables.  Runs as a one-hot sparse product, bitwise equal
+    to ``np.add.at``; an index outside ``[0, num_rows)`` raises
+    ``IndexError``.
     """
     width = int(np.prod(grad.shape[indices.ndim:])) if grad.ndim else 1
     return _run(
@@ -326,7 +333,10 @@ def scatter_add_rows(grad: np.ndarray, indices: np.ndarray,
 
 def segment_sum(values: np.ndarray, segment_ids: np.ndarray,
                 num_segments: int) -> np.ndarray:
-    """Sum rows of ``values`` sharing a segment id."""
+    """Sum rows of ``values`` sharing a segment id.
+
+    The same one-hot sparse product as :func:`scatter_add_rows`.
+    """
     width = int(np.prod(values.shape[1:])) if values.ndim > 1 else 1
     return _run("segment_sum", values, segment_ids, num_segments,
                 flops=float(values.shape[0]) * width)

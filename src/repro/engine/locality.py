@@ -43,12 +43,6 @@ time (``"auto"`` resolves per call via :func:`resolve_block_bytes`;
 ``0``/``"off"`` disables).  Matrices below :data:`MIN_BLOCKED_NNZ` nonzeros always take
 the flat path — per-batch subgraph slices are too short-lived to
 amortize a block build.
-
-The clustered ``scatter_add_rows`` variant coalesces duplicate sorted
-indices through ``np.add.reduceat`` before one indexed add; it
-reassociates the per-row sums (pairwise vs sequential), so unlike the
-blocked spmm it is *not* bitwise against ``np.add.at`` — it only engages
-when index duplication actually pays for it.
 """
 
 from __future__ import annotations
@@ -95,10 +89,6 @@ MIN_BLOCKED_NNZ = 20_000
 
 #: Cached CSC block decompositions kept before the oldest is evicted.
 MAX_CACHED_MATRICES = 32
-
-#: Minimum duplication ratio (indices per unique run) before the
-#: clustered scatter-add engages; below it ``np.add.at`` is faster.
-SCATTER_COALESCE_RATIO = 2.0
 
 #: A block keeps its trimmed CSC form only while its occupied column
 #: span stays within this multiple of its nonzeros (always allowing a
@@ -397,32 +387,3 @@ def gather_rows_blocked(table: np.ndarray, indices: np.ndarray,
         np.take(table, flat[start:start + chunk], axis=0,
                 out=flat_out[start:start + chunk])
     return out
-
-
-def scatter_add_rows_clustered(grad: np.ndarray, indices: np.ndarray,
-                               out: np.ndarray) -> bool:
-    """Coalescing scatter-add for sorted, duplicate-heavy index runs.
-
-    When ``indices`` is already sorted and each unique id repeats at
-    least :data:`SCATTER_COALESCE_RATIO` times, duplicate rows are summed with one ``np.add.reduceat`` pass
-    and written with a single fancy-indexed add.  Returns ``True`` when
-    it handled the scatter, ``False`` to tell the caller to use the
-    flat ``np.add.at`` path.  Reduceat reassociates each run's sum, so
-    results agree with the flat path to accumulation tolerance, not
-    bitwise — which is why this variant only runs when blocking is
-    explicitly enabled.
-    """
-    flat = indices.reshape(-1)
-    if len(flat) < 2 or grad.ndim < 2:
-        return False
-    rows = grad.reshape((len(flat),) + grad.shape[indices.ndim:])
-    boundaries = flat[1:] != flat[:-1]
-    if np.any(flat[1:] < flat[:-1]):  # unsorted — clustering absent
-        return False
-    runs = int(boundaries.sum()) + 1
-    if len(flat) < SCATTER_COALESCE_RATIO * runs:
-        return False
-    starts = np.flatnonzero(np.r_[True, boundaries])
-    sums = np.add.reduceat(rows, starts, axis=0)
-    out[flat[starts]] += sums
-    return True

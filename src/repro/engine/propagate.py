@@ -57,7 +57,8 @@ class LayerStack:
         self.final_norm = final_norm
 
     # ------------------------------------------------------------------
-    def _merge(self, collected: Sequence[Tensor]) -> Tensor:
+    def merge(self, collected: Sequence[Tensor]) -> Tensor:
+        """Combine one node set's per-layer outputs, then normalize."""
         if self.combine == "last":
             merged = collected[-1]
         elif self.combine == "concat":
@@ -89,8 +90,22 @@ class LayerStack:
                 raise ValueError("step changed the number of node sets")
             for history, slot in zip(histories, current):
                 history.append(slot)
-        outputs = tuple(self._merge(history) for history in histories)
+        outputs = tuple(self.merge(history) for history in histories)
         return outputs[0] if single else outputs
+
+
+def check_ids(ids, size: int, what: str) -> np.ndarray:
+    """``ids`` as an int64 array; ``ValueError`` if any is outside ``[0, size)``.
+
+    A negative id would otherwise index a table from its end and score
+    the wrong row without a word.
+    """
+    ids = np.asarray(ids, dtype=np.int64)
+    if ids.size and (ids.min() < 0 or ids.max() >= size):
+        bad = ids[(ids < 0) | (ids >= size)][:8]
+        raise ValueError(f"{what} ids out of range [0, {size}): "
+                         f"{bad.tolist()}")
+    return ids
 
 
 def bpr_terms(user_emb: Tensor, item_emb: Tensor, users: np.ndarray,
@@ -101,12 +116,15 @@ def bpr_terms(user_emb: Tensor, item_emb: Tensor, users: np.ndarray,
     Scores and the batch-embedding L2 regularizer are computed with the
     fused gather+rowwise-dot kernel, so no per-batch gathered embedding
     copies enter the autograd graph.  Shared by
-    :meth:`repro.models.base.Recommender.bpr_loss` (full graph) and
-    :meth:`repro.models.base.Recommender.bpr_loss_on` (sampled subgraph).
+    :meth:`repro.models.base.Recommender.bpr_loss` (full graph),
+    :meth:`repro.models.base.Recommender.bpr_loss_on` (sampled subgraph)
+    and :meth:`repro.models.dgnn.DGNN.bpr_loss` (pruned last layer).
+    Ids are rows of ``user_emb`` / ``item_emb``; one outside the table
+    raises ``ValueError``.
     """
-    users = np.asarray(users, dtype=np.int64)
-    positives = np.asarray(positives, dtype=np.int64)
-    negatives = np.asarray(negatives, dtype=np.int64)
+    users = check_ids(users, user_emb.shape[0], "user")
+    positives = check_ids(positives, item_emb.shape[0], "item")
+    negatives = check_ids(negatives, item_emb.shape[0], "item")
     pos_scores = ops.gathered_rowwise_dot(user_emb, item_emb, users, positives)
     neg_scores = ops.gathered_rowwise_dot(user_emb, item_emb, users, negatives)
     loss = ops.neg(ops.mean(ops.log_sigmoid(ops.sub(pos_scores, neg_scores))))

@@ -18,7 +18,7 @@ import numpy as np
 from repro.autograd.tensor import Tensor, no_grad
 from repro.engine import backends
 from repro.eval.metrics import top_k_indices
-from repro.engine.propagate import bpr_terms
+from repro.engine.propagate import bpr_terms, check_ids
 from repro.graph.hetero import CollaborativeHeteroGraph
 from repro.nn.module import Module
 
@@ -75,6 +75,14 @@ class Recommender(Module):
         user_emb, item_emb = self.propagate()
         return bpr_terms(user_emb, item_emb, users, positives, negatives, l2=l2)
 
+    def _check_batch(self, users, positives, negatives
+                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """A batch's global ids as int64 arrays, each checked against the
+        graph (``ValueError`` when out of range)."""
+        return (check_ids(users, self.graph.num_users, "user"),
+                check_ids(positives, self.graph.num_items, "item"),
+                check_ids(negatives, self.graph.num_items, "item"))
+
     # ------------------------------------------------------------------
     # Minibatch (neighbour-sampled) training
     # ------------------------------------------------------------------
@@ -115,13 +123,15 @@ class Recommender(Module):
         subgraph construction happen elsewhere (possibly on a worker
         thread), the compute step only propagates and scores.
         """
+        # Global ids are checked before the local lookup, which would
+        # read a negative id from the end of its table.
+        users, positives, negatives = self._check_batch(users, positives,
+                                                        negatives)
         self.invalidate_cache()
         user_emb, item_emb = self.propagate_on(subgraph)
-        return bpr_terms(user_emb, item_emb,
-                         subgraph.local_users(np.asarray(users, np.int64)),
-                         subgraph.local_items(np.asarray(positives, np.int64)),
-                         subgraph.local_items(np.asarray(negatives, np.int64)),
-                         l2=l2)
+        return bpr_terms(user_emb, item_emb, subgraph.local_users(users),
+                         subgraph.local_items(positives),
+                         subgraph.local_items(negatives), l2=l2)
 
     def bpr_loss_sampled(self, users: np.ndarray, positives: np.ndarray,
                          negatives: np.ndarray, l2: float = 1e-4,

@@ -36,7 +36,7 @@ import scipy.sparse as sp
 
 from repro.autograd import ops
 from repro.autograd.tensor import Tensor, no_grad
-from repro.engine.propagate import LayerStack
+from repro.engine.propagate import LayerStack, bpr_terms
 from repro.graph.hetero import CollaborativeHeteroGraph
 from repro.models.base import Recommender
 from repro.models.memory import MemoryBank
@@ -110,26 +110,42 @@ class _DgnnLayer(Module):
         return self.plain.apply(edge_type, embeddings)
 
     def _stabilize(self, aggregated: Tensor, previous: Tensor, norm: LayerNorm,
-                   edge_type: str) -> Tensor:
+                   edge_type: str,
+                   keep: Optional[np.ndarray] = None) -> Tensor:
         """Eq. 7: LeakyReLU(LayerNorm(message)) + memory self-propagation.
 
         Message dropout (training only) regularizes the aggregated message
         before normalization — the standard graph-recommender training
-        detail (NGCF / LightGCN family release code).  Dropout, LayerNorm
-        and LeakyReLU run as one ``layer_norm`` node; the "-LN" ablation
-        keeps plain dropout → LeakyReLU.
+        detail (NGCF / LightGCN family release code); ``keep`` is its
+        mask (``None`` when off).  Dropout, LayerNorm and LeakyReLU run as
+        one ``layer_norm`` node; the "-LN" ablation keeps plain dropout →
+        LeakyReLU.
         """
         if self.use_layernorm:
             activated = ops.layer_norm(
                 aggregated, norm.scale, norm.shift, norm.eps,
-                keep=self.dropout.mask(aggregated.shape), negative_slope=0.2)
+                keep=keep, negative_slope=0.2)
         else:
-            activated = ops.leaky_relu(self.dropout(aggregated), 0.2)
+            if keep is not None:
+                aggregated = ops.mul(aggregated, Tensor(keep))
+            activated = ops.leaky_relu(aggregated, 0.2)
         return ops.add(activated, self._self_loop(edge_type, previous))
 
     # -- full layer --------------------------------------------------------
     def forward(self, graph: CollaborativeHeteroGraph, users: Tensor,
-                items: Tensor, relations: Tensor) -> Tuple[Tensor, Tensor, Tensor]:
+                items: Tensor, relations: Tensor,
+                rows: Optional[np.ndarray] = None,
+                ) -> Tuple[Tensor, Tensor, Optional[Tensor]]:
+        """Eqs. 3–7 for every node set, or only for what a loss reads.
+
+        With ``rows`` (sorted, unique item ids) the item update runs only
+        at those rows and the relation update, which no score reads, is
+        skipped: the result is the full user table, the item table at
+        ``rows`` and ``None``.  Per row, the numbers are the full layer's.
+        Dropout masks are drawn at full shape either way (the skipped
+        relation mask included), so the dropout stream does not depend
+        on ``rows``.
+        """
         # Users (Eq. 4): social message + interaction message under the
         # joint 1/(|N^S|+|N^Y|) normalization.  By default both use the
         # Eq. 3 form (target gates transform aggregated source
@@ -147,24 +163,44 @@ class _DgnnLayer(Module):
             interaction_message)
 
         # Items (Eq. 5): user messages + relation-node messages under the
-        # joint 1/(|N^Y|+|N^T|) normalization.
+        # joint 1/(|N^Y|+|N^T|) normalization; a row slice of each
+        # adjacency gives the messages of the rows in ``rows``.
+        item_targets = items
+        from_users, from_relations = (graph.item_user_joint,
+                                      graph.item_relation_joint)
+        if rows is not None:
+            item_targets = ops.gather_rows(items, rows)
+            from_users, from_relations = from_users[rows], from_relations[rows]
         item_message = ops.add(
-            self._target_gated("item_from_user", items, users, graph.item_user_joint),
-            self._target_gated("item_from_relation", items, relations,
-                               graph.item_relation_joint))
+            self._target_gated("item_from_user", item_targets, users,
+                               from_users),
+            self._target_gated("item_from_relation", item_targets, relations,
+                               from_relations))
 
         # Relation nodes (Eq. 6): aggregated item messages, memory-gated.
-        if self.literal_eq4:
+        if rows is not None:
+            relation_message = None
+        elif self.literal_eq4:
             relation_message = self._source_gated(
                 "relation_from_item", relations, items, graph.relation_item_mean)
         else:
             relation_message = self._target_gated(
                 "relation_from_item", relations, items, graph.relation_item_mean)
 
-        new_users = self._stabilize(user_message, users, self.norm_user, "self_user")
-        new_items = self._stabilize(item_message, items, self.norm_item, "self_item")
+        new_users = self._stabilize(user_message, users, self.norm_user,
+                                    "self_user", self.dropout.mask(users.shape))
+        item_keep = self.dropout.mask(items.shape)
+        if rows is not None and item_keep is not None:
+            item_keep = item_keep[rows]
+        new_items = self._stabilize(item_message, item_targets, self.norm_item,
+                                    "self_item", item_keep)
+        # Drawn even when the relation update is skipped, for the stream.
+        relation_keep = self.dropout.mask(relations.shape)
+        if relation_message is None:
+            return new_users, new_items, None
         new_relations = self._stabilize(relation_message, relations,
-                                        self.norm_relation, "self_relation")
+                                        self.norm_relation, "self_relation",
+                                        relation_keep)
         return new_users, new_items, new_relations
 
 
@@ -247,16 +283,45 @@ class DGNN(Recommender):
     def _run(self, graph: CollaborativeHeteroGraph,
              initial: Tuple[Tensor, Tensor, Tensor],
              tau: bool = True) -> Tuple[Tensor, Tensor, Tensor]:
-        """Eqs. 3–8 on ``graph``, then τ (Eqs. 9–10) unless ``tau`` is off.
+        """Eqs. 3–8 on ``graph``, then τ (Eqs. 9–10) unless ``tau`` is off."""
+        users, items, relations = self._stack().run(initial, self._step(graph))
+        if tau:
+            users = self._recalibrate(graph, users)
+        return users, items, relations
+
+    def _recalibrate(self, graph: CollaborativeHeteroGraph,
+                     users: Tensor) -> Tensor:
+        """τ (Eqs. 9–10), when on: ``H*[u] + τ(H*[u])``.
 
         τ is the row-normalized ``S + I`` average of a user's social
         neighbourhood including themselves, served as a cached graph
         view so it is normalized once per graph, not per call.
         """
-        users, items, relations = self._stack().run(initial, self._step(graph))
-        if tau and self.use_tau:
-            users = ops.add(users, ops.spmm(graph.social_self_loop_mean, users))
-        return users, items, relations
+        if not self.use_tau:
+            return users
+        return ops.add(users, ops.spmm(graph.social_self_loop_mean, users))
+
+    def _propagate_rows(self, rows: np.ndarray) -> Tuple[Tensor, Tensor]:
+        """Final users (τ folded in) and final items at ``rows`` only.
+
+        The last layer runs its item update at ``rows`` alone and skips
+        its relation update; the earlier layers' item tables enter the
+        Eq. 8 concat gathered at ``rows``.  Row for row the result equals
+        :meth:`propagate`'s.
+        """
+        users, items, relations = self._tables()
+        user_layers, item_layers = [users], [items]
+        for index, layer in enumerate(self.layers):
+            last = index == self.num_layers - 1
+            users, items, relations = layer(self.graph, users, items,
+                                            relations, rows if last else None)
+            user_layers.append(users)
+            item_layers.append(items)
+        item_layers[:-1] = [ops.gather_rows(table, rows)
+                            for table in item_layers[:-1]]
+        stack = self._stack()
+        return (self._recalibrate(self.graph, stack.merge(user_layers)),
+                stack.merge(item_layers))
 
     def invalidate_cache(self) -> None:
         """Drop the cached final embeddings and per-layer tables."""
@@ -299,6 +364,38 @@ class DGNN(Recommender):
         """Final embeddings with τ folded into the user side (Eq. 10)."""
         users, items, _ = self._run(self.graph, self._tables())
         return users, items
+
+    def bpr_loss(self, users: np.ndarray, positives: np.ndarray,
+                 negatives: np.ndarray, l2: float = 1e-4) -> Tensor:
+        """Eq. 11 on a triple batch, computing only the rows it reads.
+
+        The loss reads final embeddings at the batch's users, their τ
+        neighbourhood (Eqs. 9–10) and the batch's positive and negative
+        items.  So the last layer computes its item update (Eqs. 3, 5
+        and 7) only at ``rows = unique(positives ∪ negatives)``, through
+        row slices of the item adjacencies, and skips the relation update
+        that no score reads; the earlier layers run in full, and so does
+        the last layer's user update, since τ reads most users.  Eq. 8
+        concatenates the layers' item tables at ``rows`` and the scores
+        index those local rows.
+
+        The loss equals :meth:`Recommender.bpr_loss` (the full-graph
+        path) bitwise, and the dropout stream is consumed identically;
+        gradients agree up to summation order.  :meth:`propagate`,
+        :meth:`final_embeddings` and :meth:`layer_tables` stay
+        full-graph.  An id outside the user or item range raises
+        ``ValueError``.
+        """
+        if not self.num_layers:
+            return super().bpr_loss(users, positives, negatives, l2=l2)
+        users, positives, negatives = self._check_batch(users, positives,
+                                                        negatives)
+        rows = np.unique(np.concatenate([positives, negatives]))
+        self.invalidate_cache()
+        user_emb, item_emb = self._propagate_rows(rows)
+        return bpr_terms(user_emb, item_emb, users,
+                         np.searchsorted(rows, positives),
+                         np.searchsorted(rows, negatives), l2=l2)
 
     # ------------------------------------------------------------------
     # Minibatch (neighbour-sampled) training

@@ -32,6 +32,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from repro.engine import backends
 from repro.engine.precision import index_dtype_for
 from repro.eval.metrics import top_k_indices
 
@@ -96,7 +97,9 @@ def _kmeans(item_emb: np.ndarray, num_cells: int, iters: int,
     """Lloyd's k-means (Euclidean) with empty-cell reseeding.
 
     Runs in the embeddings' own dtype.  Distance uses the expanded
-    ``|x|^2 - 2 x·c + |c|^2`` form so each iteration is one GEMM.
+    ``|x|^2 - 2 x·c + |c|^2`` form so each iteration is one GEMM; the
+    per-cell sums are one engine ``segment_sum`` (bitwise equal to an
+    ``np.add.at`` scatter).
     """
     n = item_emb.shape[0]
     centroids = item_emb[rng.choice(n, size=num_cells, replace=False)].copy()
@@ -107,8 +110,7 @@ def _kmeans(item_emb: np.ndarray, num_cells: int, iters: int,
                 + (centroids * centroids).sum(axis=1)[None, :])
         assign = dist.argmin(axis=1)
         counts = np.bincount(assign, minlength=num_cells)
-        sums = np.zeros_like(centroids)
-        np.add.at(sums, assign, item_emb)
+        sums = backends.segment_sum(item_emb, assign, num_cells)
         occupied = counts > 0
         centroids[occupied] = (sums[occupied]
                                / counts[occupied, None].astype(item_emb.dtype))

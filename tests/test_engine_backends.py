@@ -118,6 +118,84 @@ class TestKernelParity:
                                    atol=1e-12)
 
 
+def _add_at(values, indices, num_rows):
+    out = np.zeros((num_rows,) + values.shape[indices.ndim:], values.dtype)
+    np.add.at(out, indices, values)
+    return out
+
+
+def _scatter_cases(value_dtype, index_dtype, count=25):
+    """Random scatters with duplicates, plus an empty and a 1-D batch."""
+    rng = np.random.default_rng(17)
+    cases = [(np.zeros((0, 4), value_dtype), np.zeros(0, index_dtype), 5),
+             (rng.normal(size=40).astype(value_dtype),
+              rng.integers(0, 7, 40).astype(index_dtype), 7)]
+    for _ in range(count):
+        rows = int(rng.integers(1, 300))
+        batch = int(rng.integers(1, 2000))
+        width = int(rng.integers(1, 40))
+        # Values spanning many magnitudes make any reordering of a row's
+        # sum show up in the low bits.
+        values = (rng.normal(size=(batch, width))
+                  * 10.0 ** rng.uniform(-4, 4, size=(batch, width)))
+        cases.append((values.astype(value_dtype),
+                      rng.integers(0, rows, batch).astype(index_dtype), rows))
+    return cases
+
+
+class TestOneHotScatter:
+    """``scatter_add_rows`` and ``segment_sum`` run as a one-hot sparse
+    product whose rows list their positions in batch order, so every
+    output row sums in ``np.add.at``'s order: equal byte for byte."""
+
+    @pytest.mark.parametrize("kernel", ["scatter_add_rows", "segment_sum"])
+    @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize("value_dtype", [np.float32, np.float64])
+    def test_bitwise_equal_to_add_at(self, kernel, value_dtype, index_dtype):
+        for values, indices, rows in _scatter_cases(value_dtype, index_dtype):
+            got = getattr(backends, kernel)(values, indices, rows)
+            expected = _add_at(values, indices, rows)
+            assert got.dtype == expected.dtype
+            assert got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
+
+    def test_multi_axis_indices_and_trailing_axes(self, rng):
+        values = rng.normal(size=(6, 5, 3, 2))
+        indices = rng.integers(0, 4, size=(6, 5))
+        got = backends.scatter_add_rows(values, indices, 4)
+        assert got.tobytes() == _add_at(values, indices, 4).tobytes()
+
+    def test_bitwise_under_spmm_blocking(self):
+        # Sorted, duplicate-heavy runs large enough for the blocked spmm
+        # to take the one-hot product.
+        from repro.engine import locality, use_spmm_block
+
+        rng = np.random.default_rng(3)
+        batch = locality.MIN_BLOCKED_NNZ + 4000
+        indices = np.sort(rng.integers(0, 500, batch))
+        values = rng.normal(size=(batch, 8)) * 10.0 ** rng.uniform(
+            -4, 4, size=(batch, 8))
+        with use_spmm_block("auto"):
+            got = backends.scatter_add_rows(values, indices, 500)
+        assert got.tobytes() == _add_at(values, indices, 500).tobytes()
+
+    def test_counts_one_scatter_call_and_no_spmm(self, rng):
+        values = rng.normal(size=(30, 4))
+        indices = rng.integers(0, 9, 30)
+        with instrument.track() as used:
+            backends.scatter_add_rows(values, indices, 9)
+            backends.segment_sum(values, indices, 9)
+        assert used["calls.scatter_add_rows"] == 1
+        assert used["calls.segment_sum"] == 1
+        assert not used.get("calls.spmm")
+
+    @pytest.mark.parametrize("bad", [-1, 9])
+    def test_rejects_out_of_range_index(self, bad, rng):
+        indices = np.array([0, bad, 3])
+        with pytest.raises(IndexError):
+            backends.scatter_add_rows(rng.normal(size=(3, 2)), indices, 9)
+
+
 class TestOpGradParity:
     @pytest.mark.parametrize("kernel_set", KERNEL_SETS)
     def test_spmm_gradcheck(self, kernel_set, rng):

@@ -3,8 +3,9 @@
 The contract under test: with blocking enabled, the engine's spmm
 output is *bitwise* identical to the flat kernel (the CSC column walk
 visits each output row's terms in the same sorted-index order CSR
-does), the chunked gather matches ``np.take`` exactly, and the
-coalescing scatter only engages where its preconditions hold.
+does) and the chunked gather matches ``np.take`` exactly.  The
+scatter-add under blocking is covered with the other scatter parity
+tests in ``tests/test_engine_backends.py``.
 """
 
 import numpy as np
@@ -235,28 +236,6 @@ def test_gather_rows_blocked_supports_2d_index_batches():
     out = np.empty((40, 5, 8))
     locality.gather_rows_blocked(table, indices, out, block_bytes=4 * 1024)
     np.testing.assert_array_equal(out, table[indices])
-
-
-def test_scatter_clustered_handles_sorted_duplicate_runs():
-    grad = np.ones((8, 4))
-    indices = np.array([0, 0, 0, 0, 2, 2, 5, 5])
-    out = np.zeros((6, 4))
-    handled = locality.scatter_add_rows_clustered(grad, indices, out)
-    assert handled
-    expected = np.zeros((6, 4))
-    np.add.at(expected, indices, grad)
-    np.testing.assert_allclose(out, expected)
-
-
-def test_scatter_clustered_declines_unsorted_or_sparse_duplicates():
-    grad = np.ones((4, 4))
-    out = np.zeros((10, 4))
-    # Unsorted indices: clustering is absent, caller must use np.add.at.
-    assert not locality.scatter_add_rows_clustered(
-        grad, np.array([3, 1, 2, 0]), out)
-    # Sorted but duplicate-light: reduceat overhead is not worth it.
-    assert not locality.scatter_add_rows_clustered(
-        grad, np.array([0, 1, 2, 3]), out)
 
 
 def test_env_var_controls_default_block(monkeypatch):

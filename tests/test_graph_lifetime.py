@@ -1,7 +1,8 @@
 """Autograd graph lifetime: a step's graph is freed by refcount.
 
-Backward closures hold a weak proxy of their output, so no graph node
-sits in a reference cycle: dropping the loss frees the whole step
+Backward closures close over their inputs only (the output node is
+passed in when backward runs), so no graph node sits in a reference
+cycle: dropping the loss frees the whole step
 (activations and gradients) without the cyclic garbage collector.
 Non-leaf gradients are freed as soon as their closure has consumed
 them; leaf (``Parameter``) gradients are kept for the optimizer.

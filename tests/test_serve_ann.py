@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.eval.metrics import top_k_indices
-from repro.serve.ann import build_ivf_index
+from repro.serve.ann import _kmeans, build_ivf_index
+from tests.oracles import use_kernels
 
 
 @pytest.fixture(scope="module")
@@ -86,3 +87,25 @@ class TestIvf:
         recall = len(exact & probed) / len(exact)
         assert recall >= 0.8
 
+
+
+def _add_at_segment_sum(values, segment_ids, num_segments):
+    sums = np.zeros((num_segments,) + values.shape[1:], values.dtype)
+    np.add.at(sums, segment_ids, values)
+    return sums
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_kmeans_bitwise_equal_to_add_at_sums(dtype):
+    # ``large``-shaped: 12k items with DGNN's 48-wide (d=16, L=2 concat)
+    # final embeddings and the default sqrt(n) cells.
+    rng = np.random.default_rng(5)
+    centers = rng.standard_normal((40, 48)) * 2.0
+    emb = (centers[rng.integers(0, 40, size=12_000)]
+           + rng.standard_normal((12_000, 48))).astype(dtype)
+    cells = int(round(np.sqrt(len(emb))))
+    with use_kernels({"segment_sum": _add_at_segment_sum}):
+        expected = _kmeans(emb, cells, 10, np.random.default_rng(0))
+    centroids, assign = _kmeans(emb, cells, 10, np.random.default_rng(0))
+    assert centroids.tobytes() == expected[0].tobytes()
+    assert assign.tobytes() == expected[1].tobytes()
