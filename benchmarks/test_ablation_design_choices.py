@@ -38,7 +38,6 @@ def test_design_choice_ablations(benchmark):
         rows["default"] = run_model("dgnn", context, config).metrics
         rows["literal-eq4"] = run_model("dgnn", context, config,
                                         literal_eq4=True).metrics
-        run = run_model("dgnn", context, config, keep_model=True)
         # naive init needs retraining from scratch:
         from repro.models import create_model
         from repro.train import Trainer

@@ -8,9 +8,9 @@ Five layers (bottom to top):
 * :mod:`repro.engine.backends` — the one instrumented set of sparse
   kernels (vectorized CSR spmm, gathers, scatters, the fused Eq. 3
   memory mixture) every model calls;
-* :mod:`repro.engine.adjcache` — normalized adjacencies memoized by
-  matrix identity + scheme + dtype, so every matrix normalizes once
-  per run;
+* :mod:`repro.engine.adjcache` — the CSR transpose spmm's backward
+  multiplies by, memoized per matrix (normalized adjacencies are views
+  each :class:`~repro.graph.hetero.CollaborativeHeteroGraph` owns);
 * :mod:`repro.engine.propagate` — the shared :class:`LayerStack`
   pattern and the single :func:`bpr_terms` BPR implementation;
 * :mod:`repro.engine.instrument` — per-kernel counters (calls, nnz,
@@ -29,12 +29,7 @@ from repro.engine.locality import (
     set_spmm_block,
     use_spmm_block,
 )
-from repro.engine.adjcache import (
-    AdjacencyCache,
-    cached_transpose,
-    get_cache,
-    normalized,
-)
+from repro.engine.adjcache import cached_transpose
 from repro.engine.precision import (
     Tolerances,
     as_index_array,
@@ -49,7 +44,6 @@ from repro.engine.precision import (
 )
 
 __all__ = [
-    "AdjacencyCache",
     "LayerStack",
     "Tolerances",
     "arena",
@@ -57,14 +51,12 @@ __all__ = [
     "bpr_terms",
     "cached_transpose",
     "clear_block_cache",
-    "get_cache",
     "get_dtype",
     "get_index_dtype",
     "get_spmm_block",
     "index_dtype_for",
     "instrument",
     "locality",
-    "normalized",
     "set_dtype",
     "set_index_dtype",
     "set_spmm_block",

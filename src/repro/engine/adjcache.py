@@ -1,171 +1,53 @@
-"""Memoized normalized adjacencies keyed by matrix identity + scheme.
+"""The memoized CSR transpose that spmm's backward pass multiplies by.
 
-Normalizing a sparse adjacency (row / symmetric / self-loop variants,
-the paper's joint-degree scalings, or just building the transpose for an
-spmm backward) costs ``O(nnz)`` each time.  The seed code paid that cost
-repeatedly — ``DGNN.propagate_on`` re-normalized the social matrix on
-every call and ``autograd.ops.spmm`` rebuilt the CSR transpose on every
-invocation.  This cache computes each ``(matrix, scheme)`` result once
-and holds it until the matrix itself is garbage collected (entries are
-evicted through a ``weakref`` callback, so the per-batch matrices of
-induced subgraphs do not accumulate).
+Building a transpose costs ``O(nnz)``; the seed rebuilt it on every
+spmm call.  :func:`cached_transpose` computes it once per matrix and
+holds it until the matrix itself is garbage collected.  The memo is
+keyed by matrix identity, because per-batch row slices and subgraph
+slices pass through it as well as a graph's long-lived views; a
+``weakref`` callback drops an entry when its matrix dies, before the id
+can be reused, so the short-lived slices do not accumulate.
 
-Every lookup is counted in :mod:`repro.engine.instrument` — the
-hit/miss/normalization counters are how the tests *prove* normalization
-runs once per (matrix, scheme) per training run.
-
-Cache keys include the active engine dtype
-(:func:`repro.engine.precision.get_dtype`), so normalized views built
-under ``float32`` and ``float64`` coexist without one precision leaking
-into computations running at the other.
+Every lookup is counted as a cache hit or miss in
+:mod:`repro.engine.instrument`.  Normalized adjacencies are not built
+here: each :class:`~repro.graph.hetero.CollaborativeHeteroGraph` owns
+its views.
 """
 
 from __future__ import annotations
 
 import weakref
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import scipy.sparse as sp
 
 from repro.engine.instrument import counters
-from repro.engine.precision import get_dtype
 
-
-def _scheme_builders() -> Dict[str, Callable[[sp.spmatrix], sp.csr_matrix]]:
-    # Imported lazily: repro.graph.adjacency is below this module in the
-    # import graph only at call time (repro.graph.__init__ imports hetero,
-    # which imports this module).
-    from repro.graph.adjacency import (
-        add_self_loops,
-        row_normalize,
-        symmetric_normalize,
-    )
-
-    return {
-        "row": row_normalize,
-        "sym": symmetric_normalize,
-        "row_self_loop": lambda m: row_normalize(add_self_loops(m)),
-        "sym_self_loop": lambda m: symmetric_normalize(add_self_loops(m)),
-    }
-
-
-_TRANSPOSE_SCHEME = "__transpose__"
-
-
-class AdjacencyCache:
-    """Identity-keyed memo of derived sparse matrices.
-
-    Keys are ``(id(matrix), scheme, dtype)``.  Identity keying is safe
-    because a weak reference with an eviction callback is kept per source
-    matrix: when the matrix dies, all of its entries are dropped before
-    its id can be reused.  The dtype component is the active engine
-    precision at lookup time, so float32 and float64 views never collide.
-    """
-
-    def __init__(self):
-        self._store: Dict[Tuple[int, str, str], sp.csr_matrix] = {}
-        self._watchers: Dict[int, weakref.ref] = {}
-        self.hits = 0
-        self.misses = 0
-
-    # ------------------------------------------------------------------
-    def _watch(self, matrix: sp.spmatrix) -> None:
-        key = id(matrix)
-        if key in self._watchers:
-            return
-
-        def evict(_ref, cache=self, key=key):
-            cache._watchers.pop(key, None)
-            for entry in [k for k in cache._store if k[0] == key]:
-                cache._store.pop(entry, None)
-
-        self._watchers[key] = weakref.ref(matrix, evict)
-
-    def normalized(self, matrix: sp.spmatrix, scheme: str,
-                   builder: Optional[Callable[[sp.spmatrix], sp.spmatrix]] = None,
-                   ) -> sp.csr_matrix:
-        """The ``scheme``-normalized view of ``matrix``, computed once.
-
-        ``scheme`` is one of ``"row"``, ``"sym"``, ``"row_self_loop"``,
-        ``"sym_self_loop"`` — or any label when an explicit ``builder``
-        callable is given (used for the paper's joint-degree scalings,
-        whose normalizers need degree vectors beyond the matrix itself).
-        """
-        dtype = get_dtype()
-        key = (id(matrix), scheme, dtype.name)
-        cached = self._store.get(key)
-        if cached is not None:
-            self.hits += 1
-            counters().record_cache(True)
-            return cached
-        self.misses += 1
-        counters().record_cache(False)
-        if builder is None:
-            builders = _scheme_builders()
-            if scheme not in builders:
-                raise KeyError(f"unknown normalization scheme {scheme!r}; "
-                               f"known: {sorted(builders)} (or pass builder=)")
-            builder = builders[scheme]
-        counters().record_normalization()
-        from repro.graph.adjacency import as_csr64
-        result = as_csr64(sp.csr_matrix(builder(matrix), dtype=dtype))
-        self._watch(matrix)
-        self._store[key] = result
-        return result
-
-    def transpose(self, matrix: sp.spmatrix) -> sp.csr_matrix:
-        """CSR transpose of ``matrix``, computed once per matrix.
-
-        Used by the spmm backward pass — the seed rebuilt this on every
-        forward call.  Not counted as a normalization.
-        """
-        key = (id(matrix), _TRANSPOSE_SCHEME, matrix.dtype.name)
-        cached = self._store.get(key)
-        if cached is not None:
-            self.hits += 1
-            counters().record_cache(True)
-            return cached
-        self.misses += 1
-        counters().record_cache(False)
-        from repro.graph.adjacency import _canonical_index_dtype
-        result = matrix.T.tocsr()
-        index_dtype = _canonical_index_dtype(result)
-        if (result.indices.dtype != index_dtype
-                or result.indptr.dtype != index_dtype):
-            result = sp.csr_matrix(
-                (result.data, result.indices.astype(index_dtype, copy=False),
-                 result.indptr.astype(index_dtype, copy=False)),
-                shape=result.shape, copy=False)
-        result.sort_indices()
-        self._watch(matrix)
-        self._store[key] = result
-        return result
-
-    # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        return len(self._store)
-
-    def clear(self) -> None:
-        """Drop every cached entry (does not reset hit/miss counts)."""
-        self._store.clear()
-        self._watchers.clear()
-
-
-_GLOBAL = AdjacencyCache()
-
-
-def get_cache() -> AdjacencyCache:
-    """The process-global adjacency cache."""
-    return _GLOBAL
-
-
-def normalized(matrix: sp.spmatrix, scheme: str,
-               builder: Optional[Callable[[sp.spmatrix], sp.spmatrix]] = None,
-               ) -> sp.csr_matrix:
-    """Module-level shortcut for ``get_cache().normalized(...)``."""
-    return _GLOBAL.normalized(matrix, scheme, builder)
+_transposes: Dict[int, Tuple[weakref.ref, sp.csr_matrix]] = {}
 
 
 def cached_transpose(matrix: sp.spmatrix) -> sp.csr_matrix:
-    """Module-level shortcut for ``get_cache().transpose(...)``."""
-    return _GLOBAL.transpose(matrix)
+    """CSR transpose of ``matrix``, computed once per matrix.
+
+    The result keeps the canonical index dtype and sorted indices.  It
+    is not counted as a normalization.
+    """
+    key = id(matrix)
+    entry = _transposes.get(key)
+    if entry is not None:
+        counters().record_cache(True)
+        return entry[1]
+    counters().record_cache(False)
+    from repro.graph.adjacency import _canonical_index_dtype
+    result = matrix.T.tocsr()
+    index_dtype = _canonical_index_dtype(result)
+    if (result.indices.dtype != index_dtype
+            or result.indptr.dtype != index_dtype):
+        result = sp.csr_matrix(
+            (result.data, result.indices.astype(index_dtype, copy=False),
+             result.indptr.astype(index_dtype, copy=False)),
+            shape=result.shape, copy=False)
+    result.sort_indices()
+    _transposes[key] = (weakref.ref(
+        matrix, lambda _ref, key=key: _transposes.pop(key, None)), result)
+    return result

@@ -1,8 +1,9 @@
 """Kernel-level counters for the propagation engine.
 
-Every sparse kernel in :mod:`repro.engine.backends` and
-every adjacency normalization performed by :mod:`repro.engine.adjcache`
-reports here: call counts, nonzeros processed, per-kernel dense-FLOP and
+Every sparse kernel in :mod:`repro.engine.backends`, every normalized
+view a :class:`~repro.graph.hetero.CollaborativeHeteroGraph` builds and
+every lookup of :mod:`repro.engine.adjcache`'s transpose memo reports
+here: call counts, nonzeros processed, per-kernel dense-FLOP and
 bytes-moved estimates and wall-clock seconds.  The counters are
 process-global and monotonic; consumers take :func:`snapshot` deltas
 around the region they care about (the
@@ -54,14 +55,14 @@ class KernelCounters:
                                       + float(bytes_moved))
 
     def record_cache(self, hit: bool) -> None:
-        """Account one adjacency-cache lookup."""
+        """Account one lookup of the spmm-backward transpose memo."""
         if hit:
             self.cache_hits += 1
         else:
             self.cache_misses += 1
 
     def record_normalization(self) -> None:
-        """Account one actual (non-cached) adjacency normalization."""
+        """Account one normalized graph view actually built."""
         self.normalizations += 1
 
     # ------------------------------------------------------------------

@@ -18,8 +18,9 @@ a single explicit policy instead of a scattered constant:
 The policy is consulted at *creation* time: tensors, parameters and
 cached adjacencies built while a dtype is active carry that dtype.
 Switching mid-run does not retroactively convert live arrays — build
-models and graphs inside :func:`use_dtype` (the adjacency cache keys on
-dtype, so cached views of the two precisions never collide).
+models inside :func:`use_dtype`.  A graph's normalized views are the
+exception: the graph keeps one per dtype it is asked for, so views of
+the two precisions never collide whichever dtype built the graph.
 
 Alongside the floating policy lives the *index* policy: the integer
 dtype used for CSR ``indices``/``indptr`` arrays, subgraph local-id

@@ -2,12 +2,8 @@
 
 from repro.graph.hetero import CollaborativeHeteroGraph, EdgeSet
 from repro.graph.sampling import (
-    InducedSubgraph,
     SubgraphView,
-    build_subgraph_view,
     expand_neighborhood,
-    expand_neighborhood_loop,
-    induced_subgraph,
     sample_subgraph_view,
 )
 from repro.graph.adjacency import (
@@ -25,10 +21,6 @@ __all__ = [
     "bipartite_norm_adjacency",
     "add_self_loops",
     "expand_neighborhood",
-    "expand_neighborhood_loop",
-    "induced_subgraph",
-    "InducedSubgraph",
     "SubgraphView",
-    "build_subgraph_view",
     "sample_subgraph_view",
 ]

@@ -1,8 +1,8 @@
 """Sparse adjacency normalization helpers shared by all GNN models.
 
-These are the *builders*; models should not call them per batch.  The
-memoizing layer (:mod:`repro.engine.adjcache`) invokes them once per
-``(matrix, scheme, dtype)`` and hands out the cached CSR result afterwards.
+These are the *builders*; models should not call them per batch.
+:class:`~repro.graph.hetero.CollaborativeHeteroGraph` invokes them once
+per view and engine dtype and hands out its cached CSR result afterwards.
 
 Canonicalization follows the engine precision policy
 (:mod:`repro.engine.precision`): matrices are coerced to CSR with sorted

@@ -16,26 +16,62 @@ sparse views they need:
 Ablation variants (``-S``, ``-T``, ``-ST`` in Fig. 5) are expressed by
 constructing the graph with ``use_social=False`` / ``use_item_relations=
 False``; every view then degrades consistently.
+
+Each normalized view is built on first use from the stored relation
+matrices and kept on the graph, once per engine dtype it is asked for.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Dict, Optional, Tuple
+from functools import cached_property, wraps
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.data.dataset import InteractionDataset
-from repro.engine.adjcache import get_cache
-from repro.engine.precision import index_dtype_for
+from repro.engine.instrument import counters
+from repro.engine.precision import get_dtype, index_dtype_for
 from repro.graph.adjacency import (
+    add_self_loops,
     as_csr64,
     assert_csr64,
     bipartite_norm_adjacency,
     row_normalize,
+    symmetric_normalize,
 )
+
+
+def _per_dtype(build: Callable[["CollaborativeHeteroGraph"], sp.spmatrix]
+               ) -> property:
+    """A normalized view, built once per graph and active engine dtype.
+
+    The graph keeps each result under ``(view name, dtype)``, so float32
+    and float64 views of one graph coexist and neither is served under
+    the other's dtype.  Each build counts as one adjacency normalization
+    in :mod:`repro.engine.instrument`.
+    """
+    name = build.__name__
+
+    @wraps(build)
+    def view(self: "CollaborativeHeteroGraph") -> sp.csr_matrix:
+        dtype = get_dtype()
+        key = (name, dtype)
+        cached = self._views.get(key)
+        if cached is None:
+            # The prefetch thread may ask for a view too; build it once.
+            # The lock is re-entrant: ``item_context`` builds two views.
+            with self._views_lock:
+                cached = self._views.get(key)
+                if cached is None:
+                    counters().record_normalization()
+                    cached = as_csr64(sp.csr_matrix(build(self), dtype=dtype))
+                    self._views[key] = cached
+        return cached
+
+    return property(view)
 
 
 @dataclass(frozen=True)
@@ -96,143 +132,131 @@ class CollaborativeHeteroGraph:
                 sp.csr_matrix((self.num_items, self.num_relations)))
         for name in ("interaction", "social", "item_relation"):
             assert_csr64(getattr(self, name), name)
-
-    # ------------------------------------------------------------------
-    # Normalized views through the engine's adjacency cache
-    # ------------------------------------------------------------------
-    def normalized(self, matrix: sp.spmatrix, scheme: str,
-                   builder=None) -> sp.csr_matrix:
-        """A cached normalized view of one of this graph's matrices.
-
-        Routed through :mod:`repro.engine.adjcache`, so each
-        ``(matrix, scheme)`` pair is normalized at most once per run —
-        including for the short-lived graphs of induced subgraphs.
-        """
-        return get_cache().normalized(matrix, scheme, builder)
+        self._views: Dict[Tuple[str, np.dtype], sp.csr_matrix] = {}
+        self._views_lock = threading.RLock()
 
     # ------------------------------------------------------------------
     # Degrees and joint normalizers (Eqs. 4-6)
     # ------------------------------------------------------------------
+    # Degree counts are summed in float64, where they are exact whatever
+    # dtype the graph was built under.
     @cached_property
     def user_degree_social(self) -> np.ndarray:
-        return np.asarray(self.social.sum(axis=1)).reshape(-1)
+        return np.asarray(self.social.sum(axis=1, dtype=np.float64)).reshape(-1)
 
     @cached_property
     def user_degree_interaction(self) -> np.ndarray:
-        return np.asarray(self.interaction.sum(axis=1)).reshape(-1)
+        return np.asarray(
+            self.interaction.sum(axis=1, dtype=np.float64)).reshape(-1)
 
     @cached_property
     def item_degree_interaction(self) -> np.ndarray:
-        return np.asarray(self.interaction.sum(axis=0)).reshape(-1)
+        return np.asarray(
+            self.interaction.sum(axis=0, dtype=np.float64)).reshape(-1)
 
     @cached_property
     def item_degree_relation(self) -> np.ndarray:
-        return np.asarray(self.item_relation.sum(axis=1)).reshape(-1)
+        return np.asarray(
+            self.item_relation.sum(axis=1, dtype=np.float64)).reshape(-1)
 
     @cached_property
     def relation_degree(self) -> np.ndarray:
-        return np.asarray(self.item_relation.sum(axis=0)).reshape(-1)
+        return np.asarray(
+            self.item_relation.sum(axis=0, dtype=np.float64)).reshape(-1)
 
     @staticmethod
     def _joint_scale(*degree_vectors: np.ndarray) -> sp.dia_matrix:
+        """``diag(1 / sum of degrees)`` in the active engine dtype.
+
+        The reciprocal is taken in float64 and cast: a correctly rounded
+        float64 ``1/d`` rounds to float32's own ``1/d``, so the scale is
+        the same at either dtype, whichever dtype built the graph.
+        """
         total = np.sum(degree_vectors, axis=0)
         inverse = np.zeros_like(total)
         nonzero = total > 0
         inverse[nonzero] = 1.0 / total[nonzero]
-        return sp.diags(inverse)
+        return sp.diags(inverse.astype(get_dtype()))
 
-    @cached_property
-    def user_social_joint(self) -> sp.csr_matrix:
+    @_per_dtype
+    def user_social_joint(self) -> sp.spmatrix:
         """``S`` scaled by ``1/(|N^S_u| + |N^Y_u|)`` per target user (Eq. 4)."""
-        scale = self._joint_scale(self.user_degree_social, self.user_degree_interaction)
-        return self.normalized(self.social, "joint_user",
-                               builder=lambda m: scale @ m)
+        return self._joint_scale(self.user_degree_social,
+                                 self.user_degree_interaction) @ self.social
 
-    @cached_property
-    def user_item_joint(self) -> sp.csr_matrix:
+    @_per_dtype
+    def user_item_joint(self) -> sp.spmatrix:
         """``Y`` scaled by the same joint user normalizer (Eq. 4)."""
-        scale = self._joint_scale(self.user_degree_social, self.user_degree_interaction)
-        return self.normalized(self.interaction, "joint_user",
-                               builder=lambda m: scale @ m)
+        return self._joint_scale(self.user_degree_social,
+                                 self.user_degree_interaction) @ self.interaction
 
-    @cached_property
-    def item_user_joint(self) -> sp.csr_matrix:
+    @_per_dtype
+    def item_user_joint(self) -> sp.spmatrix:
         """``Y^T`` scaled by ``1/(|N^Y_v| + |N^T_v|)`` per target item (Eq. 5)."""
-        scale = self._joint_scale(self.item_degree_interaction, self.item_degree_relation)
-        return self.normalized(self.interaction, "joint_item_t",
-                               builder=lambda m: scale @ m.T.tocsr())
+        return (self._joint_scale(self.item_degree_interaction,
+                                  self.item_degree_relation)
+                @ self.interaction.T.tocsr())
 
-    @cached_property
-    def item_relation_joint(self) -> sp.csr_matrix:
+    @_per_dtype
+    def item_relation_joint(self) -> sp.spmatrix:
         """``T`` scaled by the same joint item normalizer (Eq. 5)."""
-        scale = self._joint_scale(self.item_degree_interaction, self.item_degree_relation)
-        return self.normalized(self.item_relation, "joint_item",
-                               builder=lambda m: scale @ m)
+        return (self._joint_scale(self.item_degree_interaction,
+                                  self.item_degree_relation)
+                @ self.item_relation)
 
-    @cached_property
-    def relation_item_mean(self) -> sp.csr_matrix:
+    @_per_dtype
+    def relation_item_mean(self) -> sp.spmatrix:
         """``T^T`` scaled by ``1/|N_r|`` per relation node (Eq. 6)."""
-        return self.normalized(self.item_relation, "row_t",
-                               builder=lambda m: row_normalize(m.T.tocsr()))
+        return row_normalize(self.item_relation.T.tocsr())
 
     # ------------------------------------------------------------------
     # Baseline views
     # ------------------------------------------------------------------
-    @cached_property
-    def user_item_mean(self) -> sp.csr_matrix:
+    @_per_dtype
+    def user_item_mean(self) -> sp.spmatrix:
         """Row-normalized ``Y`` (plain mean over interacted items)."""
-        return self.normalized(self.interaction, "row")
+        return row_normalize(self.interaction)
 
-    @cached_property
-    def item_user_mean(self) -> sp.csr_matrix:
+    @_per_dtype
+    def item_user_mean(self) -> sp.spmatrix:
         """Row-normalized ``Y^T``."""
-        return self.normalized(self.interaction, "row_t",
-                               builder=lambda m: row_normalize(m.T.tocsr()))
+        return row_normalize(self.interaction.T.tocsr())
 
-    @cached_property
-    def social_mean(self) -> sp.csr_matrix:
+    @_per_dtype
+    def social_mean(self) -> sp.spmatrix:
         """Row-normalized ``S`` (mean over friends)."""
-        return self.normalized(self.social, "row")
+        return row_normalize(self.social)
 
-    @cached_property
-    def social_sym(self) -> sp.csr_matrix:
+    @_per_dtype
+    def social_sym(self) -> sp.spmatrix:
         """Symmetric-normalized ``S``."""
-        return self.normalized(self.social, "sym")
+        return symmetric_normalize(self.social)
 
-    @cached_property
-    def social_self_loop_mean(self) -> sp.csr_matrix:
-        """Row-normalized ``S + I`` — the τ recalibration operator (Eq. 9).
+    @_per_dtype
+    def social_self_loop_mean(self) -> sp.spmatrix:
+        """Row-normalized ``S + I`` — the τ recalibration operator (Eq. 9)."""
+        return row_normalize(add_self_loops(self.social))
 
-        The seed recomputed this inside ``DGNN.propagate_on`` on every
-        minibatch; as a cached view it normalizes once per graph.
-        """
-        return self.normalized(self.social, "row_self_loop")
-
-    @cached_property
-    def item_relation_mean(self) -> sp.csr_matrix:
+    @_per_dtype
+    def item_relation_mean(self) -> sp.spmatrix:
         """Row-normalized ``T``."""
-        return self.normalized(self.item_relation, "row")
+        return row_normalize(self.item_relation)
 
-    @cached_property
-    def item_context(self) -> sp.csr_matrix:
+    @_per_dtype
+    def item_context(self) -> sp.spmatrix:
         """Item→item context operator through relation nodes (I-R-I).
 
         ``item_relation_mean @ relation_item_mean``: every item mixes the
         mean embedding of its relation nodes, each the mean over that
-        relation's items.  NGCF/GCCF used to compose this privately per
-        model instance; as a cached graph view it is built once and can
-        be row/column-sliced by :class:`~repro.graph.sampling.SubgraphView`.
+        relation's items.  As a graph view it is built once and can be
+        row/column-sliced by :class:`~repro.graph.sampling.SubgraphView`.
         """
-        return self.normalized(
-            self.item_relation, "item_context",
-            builder=lambda m: (self.item_relation_mean
-                               @ self.relation_item_mean).tocsr())
+        return (self.item_relation_mean @ self.relation_item_mean).tocsr()
 
-    @cached_property
-    def bipartite_norm(self) -> sp.csr_matrix:
+    @_per_dtype
+    def bipartite_norm(self) -> sp.spmatrix:
         """Symmetric-normalized joint user–item adjacency for CF baselines."""
-        return self.normalized(self.interaction, "bipartite",
-                               builder=bipartite_norm_adjacency)
+        return bipartite_norm_adjacency(self.interaction)
 
     # ------------------------------------------------------------------
     # Meta-paths (HAN / HERec)

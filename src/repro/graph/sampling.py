@@ -3,14 +3,13 @@
 Full-graph propagation per BPR batch (Alg. 1) is exact but scales with
 the whole graph.  For datasets the size of the paper's Epinions/Yelp a
 practical trainer propagates only over the batch's L-hop neighbourhood.
-This module provides the three pieces of that pipeline:
+This module provides the two pieces of that pipeline:
 
 * :func:`expand_neighborhood` — grow a seed set of users/items through
   the social, interaction and item-relation edges for ``hops`` rounds,
   optionally capping the per-node fan-out (uniform neighbour sampling).
-  The default implementation is fully vectorized (ragged CSR gathers +
-  lexsort-based fan-out subsampling); the original per-node Python loop
-  is kept as :func:`expand_neighborhood_loop`, the parity oracle.
+  It is fully vectorized (ragged CSR gathers + composite-key fan-out
+  subsampling); the test suite checks it against a per-node loop.
 * :class:`SubgraphView` — a lightweight view of the induced subgraph
   that *slices the parent graph's cached normalized adjacencies* row- and
   column-wise in one ragged CSR pass.  No ``InteractionDataset`` or
@@ -18,11 +17,6 @@ This module provides the three pieces of that pipeline:
   their full-graph normalizers (so the uncapped closure reproduces
   full-graph propagation exactly), and only the adjacencies a model's
   layer stack actually touches are materialized, lazily.
-* :func:`induced_subgraph` — the original heavyweight construction: a
-  fully functional :class:`~repro.graph.hetero.CollaborativeHeteroGraph`
-  over the induced node sets with normalizers recomputed on the *induced*
-  degrees (the GraphSAGE-style approximation).  Kept for ablations and as
-  the oracle the view tests compare structure against.
 
 One hop adds, per relation type: social neighbours of current users,
 items of current users, users of current items, and relation-co-members
@@ -35,15 +29,14 @@ channel).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
-from repro.data.dataset import InteractionDataset
 from repro.engine.adjcache import cached_transpose
 from repro.engine.precision import as_index_array, index_dtype_for
+from repro.engine.propagate import check_ids
 from repro.engine.ragged import gather_ragged_rows
 from repro.graph.hetero import CollaborativeHeteroGraph
 
@@ -51,29 +44,8 @@ _EMPTY = np.zeros(0, dtype=np.int64)
 
 
 # ----------------------------------------------------------------------
-# Neighbour gathering: loop oracle and vectorized fast path
+# Neighbour gathering
 # ----------------------------------------------------------------------
-def _neighbors_loop(matrix: sp.csr_matrix, nodes: np.ndarray,
-                    fanout: Optional[int],
-                    rng: np.random.Generator) -> np.ndarray:
-    """Union of (possibly subsampled) neighbour sets — per-node loop.
-
-    The transparent reference implementation; the vectorized fast path
-    must agree with it exactly when ``fanout`` is ``None``.
-    """
-    collected = []
-    indptr, indices = matrix.indptr, matrix.indices
-    for node in nodes:
-        row = indices[indptr[node]:indptr[node + 1]]
-        if fanout is not None and len(row) > fanout:
-            row = rng.choice(row, size=fanout, replace=False)
-        collected.append(row)
-    if not collected:
-        return _EMPTY
-    return np.unique(np.concatenate(collected)).astype(
-        index_dtype_for(matrix.shape[1]))
-
-
 def _ragged_gather(indptr: np.ndarray, nodes: np.ndarray
                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Positions of every CSR entry owned by ``nodes``, plus row layout.
@@ -134,10 +106,13 @@ def _expand(graph: CollaborativeHeteroGraph, seed_users: np.ndarray,
             seed_items: np.ndarray, hops: int, fanout: Optional[int],
             seed: int, neighbors: _NeighborFn
             ) -> Tuple[np.ndarray, np.ndarray]:
-    """The shared hop rule, parameterized by the neighbour gatherer."""
+    """The hop rule, parameterized by the neighbour gatherer so the
+    test suite can run it on its per-node loop oracle."""
     rng = np.random.default_rng(seed)
-    users = np.unique(as_index_array(seed_users, graph.num_users))
-    items = np.unique(as_index_array(seed_items, graph.num_items))
+    users = np.unique(as_index_array(
+        check_ids(seed_users, graph.num_users, "seed user"), graph.num_users))
+    items = np.unique(as_index_array(
+        check_ids(seed_items, graph.num_items, "seed item"), graph.num_items))
     # Matrices are canonically CSR already; transposes are memoized so
     # repeated batch sampling does not rebuild them.
     interaction = graph.interaction
@@ -179,47 +154,16 @@ def expand_neighborhood(graph: CollaborativeHeteroGraph,
     all kept, so they need no explicit tracking).  ``fanout`` caps the
     neighbours drawn per node per relation — uniform neighbour sampling.
 
-    Fully vectorized (ragged CSR gathers plus lexsort fan-out capping).
-    With ``fanout=None`` the result is identical to the per-node loop
-    oracle :func:`expand_neighborhood_loop`; with a fan-out cap both draw
-    valid uniform samples but consume randomness in different orders.
+    Fully vectorized (ragged CSR gathers plus one argsort for fan-out
+    capping).  A seed id outside the graph raises ``ValueError``.
     """
     return _expand(graph, seed_users, seed_items, hops, fanout, seed,
                    _neighbors_fast)
 
 
-def expand_neighborhood_loop(graph: CollaborativeHeteroGraph,
-                             seed_users: np.ndarray, seed_items: np.ndarray,
-                             hops: int = 2, fanout: Optional[int] = None,
-                             seed: int = 0) -> Tuple[np.ndarray, np.ndarray]:
-    """The per-node-loop reference expansion — the parity oracle."""
-    return _expand(graph, seed_users, seed_items, hops, fanout, seed,
-                   _neighbors_loop)
-
-
 # ----------------------------------------------------------------------
 # Local id maps
 # ----------------------------------------------------------------------
-def _validated_local(sorted_ids: np.ndarray, queries: np.ndarray,
-                     kind: str) -> np.ndarray:
-    """Map sorted global ids to local rows, raising on absent members.
-
-    A bare ``np.searchsorted`` silently returns the insertion point for
-    ids missing from the induced set — an off-by-arbitrary local index
-    that corrupts the loss downstream.  Membership is validated here and
-    absence is a loud error.
-    """
-    queries = np.asarray(queries, dtype=np.int64)
-    local = np.minimum(np.searchsorted(sorted_ids, queries),
-                       len(sorted_ids) - 1)
-    bad = sorted_ids[local] != queries
-    if bad.any():
-        missing = np.unique(queries[bad])[:8]
-        raise KeyError(f"{kind} ids not present in the induced subgraph: "
-                       f"{missing.tolist()}")
-    return local
-
-
 def _local_lookup(ids: np.ndarray, size: int) -> np.ndarray:
     """Dense global→local id table (``-1`` marks absent globals).
 
@@ -230,6 +174,24 @@ def _local_lookup(ids: np.ndarray, size: int) -> np.ndarray:
     lut = np.full(size, -1, dtype=dtype)
     lut[ids] = np.arange(len(ids), dtype=dtype)
     return lut
+
+
+def _local_rows(lut: np.ndarray, global_ids: np.ndarray,
+                kind: str) -> np.ndarray:
+    """Map global ids to local rows; ``KeyError`` for any id not in the view.
+
+    Ids outside ``[0, len(lut))`` are not in the view either; they are
+    checked before the lookup, which would read a negative id from the
+    table's end.
+    """
+    ids = as_index_array(global_ids, len(lut))
+    outside = (ids < 0) | (ids >= len(lut))
+    local = lut[np.where(outside, 0, ids)]
+    missing = outside | (local < 0)
+    if missing.any():
+        raise KeyError(f"{kind} ids not present in the subgraph view: "
+                       f"{np.unique(ids[missing])[:8].tolist()}")
+    return local
 
 
 # ----------------------------------------------------------------------
@@ -297,13 +259,11 @@ _VIEW_SPECS: Dict[str, Tuple[Optional[str], str]] = {
 class SubgraphView:
     """Induced normalized adjacencies sliced straight from the parent.
 
-    The production minibatch path: where :func:`induced_subgraph`
-    rebuilds an :class:`InteractionDataset` plus every normalized view
-    per batch (re-deriving normalizers from the *induced* degrees), a
-    view gathers rows of the parent's already-normalized, already-cached
-    matrices and remaps columns through a dense lookup — one ragged CSR
-    pass per adjacency, built lazily only for the adjacencies the active
-    model's layer stack touches.
+    The minibatch path: a view gathers rows of the parent's
+    already-normalized, already-cached matrices and remaps columns
+    through a dense lookup — one ragged CSR pass per adjacency, built
+    lazily only for the adjacencies the active model's layer stack
+    touches.
 
     Because entries keep their full-graph normalization weights, running
     a model's layer stack on the view over the *uncapped* L-hop closure
@@ -313,9 +273,7 @@ class SubgraphView:
 
     The view deliberately quacks like the adjacency surface of
     :class:`~repro.graph.hetero.CollaborativeHeteroGraph`: models address
-    it through the same attribute names, and ``view.graph`` returns the
-    view itself so code written against
-    :class:`InducedSubgraph`'s ``.graph`` indirection runs unchanged.
+    it through the same attribute names and ``num_*`` counts.
     """
 
     def __init__(self, parent: CollaborativeHeteroGraph,
@@ -336,31 +294,14 @@ class SubgraphView:
         self._user_lut = _local_lookup(self.user_ids, parent.num_users)
         self._item_lut = _local_lookup(self.item_ids, parent.num_items)
 
-    # -- identity / id maps --------------------------------------------
-    @property
-    def graph(self) -> "SubgraphView":
-        """The adjacency provider — the view itself."""
-        return self
-
+    # -- id maps -------------------------------------------------------
     def local_users(self, global_users: np.ndarray) -> np.ndarray:
         """Map global user ids to local rows (raises if absent)."""
-        local = self._user_lut[as_index_array(global_users,
-                                              self.parent.num_users)]
-        if (local < 0).any():
-            missing = np.unique(np.asarray(global_users)[local < 0])[:8]
-            raise KeyError(f"user ids not present in the subgraph view: "
-                           f"{missing.tolist()}")
-        return local
+        return _local_rows(self._user_lut, global_users, "user")
 
     def local_items(self, global_items: np.ndarray) -> np.ndarray:
         """Map global item ids to local rows (raises if absent)."""
-        local = self._item_lut[as_index_array(global_items,
-                                              self.parent.num_items)]
-        if (local < 0).any():
-            missing = np.unique(np.asarray(global_items)[local < 0])[:8]
-            raise KeyError(f"item ids not present in the subgraph view: "
-                           f"{missing.tolist()}")
-        return local
+        return _local_rows(self._item_lut, global_items, "item")
 
     # -- lazy sliced views ---------------------------------------------
     def _row_ids(self, space: Optional[str]) -> Optional[np.ndarray]:
@@ -412,12 +353,6 @@ class SubgraphView:
                 f" views={list(self.materialized_views())})")
 
 
-def build_subgraph_view(graph: CollaborativeHeteroGraph, user_ids: np.ndarray,
-                        item_ids: np.ndarray) -> SubgraphView:
-    """A :class:`SubgraphView` over the given induced node sets."""
-    return SubgraphView(graph, user_ids, item_ids)
-
-
 def sample_subgraph_view(graph: CollaborativeHeteroGraph,
                          seed_users: np.ndarray, seed_items: np.ndarray,
                          hops: int = 2, fanout: Optional[int] = None,
@@ -426,68 +361,3 @@ def sample_subgraph_view(graph: CollaborativeHeteroGraph,
     user_ids, item_ids = expand_neighborhood(
         graph, seed_users, seed_items, hops=hops, fanout=fanout, seed=seed)
     return SubgraphView(graph, user_ids, item_ids)
-
-
-# ----------------------------------------------------------------------
-# Heavyweight induced subgraphs (ablation / oracle path)
-# ----------------------------------------------------------------------
-@dataclass
-class InducedSubgraph:
-    """A subgraph plus the maps between global and local ids."""
-
-    graph: CollaborativeHeteroGraph
-    user_ids: np.ndarray  # local -> global
-    item_ids: np.ndarray
-
-    def local_users(self, global_users: np.ndarray) -> np.ndarray:
-        """Map global user ids to local rows (raises if absent)."""
-        return _validated_local(self.user_ids, global_users, "user")
-
-    def local_items(self, global_items: np.ndarray) -> np.ndarray:
-        """Map global item ids to local rows (raises if absent)."""
-        return _validated_local(self.item_ids, global_items, "item")
-
-
-def induced_subgraph(graph: CollaborativeHeteroGraph, user_ids: np.ndarray,
-                     item_ids: np.ndarray) -> InducedSubgraph:
-    """The heterogeneous subgraph induced by the given node sets.
-
-    All relation nodes are kept (there are only ``R`` of them); edges are
-    those of the parent graph with both endpoints inside the induced
-    sets.  Returns a real :class:`CollaborativeHeteroGraph`, so every
-    normalized view exists and is consistent with the *induced* degrees —
-    the GraphSAGE-style approximation.  The production minibatch path
-    uses :class:`SubgraphView` instead, which keeps full-graph
-    normalizers and skips the dataset reconstruction.
-    """
-    user_ids = np.unique(np.asarray(user_ids, dtype=np.int64))
-    item_ids = np.unique(np.asarray(item_ids, dtype=np.int64))
-    if user_ids.size == 0 or item_ids.size == 0:
-        raise ValueError("induced subgraph needs at least one user and item")
-
-    interaction = graph.interaction.tocsr()[user_ids][:, item_ids].tocoo()
-    social = graph.social.tocsr()[user_ids][:, user_ids].tocoo()
-    item_relation = graph.item_relation.tocsr()[item_ids].tocoo()
-
-    interactions = np.stack([interaction.row, interaction.col], axis=1)
-    social_mask = social.row < social.col  # undirected, store once
-    social_edges = np.stack([social.row[social_mask],
-                             social.col[social_mask]], axis=1)
-    relations = np.stack([item_relation.row, item_relation.col], axis=1)
-
-    dataset = InteractionDataset(
-        num_users=len(user_ids),
-        num_items=len(item_ids),
-        num_relations=graph.num_relations,
-        interactions=(interactions if len(interactions)
-                      else np.zeros((0, 2), dtype=np.int64)),
-        social_edges=(social_edges if len(social_edges)
-                      else np.zeros((0, 2), dtype=np.int64)),
-        item_relations=(relations if len(relations)
-                        else np.zeros((0, 2), dtype=np.int64)),
-        name=f"{graph.dataset.name}-induced",
-    )
-    sub = CollaborativeHeteroGraph(dataset,
-                                   use_social=graph.use_social,
-                                   use_item_relations=graph.use_item_relations)
-    return InducedSubgraph(graph=sub, user_ids=user_ids, item_ids=item_ids)

@@ -105,12 +105,10 @@ class Recommender(Module):
     def propagate_on(self, subgraph) -> Tuple[Tensor, Tensor]:
         """Run propagation on a sampled subgraph; local-row embeddings.
 
-        ``subgraph`` is a :class:`repro.graph.sampling.SubgraphView` (the
-        fast path — parent-normalized adjacency slices) or a legacy
-        :class:`~repro.graph.sampling.InducedSubgraph`; either way the
-        returned tensors cover its local user/item rows and gradients
-        scatter back into the global embedding tables through the
-        engine's ``gather_rows`` op.
+        ``subgraph`` is a :class:`repro.graph.sampling.SubgraphView`
+        (parent-normalized adjacency slices); the returned tensors cover
+        its local user/item rows and gradients scatter back into the
+        global embedding tables through the engine's ``gather_rows`` op.
         """
         raise NotImplementedError(
             f"{self.name} does not implement sampled propagation")

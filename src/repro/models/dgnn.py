@@ -413,18 +413,15 @@ class DGNN(Recommender):
         """Run the propagation on a sampled subgraph.
 
         ``subgraph`` is a :class:`repro.graph.sampling.SubgraphView`
-        (parent-normalized slices — exact message weights) or a legacy
-        :class:`~repro.graph.sampling.InducedSubgraph` (normalizers
-        recomputed on induced degrees, the GraphSAGE-style
-        approximation); the returned embeddings cover its local
-        user/item rows and gradients scatter back into the global
-        embedding tables.
+        (parent-normalized slices — exact message weights); the returned
+        embeddings cover its local user/item rows and gradients scatter
+        back into the global embedding tables.
         """
         initial = (
             ops.gather_rows(self.user_embedding.weight, subgraph.user_ids),
             ops.gather_rows(self.item_embedding.weight, subgraph.item_ids),
             self.relation_embedding.all())
-        users, items, _ = self._run(subgraph.graph, initial)
+        users, items, _ = self._run(subgraph, initial)
         return users, items
 
     # ------------------------------------------------------------------

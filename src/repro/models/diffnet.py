@@ -61,10 +61,9 @@ class DiffNet(Recommender):
 
     def propagate_on(self, subgraph) -> Tuple[Tensor, Tensor]:
         """Sampled path: social diffusion over the sliced adjacencies."""
-        view = subgraph.graph
         items = ops.gather_rows(self.item_embedding.weight, subgraph.item_ids)
         diffused = self._stack.run(
             ops.gather_rows(self.user_embedding.weight, subgraph.user_ids),
-            lambda index, current: self._step_on(view, index, current))
-        interacted = ops.spmm(view.user_item_mean, items)
+            lambda index, current: self._step_on(subgraph, index, current))
+        interacted = ops.spmm(subgraph.user_item_mean, items)
         return ops.add(diffused, interacted), items

@@ -44,13 +44,13 @@ class LightGCN(Recommender):
 
     def propagate_on(self, subgraph) -> Tuple[Tensor, Tensor]:
         """Sampled path: identical stack over the sliced bipartite graph."""
-        view = subgraph.graph
         joint = ops.cat([
             ops.gather_rows(self.user_embedding.weight, subgraph.user_ids),
             ops.gather_rows(self.item_embedding.weight, subgraph.item_ids)],
             axis=0)
         mean = self._stack.run(
-            joint, lambda _, current: ops.spmm(view.bipartite_norm, current))
-        user_index = np.arange(view.num_users)
-        item_index = view.num_users + np.arange(view.num_items)
+            joint,
+            lambda _, current: ops.spmm(subgraph.bipartite_norm, current))
+        user_index = np.arange(subgraph.num_users)
+        item_index = subgraph.num_users + np.arange(subgraph.num_items)
         return mean[user_index], mean[item_index]

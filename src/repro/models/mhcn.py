@@ -24,8 +24,8 @@ import scipy.sparse as sp
 
 from repro.autograd import ops
 from repro.autograd.tensor import Tensor
-from repro.engine.adjcache import normalized
 from repro.engine.propagate import LayerStack
+from repro.graph.adjacency import symmetric_normalize
 from repro.graph.hetero import CollaborativeHeteroGraph
 from repro.models.base import Recommender
 from repro.nn import init
@@ -48,7 +48,7 @@ def _motif_channels(graph: CollaborativeHeteroGraph) -> List[sp.csr_matrix]:
         matrix = sp.csr_matrix(matrix)
         if matrix.nnz == 0:  # fall back to the raw social graph
             matrix = social.copy()
-        channels.append(normalized(matrix, "sym"))
+        channels.append(symmetric_normalize(matrix))
     return channels
 
 

@@ -98,13 +98,13 @@ class NGCF(Recommender):
 
     def propagate_on(self, subgraph) -> Tuple[Tensor, Tensor]:
         """Sampled path: the same layer rule over the sliced adjacencies."""
-        view = subgraph.graph
         joint = ops.cat([
             ops.gather_rows(self.user_embedding.weight, subgraph.user_ids),
             ops.gather_rows(self.item_embedding.weight, subgraph.item_ids)],
             axis=0)
         final = self._stack.run(
-            joint, lambda index, current: self._step_on(view, index, current))
-        user_final = final[np.arange(view.num_users)]
-        item_final = final[view.num_users + np.arange(view.num_items)]
+            joint,
+            lambda index, current: self._step_on(subgraph, index, current))
+        user_final = final[np.arange(subgraph.num_users)]
+        item_final = final[subgraph.num_users + np.arange(subgraph.num_items)]
         return user_final, item_final

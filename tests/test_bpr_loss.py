@@ -12,7 +12,7 @@ import pytest
 
 from repro.autograd import Tensor
 from repro.autograd.sparse import RowSparseGrad, use_sparse_grads
-from repro.engine import get_cache, instrument, tolerances
+from repro.engine import adjcache, instrument, tolerances
 from repro.engine.propagate import bpr_terms
 from repro.graph.sampling import sample_subgraph_view
 from repro.models import create_model
@@ -98,10 +98,10 @@ class TestPrunedLastLayer:
             del loss
 
         step()
-        after_one = len(get_cache())
+        after_one = len(adjcache._transposes)
         for _ in range(5):
             step()
-        assert len(get_cache()) == after_one
+        assert len(adjcache._transposes) == after_one
 
 
 class TestIdsOutOfRange:

@@ -4,9 +4,10 @@ Three layers of coverage:
 
 * policy mechanics — default, set/use roundtrip, rejection of
   non-float dtypes, and dtype-derived tolerances;
-* artifact dtypes — tensors, initializers, normalized adjacencies and
-  the adjacency cache all honour the active dtype at creation time,
-  with float32 and float64 views coexisting in the cache;
+* artifact dtypes — tensors, initializers and normalized adjacencies
+  honour the active dtype at creation time, and one graph serves
+  float32 and float64 views side by side, each equal to the view of a
+  graph built at that dtype;
 * end-to-end — a short DGNN training run under float32 tracks the
   float64 run to float32 tolerances.
 """
@@ -23,9 +24,9 @@ from repro.engine import (
     tolerances,
     use_dtype,
 )
-from repro.engine.adjcache import get_cache
 from repro.graph import CollaborativeHeteroGraph
 from repro.graph.adjacency import row_normalize
+from repro.graph.sampling import _VIEW_SPECS
 from repro.models import create_model
 from repro.nn import init
 from repro.nn.optim import Adam
@@ -110,24 +111,37 @@ class TestArtifactDtypes:
         with use_dtype("float64"):
             assert row_normalize(matrix).dtype == np.float64
 
-    def test_adjcache_keeps_one_entry_per_dtype(self):
-        matrix = sp.random(10, 10, density=0.3, format="csr",
-                           random_state=np.random.RandomState(1))
-        cache = get_cache()
-        with use_dtype("float64"):
-            norm64 = cache.normalized(matrix, "row")
+    def test_graph_serves_each_dtype_as_if_built_at_it(self, tiny_dataset,
+                                                       tiny_split):
+        """A graph built under float32 serves float64 views byte-equal to
+        a float64-built graph's, and keeps its float32 views alongside.
+
+        The joint normalizers of Eqs. 4-5 used to be rounded at the
+        build dtype, and the first view served stayed pinned whatever
+        dtype later asked for it.
+        """
         with use_dtype("float32"):
-            norm32 = cache.normalized(matrix, "row")
-            again32 = cache.normalized(matrix, "row")
+            graph = CollaborativeHeteroGraph(tiny_dataset,
+                                             tiny_split.train_pairs)
         with use_dtype("float64"):
-            again64 = cache.normalized(matrix, "row")
-        assert norm64.dtype == np.float64
-        assert norm32.dtype == np.float32
-        assert norm32 is again32  # cache hit within a dtype
-        assert norm64 is again64  # float32 view did not evict float64's
-        np.testing.assert_allclose(norm32.toarray(),
-                                   norm64.toarray().astype(np.float32),
-                                   atol=tolerances("float32").atol)
+            reference = CollaborativeHeteroGraph(tiny_dataset,
+                                                 tiny_split.train_pairs)
+        for name in sorted(_VIEW_SPECS):
+            with use_dtype("float32"):
+                view32 = getattr(graph, name)
+            with use_dtype("float64"):
+                view64 = getattr(graph, name)
+                expected = getattr(reference, name)
+            assert view32.dtype == np.float32, name
+            assert view64.dtype == np.float64, name
+            for part in ("data", "indices", "indptr"):
+                ours, theirs = getattr(view64, part), getattr(expected, part)
+                assert ours.dtype == theirs.dtype, (name, part)
+                assert ours.tobytes() == theirs.tobytes(), (name, part)
+            with use_dtype("float32"):
+                assert getattr(graph, name) is view32, name
+            with use_dtype("float64"):
+                assert getattr(graph, name) is view64, name
 
     def test_model_parameters_carry_dtype(self, tiny_dataset, tiny_split):
         with use_dtype("float32"):

@@ -10,15 +10,14 @@ from repro.data import leave_one_out, medium
 from repro.engine import tolerances
 from repro.graph import CollaborativeHeteroGraph
 from repro.graph.sampling import (
-    build_subgraph_view,
+    SubgraphView,
     expand_neighborhood,
-    expand_neighborhood_loop,
-    induced_subgraph,
     sample_subgraph_view,
 )
 from repro.models import create_model
 from repro.models.dgnn import DGNN
 from repro.nn import Adam
+from tests.oracles.expansion import expand_neighborhood_loop
 
 # Models implementing the sampled propagation path.
 SAMPLED_MODELS = ("dgnn", "lightgcn", "ngcf", "diffnet")
@@ -76,12 +75,23 @@ class TestExpandNeighborhood:
         assert set(seeds_u) <= set(capped_u)
         assert set(seeds_i) <= set(capped_i)
 
+    def test_seed_outside_graph_raises_value_error(self, tiny_graph):
+        """A negative seed used to die inside numpy ("negative
+        dimensions are not allowed"); every out-of-range seed now names
+        itself."""
+        for users, items in (([-1], [0]), ([0], [-2]),
+                             ([tiny_graph.num_users], [0]),
+                             ([0], [tiny_graph.num_items])):
+            with pytest.raises(ValueError, match="seed .* out of range"):
+                expand_neighborhood(tiny_graph, np.array(users),
+                                    np.array(items), hops=1)
+
 
 class TestSubgraphView:
     def test_views_match_dense_parent_slices(self, tiny_graph):
         user_ids = np.array([0, 2, 5, 7])
         item_ids = np.array([1, 3, 4, 9, 12])
-        view = build_subgraph_view(tiny_graph, user_ids, item_ids)
+        view = SubgraphView(tiny_graph, user_ids, item_ids)
         for name, rows, cols in (
                 ("social_mean", user_ids, user_ids),
                 ("user_item_mean", user_ids, item_ids),
@@ -95,19 +105,19 @@ class TestSubgraphView:
     def test_joint_view_matches_dense_parent_slice(self, tiny_graph):
         user_ids = np.array([1, 4])
         item_ids = np.array([0, 2, 6])
-        view = build_subgraph_view(tiny_graph, user_ids, item_ids)
+        view = SubgraphView(tiny_graph, user_ids, item_ids)
         joint = np.concatenate([user_ids, tiny_graph.num_users + item_ids])
         parent = tiny_graph.bipartite_norm.toarray()
         np.testing.assert_array_equal(
             view.bipartite_norm.toarray(), parent[np.ix_(joint, joint)])
 
     def test_views_are_memoized(self, tiny_graph):
-        view = build_subgraph_view(tiny_graph, np.arange(3), np.arange(3))
+        view = SubgraphView(tiny_graph, np.arange(3), np.arange(3))
         assert view.social_mean is view.social_mean
         assert "social_mean" in view.materialized_views()
 
     def test_local_ids_validate_membership(self, tiny_graph):
-        view = build_subgraph_view(tiny_graph, np.array([1, 4, 6]),
+        view = SubgraphView(tiny_graph, np.array([1, 4, 6]),
                                    np.array([2, 5]))
         np.testing.assert_array_equal(view.local_users(np.array([4, 1])),
                                       [1, 0])
@@ -117,13 +127,19 @@ class TestSubgraphView:
         with pytest.raises(KeyError):
             view.local_items(np.array([3]))
 
-    def test_induced_subgraph_local_ids_validate_membership(self, tiny_graph):
-        sub = induced_subgraph(tiny_graph, np.array([3, 1, 7]),
-                               np.array([10, 2]))
-        with pytest.raises(KeyError):
-            sub.local_users(np.array([0]))
-        with pytest.raises(KeyError):
-            sub.local_items(np.array([5]))
+    def test_ids_outside_parent_raise_key_error(self, tiny_graph):
+        """With every node in the view, ``-1`` used to map to the last
+        node's row: the lookup table was read from its end."""
+        view = SubgraphView(tiny_graph, np.arange(tiny_graph.num_users),
+                            np.arange(tiny_graph.num_items))
+        for ids in ([-1], [0, -3], [tiny_graph.num_users]):
+            with pytest.raises(KeyError):
+                view.local_users(np.array(ids))
+        for ids in ([-1], [tiny_graph.num_items]):
+            with pytest.raises(KeyError):
+                view.local_items(np.array(ids))
+        np.testing.assert_array_equal(view.local_users(np.array([0, 5])),
+                                      [0, 5])
 
     def test_sample_subgraph_view_covers_seeds(self, tiny_graph):
         users = np.array([0, 2])
@@ -179,45 +195,45 @@ class TestSampledFullParity:
 
 
 class TestInducedSubgraph:
+    """The view's induced node sets, id maps and edges."""
+
     def test_counts_and_maps(self, tiny_graph):
         user_ids = np.array([3, 1, 7])
         item_ids = np.array([10, 2])
-        sub = induced_subgraph(tiny_graph, user_ids, item_ids)
-        assert sub.graph.num_users == 3
-        assert sub.graph.num_items == 2
-        assert sub.graph.num_relations == tiny_graph.num_relations
-        np.testing.assert_array_equal(sub.user_ids, [1, 3, 7])
-        np.testing.assert_array_equal(sub.local_users(np.array([3, 7])), [1, 2])
+        view = SubgraphView(tiny_graph, user_ids, item_ids)
+        assert view.num_users == 3
+        assert view.num_items == 2
+        assert view.num_relations == tiny_graph.num_relations
+        np.testing.assert_array_equal(view.user_ids, [1, 3, 7])
+        np.testing.assert_array_equal(view.local_users(np.array([3, 7])),
+                                      [1, 2])
 
     def test_edges_preserved(self, tiny_graph):
         # take every node: edge counts must match the parent graph
-        sub = induced_subgraph(tiny_graph,
-                               np.arange(tiny_graph.num_users),
-                               np.arange(tiny_graph.num_items))
-        assert sub.graph.interaction.nnz == tiny_graph.interaction.nnz
-        assert sub.graph.social.nnz == tiny_graph.social.nnz
-        assert sub.graph.item_relation.nnz == tiny_graph.item_relation.nnz
+        view = SubgraphView(tiny_graph, np.arange(tiny_graph.num_users),
+                            np.arange(tiny_graph.num_items))
+        assert view.user_item_mean.nnz == tiny_graph.interaction.nnz
+        assert view.social_mean.nnz == tiny_graph.social.nnz
+        assert view.item_relation_mean.nnz == tiny_graph.item_relation.nnz
 
     def test_empty_sets_rejected(self, tiny_graph):
         with pytest.raises(ValueError):
-            induced_subgraph(tiny_graph, np.array([]), np.array([0]))
+            SubgraphView(tiny_graph, np.array([]), np.array([0]))
 
     def test_ablation_flags_inherited(self, tiny_dataset, tiny_split):
-        from repro.graph import CollaborativeHeteroGraph
-
         parent = CollaborativeHeteroGraph(tiny_dataset, tiny_split.train_pairs,
                                           use_social=False)
-        sub = induced_subgraph(parent, np.arange(10), np.arange(10))
-        assert sub.graph.social.nnz == 0
+        view = SubgraphView(parent, np.arange(10), np.arange(10))
+        assert view.social_mean.nnz == 0
+        assert view.user_social_joint.nnz == 0
 
 
 class TestSampledPropagation:
     def test_full_node_subgraph_matches_propagate(self, tiny_graph):
         model = DGNN(tiny_graph, embed_dim=8, num_memory_units=2, seed=0)
         model.eval()
-        sub = induced_subgraph(tiny_graph,
-                               np.arange(tiny_graph.num_users),
-                               np.arange(tiny_graph.num_items))
+        sub = SubgraphView(tiny_graph, np.arange(tiny_graph.num_users),
+                           np.arange(tiny_graph.num_items))
         with no_grad():
             sampled_u, sampled_i = model.propagate_on(sub)
             full_u, full_i = model.propagate()

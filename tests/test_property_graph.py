@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.data import SyntheticConfig, generate_dataset, leave_one_out
 from repro.engine import tolerances
-from repro.graph import CollaborativeHeteroGraph, induced_subgraph
+from repro.graph import CollaborativeHeteroGraph, SubgraphView
 
 
 def _random_graph(seed: int, num_users: int, num_items: int):
@@ -55,6 +55,9 @@ class TestGraphInvariants:
 
 
 class TestSubgraphInvariants:
+    """A :class:`SubgraphView` is the parent's views restricted to the
+    induced node sets: same weights, never an edge the parent lacks."""
+
     @settings(max_examples=10, deadline=None)
     @given(st.integers(0, 200), st.integers(25, 40), st.integers(50, 80),
            st.integers(1, 1000))
@@ -64,26 +67,30 @@ class TestSubgraphInvariants:
         rng = np.random.default_rng(pick_seed)
         user_ids = np.unique(rng.integers(0, num_users, size=10))
         item_ids = np.unique(rng.integers(0, num_items, size=20))
-        sub = induced_subgraph(graph, user_ids, item_ids)
-        # every induced interaction maps back to a parent interaction
-        coo = sub.graph.interaction.tocoo()
-        parent = graph.interaction.tocsr()
-        for local_u, local_i in zip(coo.row, coo.col):
-            assert parent[sub.user_ids[local_u], sub.item_ids[local_i]] == 1.0
-        # degree in the subgraph never exceeds degree in the parent
-        parent_degrees = graph.user_degree_interaction[sub.user_ids]
-        sub_degrees = np.asarray(sub.graph.interaction.sum(axis=1)).ravel()
-        assert (sub_degrees <= parent_degrees + 1e-9).all()
+        view = SubgraphView(graph, user_ids, item_ids)
+        for name, rows, cols in (("user_item_joint", user_ids, item_ids),
+                                 ("social_mean", user_ids, user_ids)):
+            # every induced entry is the parent's entry, weight unchanged
+            sliced = getattr(view, name).tocoo()
+            parent = getattr(graph, name).tocsr()
+            for local_row, local_col, weight in zip(sliced.row, sliced.col,
+                                                    sliced.data):
+                assert parent[rows[local_row], cols[local_col]] == weight
+            # a row never holds more entries than its parent row
+            parent_counts = np.diff(parent.indptr)[rows]
+            assert (np.diff(getattr(view, name).indptr)
+                    <= parent_counts).all()
 
     @settings(max_examples=10, deadline=None)
     @given(st.integers(0, 100), st.integers(25, 40), st.integers(50, 80))
     def test_full_induction_is_identity(self, seed, num_users, num_items):
         graph = _random_graph(seed, num_users, num_items)
-        sub = induced_subgraph(graph, np.arange(num_users),
-                               np.arange(num_items))
-        assert sub.graph.interaction.nnz == graph.interaction.nnz
-        assert sub.graph.social.nnz == graph.social.nnz
-        np.testing.assert_allclose(
-            sub.graph.user_social_joint.toarray(),
-            graph.user_social_joint.toarray(),
-            atol=max(1e-12, tolerances().atol))
+        view = SubgraphView(graph, np.arange(num_users),
+                            np.arange(num_items))
+        for name in ("user_social_joint", "user_item_joint",
+                     "item_user_joint", "item_relation_joint",
+                     "relation_item_mean", "social_self_loop_mean"):
+            sliced, parent = getattr(view, name), getattr(graph, name)
+            assert sliced.nnz == parent.nnz, name
+            np.testing.assert_array_equal(sliced.toarray(), parent.toarray(),
+                                          err_msg=name)
