@@ -8,9 +8,22 @@ log-discount of ranked hits — exactly the quantity the paper reports.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Sequence
 
 import numpy as np
+
+#: Bytes of temporaries one scoring block may hold.  Row-independent
+#: scoring (candidate dots, top-k selection) walks its rows in blocks of
+#: this size, so its peak memory is the output plus one block, never
+#: rows x candidates x d.
+_BLOCK_BYTES = 4 << 20
+
+
+def block_rows(row_bytes: int) -> int:
+    """Rows per scoring block: as many rows of ``row_bytes`` temporaries
+    as fit the block budget, and at least one."""
+    return max(1, _BLOCK_BYTES // max(int(row_bytes), 1))
 
 
 def top_k_indices(scores: np.ndarray, k: int) -> np.ndarray:
@@ -27,6 +40,10 @@ def top_k_indices(scores: np.ndarray, k: int) -> np.ndarray:
     layer's bitwise snapshot-parity contract relies on.  Which tied
     items are selected at the k boundary follows ``argpartition``,
     which is deterministic for a given input.
+
+    Rows are selected a block at a time (:func:`block_rows`), so the
+    negated copy and ``argpartition``'s index matrix never span more
+    than one block; each row's selection is the same either way.
     """
     scores = np.asarray(scores)
     if scores.ndim == 0:
@@ -37,11 +54,24 @@ def top_k_indices(scores: np.ndarray, k: int) -> np.ndarray:
     n = scores.shape[-1]
     k = min(k, n)
     kth = min(k, n - 1)
-    top = np.argpartition(-scores, kth, axis=-1)[..., :k]
-    top_scores = np.take_along_axis(scores, top, axis=-1)
+    rows = scores.reshape(math.prod(scores.shape[:-1]), n)
+    top = np.empty((len(rows), k), dtype=np.intp)
+    step = block_rows(n * (rows.itemsize + top.itemsize))
+    for start in range(0, len(rows), step):
+        top[start:start + step] = _top_k_rows(rows[start:start + step], k,
+                                              kth)
+    return top.reshape(scores.shape[:-1] + (k,))
+
+
+def _top_k_rows(rows: np.ndarray, k: int, kth: int) -> np.ndarray:
+    """Ordered top-``k`` of each row of one 2-D block.  Its temporaries
+    (the negated block and the full-width partition indices) die on
+    return, before the next block allocates its own."""
+    selected = np.argpartition(-rows, kth, axis=-1)[:, :k]
+    selected_scores = np.take_along_axis(rows, selected, axis=-1)
     # lexsort: last key majors — descending score, then ascending index.
-    order = np.lexsort((top, -top_scores), axis=-1)
-    return np.take_along_axis(top, order, axis=-1)
+    order = np.lexsort((selected, -selected_scores), axis=-1)
+    return np.take_along_axis(selected, order, axis=-1)
 
 
 def ranks_of_positives(scores: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.autograd.tensor import Tensor, no_grad
 from repro.engine import backends
-from repro.eval.metrics import top_k_indices
+from repro.eval.metrics import block_rows, top_k_indices
 from repro.engine.propagate import bpr_terms, check_ids
 from repro.graph.hetero import CollaborativeHeteroGraph
 from repro.nn.module import Module
@@ -180,27 +180,46 @@ class Recommender(Module):
         ``users`` is ``(n,)`` and ``items`` is ``(n, c)``; the result has
         shape ``(n, c)``.  Runs through the engine's
         ``gathered_rowwise_dot`` kernel, so evaluation scoring shows up
-        in kernel instrumentation alongside training.
+        in kernel instrumentation alongside training.  Users are scored
+        a block at a time (:func:`repro.eval.metrics.block_rows`), so the
+        gathered operands never span more than one block.
+
+        Raises ``ValueError`` for an id outside its table (a negative id
+        would otherwise score the last rows) and for shapes that do not
+        pair one candidate row with each user.
         """
         user_emb, item_emb = self.final_embeddings()
-        users = np.asarray(users, dtype=np.int64)
-        items = np.asarray(items, dtype=np.int64)
+        users = check_ids(users, user_emb.shape[0], "user")
+        items = check_ids(items, item_emb.shape[0], "item")
+        if users.ndim != 1 or items.ndim != 2 or len(items) != len(users):
+            raise ValueError(f"expected users (n,) and items (n, c), got "
+                             f"{users.shape} and {items.shape}")
         num_candidates = items.shape[1]
-        flat = backends.gathered_rowwise_dot(
-            user_emb, np.repeat(users, num_candidates),
-            item_emb, items.reshape(-1))
-        return flat.reshape(len(users), num_candidates)
+        scores = np.empty(items.shape, np.result_type(user_emb, item_emb))
+        # Per user: both gathered (c, d) operands and the repeated ids.
+        row_bytes = num_candidates * (2 * user_emb.shape[1] * user_emb.itemsize
+                                      + 8)
+        step = block_rows(row_bytes)
+        for start in range(0, len(users), step):
+            block_users = users[start:start + step]
+            scores[start:start + step] = backends.gathered_rowwise_dot(
+                user_emb, np.repeat(block_users, num_candidates),
+                item_emb, items[start:start + step].reshape(-1)
+            ).reshape(len(block_users), num_candidates)
+        return scores
 
     def score_pairs(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
         """Dot-product scores for aligned ``(user, item)`` arrays.
 
-        Routed through the engine's ``gathered_rowwise_dot`` (same
-        kernel the BPR loss uses) for instrumentation parity.
+        :meth:`score_candidates` with one candidate per user, so the same
+        kernel, blocks and checks: ``ValueError`` for an id outside its
+        table and for ``users`` and ``items`` that are not 1-D of one
+        length.
         """
-        user_emb, item_emb = self.final_embeddings()
-        return backends.gathered_rowwise_dot(
-            user_emb, np.asarray(users, dtype=np.int64),
-            item_emb, np.asarray(items, dtype=np.int64))
+        items = np.asarray(items)
+        if items.ndim != 1:
+            raise ValueError(f"expected 1-D items, got shape {items.shape}")
+        return self.score_candidates(users, items[:, None])[:, 0]
 
     def recommend(self, user: int, top_n: int = 10,
                   exclude_train: bool = True) -> np.ndarray:
