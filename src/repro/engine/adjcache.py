@@ -38,16 +38,8 @@ def cached_transpose(matrix: sp.spmatrix) -> sp.csr_matrix:
         counters().record_cache(True)
         return entry[1]
     counters().record_cache(False)
-    from repro.graph.adjacency import _canonical_index_dtype
-    result = matrix.T.tocsr()
-    index_dtype = _canonical_index_dtype(result)
-    if (result.indices.dtype != index_dtype
-            or result.indptr.dtype != index_dtype):
-        result = sp.csr_matrix(
-            (result.data, result.indices.astype(index_dtype, copy=False),
-             result.indptr.astype(index_dtype, copy=False)),
-            shape=result.shape, copy=False)
-    result.sort_indices()
+    from repro.graph.adjacency import canonical_indices
+    result = canonical_indices(matrix.T.tocsr())
     _transposes[key] = (weakref.ref(
         matrix, lambda _ref, key=key: _transposes.pop(key, None)), result)
     return result

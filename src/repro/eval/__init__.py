@@ -14,6 +14,7 @@ from repro.eval.protocol import evaluate_model, evaluate_scores
 from repro.eval.sparsity import group_users_by_quantile, evaluate_by_group
 from repro.eval.full_ranking import (
     evaluate_full_ranking,
+    exact_topk,
     full_ranking_ranks,
     full_ranking_topk,
 )
@@ -31,6 +32,7 @@ __all__ = [
     "group_users_by_quantile",
     "evaluate_by_group",
     "evaluate_full_ranking",
+    "exact_topk",
     "full_ranking_ranks",
     "full_ranking_topk",
     "top_k_indices",

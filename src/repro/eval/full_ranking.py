@@ -1,4 +1,4 @@
-"""Full-ranking evaluation (all-item protocol).
+"""Full-ranking evaluation (all-item protocol) and the one exact scorer.
 
 The paper's protocol samples 100 negatives per test user (fast, and what
 Tables II/III report).  Production evaluations often rank the held-out
@@ -6,134 +6,133 @@ positive against *every* item the user has not interacted with; this
 module implements that protocol so the two can be cross-checked — the
 model ordering should agree, while absolute numbers drop sharply.
 
-The score blocks here are also the serving layer's hot path
-(:mod:`repro.serve`), so two production disciplines apply:
+This module owns exact scoring.  :func:`exact_topk` is what
+:meth:`repro.models.base.Recommender.recommend`,
+:class:`repro.serve.RecommendService` (exact mode and the IVF fallback)
+and :func:`full_ranking_topk` return, so serving equals evaluation
+bitwise by construction.  All of them, and :func:`full_ranking_ranks`,
+walk users through one masked block loop:
 
-* **Precision** — each ``(b, num_items)`` block is computed in the
-  embeddings' own dtype (float32 under the production policy), written
-  via ``np.matmul(..., out=...)`` so a silent float64 upcast upstream
-  fails loudly instead of doubling the block's memory traffic.
-* **Allocation** — blocks are checked out of the engine's buffer arena
-  (:mod:`repro.engine.arena`) instead of freshly allocated per block;
-  inside a ``step_scope`` the same physical buffer is recycled across
-  blocks and calls.
+* **Blocks** — :data:`BLOCK_USERS` users at a time, so a call holds one
+  ``(BLOCK_USERS, num_items)`` score buffer, checked out of the engine's
+  buffer arena (:mod:`repro.engine.arena`) once per call.
+* **Precision** — each block is written via ``np.matmul(..., out=...)``
+  into a buffer of the user table's dtype (float32 under the production
+  policy), so an upcast operand cannot double the block's memory.
+* **Masking** — each user's training items are set to ``-inf`` through
+  one ragged CSR gather (:func:`repro.engine.ragged.gather_ragged_rows`),
+  with no per-user loop.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.data.split import Split
 from repro.engine import arena
 from repro.engine.ragged import gather_ragged_rows
-from repro.eval.metrics import hit_rate_at, ndcg_at, top_k_indices
+from repro.eval.metrics import hit_rate_at, mrr, ndcg_at, top_k_indices
+
+#: Users per exact score block.  Read at call time, so tests can shrink
+#: it; results are bitwise equal for any block size.
+BLOCK_USERS = 256
 
 
-def _mask_train_items(scores: np.ndarray, block_users: np.ndarray,
-                      indptr: np.ndarray, indices: np.ndarray) -> None:
-    """Set each block user's training items to ``-inf``, in place.
+def _masked_blocks(user_emb: np.ndarray, item_emb: np.ndarray,
+                   users: np.ndarray, indptr: np.ndarray,
+                   indices: np.ndarray
+                   ) -> Iterator[Tuple[slice, np.ndarray]]:
+    """Yield ``(rows, scores)`` for each block of ``users``.
 
-    One shared ragged CSR gather (:func:`gather_ragged_rows`) flattens
-    every block user's training-item list into one (row, col) index
-    pair set — no per-user loop.
+    ``rows`` slices ``users``; ``scores`` is the block's
+    ``(len(rows), num_items)`` dot products, with each user's items in
+    the CSR ``indptr``/``indices`` set to ``-inf``.  Every block is
+    written into one buffer, so a consumer must be done with a block
+    before it asks for the next.
     """
-    gathered = gather_ragged_rows(indptr, block_users)
-    rows = gathered.owners()
-    cols = indices[gathered.positions]
-    scores[rows, cols] = -np.inf
-
-
-def _score_block(user_emb: np.ndarray, item_emb: np.ndarray,
-                 block_users: np.ndarray) -> np.ndarray:
-    """One ``(b, num_items)`` score block in the embeddings' dtype.
-
-    The output buffer comes from the engine arena (recycled across
-    blocks inside a ``step_scope``, plain ``np.empty`` outside one) and
-    is fully overwritten by the matmul, so pooled and allocate-fresh
-    runs are bitwise identical.  ``np.matmul`` refuses to cast into
-    ``out``, so a dtype mismatch between the two embedding tables — the
-    silent-upcast failure mode — raises instead of upcasting.
-    """
-    scores = arena.empty((len(block_users), item_emb.shape[0]),
+    step = BLOCK_USERS
+    buffer = arena.empty((min(step, len(users)), item_emb.shape[0]),
                          user_emb.dtype)
-    return np.matmul(user_emb[block_users], item_emb.T, out=scores)
+    for start in range(0, len(users), step):
+        block_users = users[start:start + step]
+        scores = np.matmul(user_emb[block_users], item_emb.T,
+                           out=buffer[:len(block_users)])
+        gathered = gather_ragged_rows(indptr, block_users)
+        scores[gathered.owners(), indices[gathered.positions]] = -np.inf
+        yield slice(start, start + len(block_users)), scores
+    arena.release(buffer)
 
 
-def full_ranking_ranks(model, split: Split, batch_size: int = 256,
-                       mask_train: bool = True,
-                       max_users: Optional[int] = None,
-                       seed: int = 0) -> np.ndarray:
+def _train_csr(split: Split) -> Tuple[np.ndarray, np.ndarray]:
+    """``indptr`` and sorted ``indices`` of the split's train matrix."""
+    train_matrix = split.train_matrix().tocsr()
+    train_matrix.sort_indices()
+    return train_matrix.indptr, train_matrix.indices
+
+
+def exact_topk(user_emb: np.ndarray, item_emb: np.ndarray,
+               users: np.ndarray, indptr: np.ndarray, indices: np.ndarray,
+               k: int) -> np.ndarray:
+    """Top-``k`` item ids per user by exact dot product, best first.
+
+    Each user's items in the CSR ``indptr``/``indices`` (the training
+    items) are excluded.  Returns an ``(len(users), min(k, num_items))``
+    int64 array.  Ties break as in :func:`top_k_indices`.
+
+    ``users`` are not range-checked here: each caller checks its ids
+    once.  Raises ``ValueError`` for ``k`` below 1.
+    """
+    if k < 1:
+        raise ValueError(f"k must be positive, got {k}")
+    users = np.asarray(users, dtype=np.int64)
+    top = np.empty((len(users), min(int(k), item_emb.shape[0])),
+                   dtype=np.int64)
+    for rows, scores in _masked_blocks(user_emb, item_emb, users, indptr,
+                                       indices):
+        top[rows] = top_k_indices(scores, k)
+    return top
+
+
+def full_ranking_ranks(model, split: Split) -> np.ndarray:
     """Rank of each test user's held-out positive among all unseen items.
 
-    Parameters
-    ----------
-    model:
-        Any :class:`repro.models.base.Recommender`.
-    split:
-        Leave-one-out split (defines test users and their positives).
-    batch_size:
-        Users scored per block (bounds the score-matrix memory).
-    mask_train:
-        Exclude each user's training items from the ranking (standard).
-    max_users:
-        Optional uniform subsample of test users for quick estimates.
-        The subsample is drawn from a generator seeded with ``seed``
-        alone, so repeated calls with the same arguments select the
-        same users.
-
-    Raises ``ValueError`` for ``batch_size`` below 1.
+    ``model`` is any :class:`repro.models.base.Recommender`; ``split``
+    defines the test users, their positives and the training items
+    excluded from each ranking.  Ties count half a position.
     """
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be positive, got {batch_size}")
     user_emb, item_emb = model.final_embeddings()
     users = split.test_users
     positives = split.test_items
-    if max_users is not None and len(users) > max_users:
-        rng = np.random.default_rng(seed)
-        chosen = np.sort(rng.choice(len(users), size=max_users, replace=False))
-        users = users[chosen]
-        positives = positives[chosen]
-
-    train_matrix = split.train_matrix().tocsr()
-    train_matrix.sort_indices()
-    indptr, indices = train_matrix.indptr, train_matrix.indices
+    indptr, indices = _train_csr(split)
     # Ranks accumulate tie counts; float64 is the metric domain, not a
     # score-block upcast.
     ranks = np.empty(len(users), dtype=np.float64)
-    for start in range(0, len(users), batch_size):
-        block_users = users[start:start + batch_size]
-        block_positives = positives[start:start + batch_size]
-        scores = _score_block(user_emb, item_emb, block_users)
-        if mask_train:
-            _mask_train_items(scores, block_users, indptr, indices)
-        positive_scores = scores[np.arange(len(block_users)), block_positives]
+    for rows, scores in _masked_blocks(user_emb, item_emb, users, indptr,
+                                       indices):
+        positive_scores = scores[np.arange(len(scores)), positives[rows]]
         better = (scores > positive_scores[:, None]).sum(axis=1)
         ties = (scores == positive_scores[:, None]).sum(axis=1) - 1
-        ranks[start:start + len(block_users)] = better + 0.5 * ties
-        arena.release(scores)
+        ranks[rows] = better + 0.5 * ties
     return ranks
 
 
 def full_ranking_topk(model, split: Split, users: Optional[np.ndarray] = None,
-                      top_n: int = 10, batch_size: int = 256,
-                      mask_train: bool = True) -> np.ndarray:
+                      top_n: int = 10) -> np.ndarray:
     """Top-N recommended item ids per user under the all-item protocol.
 
-    The batched counterpart of :meth:`Recommender.recommend`: one score
-    matrix per block, training items masked via the shared CSR gather,
-    and the per-row top N selected with :func:`top_k_indices`.  Returns
-    an ``(len(users), top_n)`` int array, best item first.
+    :func:`exact_topk` over the model's final embeddings with the
+    split's training items excluded.  ``users`` defaults to the split's
+    test users.  Returns an ``(len(users), top_n)`` int array, best item
+    first.
 
     Raises ``ValueError`` for a user id outside ``[0, num_users)`` (a
     negative id would otherwise index from the end and answer for the
-    wrong user), and for ``top_n`` or ``batch_size`` below 1.
+    wrong user), and for ``top_n`` below 1.
     """
     if top_n < 1:
         raise ValueError(f"top_n must be positive, got {top_n}")
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be positive, got {batch_size}")
     user_emb, item_emb = model.final_embeddings()
     if users is None:
         users = split.test_users
@@ -144,30 +143,17 @@ def full_ranking_topk(model, split: Split, users: Optional[np.ndarray] = None,
         if users.size and (users.min() < 0
                            or users.max() >= user_emb.shape[0]):
             raise ValueError("user id out of range")
-    train_matrix = split.train_matrix().tocsr()
-    train_matrix.sort_indices()
-    indptr, indices = train_matrix.indptr, train_matrix.indices
-    top = np.empty((len(users), min(top_n, item_emb.shape[0])), dtype=np.int64)
-    for start in range(0, len(users), batch_size):
-        block_users = users[start:start + batch_size]
-        scores = _score_block(user_emb, item_emb, block_users)
-        if mask_train:
-            _mask_train_items(scores, block_users, indptr, indices)
-        top[start:start + len(block_users)] = top_k_indices(scores, top_n)
-        arena.release(scores)
-    return top
+    indptr, indices = _train_csr(split)
+    return exact_topk(user_emb, item_emb, users, indptr, indices, top_n)
 
 
-def evaluate_full_ranking(model, split: Split, ks: Sequence[int] = (10, 20, 50),
-                          batch_size: int = 256,
-                          max_users: Optional[int] = None,
-                          seed: int = 0) -> Dict[str, float]:
+def evaluate_full_ranking(model, split: Split,
+                          ks: Sequence[int] = (10, 20, 50)) -> Dict[str, float]:
     """HR@N / NDCG@N / MRR under the all-item protocol."""
-    ranks = full_ranking_ranks(model, split, batch_size=batch_size,
-                               max_users=max_users, seed=seed)
+    ranks = full_ranking_ranks(model, split)
     metrics: Dict[str, float] = {}
     for k in ks:
         metrics[f"full-hr@{k}"] = hit_rate_at(ranks, k)
         metrics[f"full-ndcg@{k}"] = ndcg_at(ranks, k)
-    metrics["full-mrr"] = float(np.mean(1.0 / (ranks + 1.0))) if len(ranks) else 0.0
+    metrics["full-mrr"] = mrr(ranks)
     return metrics

@@ -35,7 +35,15 @@ def _canonical_index_dtype(matrix: sp.spmatrix) -> np.dtype:
 
 def as_csr64(matrix: sp.spmatrix) -> sp.csr_matrix:
     """Coerce to canonical format: CSR, engine dtypes, sorted indices."""
-    matrix = sp.csr_matrix(matrix, dtype=get_dtype())
+    return canonical_indices(sp.csr_matrix(matrix, dtype=get_dtype()))
+
+
+def canonical_indices(matrix: sp.csr_matrix) -> sp.csr_matrix:
+    """A CSR ``matrix`` with sorted indices in the canonical index dtype.
+
+    The values keep their dtype; a matrix that already is canonical is
+    returned as is (with its indices sorted in place).
+    """
     index_dtype = _canonical_index_dtype(matrix)
     if matrix.indices.dtype != index_dtype or matrix.indptr.dtype != index_dtype:
         # Assign the arrays directly: scipy's (data, indices, indptr)

@@ -17,7 +17,8 @@ import numpy as np
 
 from repro.autograd.tensor import Tensor, no_grad
 from repro.engine import backends
-from repro.eval.metrics import block_rows, top_k_indices
+from repro.eval.full_ranking import exact_topk
+from repro.eval.metrics import block_rows
 from repro.engine.propagate import bpr_terms, check_ids
 from repro.graph.hetero import CollaborativeHeteroGraph
 from repro.nn.module import Module
@@ -221,22 +222,16 @@ class Recommender(Module):
             raise ValueError(f"expected 1-D items, got shape {items.shape}")
         return self.score_candidates(users, items[:, None])[:, 0]
 
-    def recommend(self, user: int, top_n: int = 10,
-                  exclude_train: bool = True) -> np.ndarray:
-        """Top-N item ids for one user, optionally masking training items.
+    def recommend(self, user: int, top_n: int = 10) -> np.ndarray:
+        """Top-N item ids for one user, training items excluded.
 
-        Raises ``ValueError`` for a user id outside ``[0, num_users)``:
-        a negative id would otherwise index from the end and answer for
-        the wrong user.
+        One row of :func:`repro.eval.full_ranking.exact_topk`, the
+        scorer evaluation and serving use.  Raises ``ValueError`` for a
+        user id outside ``[0, num_users)``: a negative id would otherwise
+        index from the end and answer for the wrong user.
         """
-        user = int(user)
         user_emb, item_emb = self.final_embeddings()
-        if not 0 <= user < user_emb.shape[0]:
-            raise ValueError(f"user id {user} out of range "
-                             f"[0, {user_emb.shape[0]})")
-        scores = item_emb @ user_emb[user]
-        if exclude_train:
-            seen = self.graph.interaction[user].indices
-            scores = scores.copy()
-            scores[seen] = -np.inf
-        return top_k_indices(scores, top_n)
+        users = check_ids([user], user_emb.shape[0], "user")
+        train = self.graph.interaction
+        return exact_topk(user_emb, item_emb, users, train.indptr,
+                          train.indices, top_n)[0]

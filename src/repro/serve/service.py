@@ -1,18 +1,19 @@
 """Batched recommendation serving over an :class:`EmbeddingSnapshot`.
 
 :class:`RecommendService` is the request-path counterpart of
-:func:`repro.eval.full_ranking.full_ranking_topk`: the same score
-blocks, train-item masking and :func:`top_k_indices` selection, wired
-for online use —
+:func:`repro.eval.full_ranking.full_ranking_topk`, wired for online use —
 
-* requests are coalesced into ``block_size``-user score blocks, freshly
-  allocated per block (a caller that opens an ``arena.step_scope()``
-  around a burst of calls pools them instead);
+* ``retrieval="exact"`` answers warm users with
+  :func:`repro.eval.full_ranking.exact_topk`, the scorer evaluation
+  uses, so the two agree bitwise by construction;
 * ``retrieval="ivf"`` swaps the full ``(b, num_items)`` GEMM for
   per-cell GEMMs over the probed cells of a
   :class:`repro.serve.ann.CoarseIndex` — sublinear in the catalogue
-  size, with an automatic exact fallback for any user whose probed
-  cells yield fewer than ``k`` unmasked candidates;
+  size, with an :func:`~repro.eval.full_ranking.exact_topk` fallback for
+  any user whose probed cells yield fewer than ``k`` unmasked
+  candidates.  Requests are coalesced into
+  :data:`~repro.eval.full_ranking.BLOCK_USERS`-user blocks, as exact
+  scoring is;
 * users with social edges but no train interactions are auto-detected
   from the snapshot CSRs and routed through the cold-start path
   (:func:`repro.models.coldstart.embed_cold_user` when the live model
@@ -22,16 +23,16 @@ for online use —
   serving the version they started with.
 
 In ``"exact"`` mode the results are *bitwise identical* to
-``full_ranking_topk`` on the live model for the same ``block_size`` —
-the snapshot stores the embeddings uncast, the mask content is the
-same CSR, and ties break identically.  The ANN modes are deterministic
-given the index's build seed but trade that exactness for sublinear
-cost (recall@20 against exact is gated by ``perfbench``).  Knobs:
-``retrieval``, ``block_size``, and the index parameters forwarded to
-:mod:`repro.serve.ann`.  The service never opens an arena scope
-itself, so ``REPRO_ENGINE_ARENA`` does not change its allocations;
-the pool's size knobs (``REPRO_ENGINE_ARENA_MB``/``_MIN_KB``) apply
-only inside a caller's scope — see ``docs/operations.md``.
+``full_ranking_topk`` on the live model: one scorer, the snapshot
+stores the embeddings uncast, and the mask content is the same CSR.
+The ANN modes are deterministic given the index's build seed but trade
+that exactness for sublinear cost (recall@20 against exact is gated by
+``perfbench``).  Knobs: ``retrieval`` and the index parameters
+forwarded to :mod:`repro.serve.ann`.  The service never opens an arena
+scope itself, so ``REPRO_ENGINE_ARENA`` does not change its
+allocations; the pool's size knobs (``REPRO_ENGINE_ARENA_MB``/
+``_MIN_KB``) apply only inside a caller's scope — see
+``docs/operations.md``.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.engine import arena
-from repro.eval.full_ranking import _mask_train_items, _score_block
+from repro.eval import full_ranking
 from repro.eval.metrics import top_k_indices
 from repro.serve.ann import CoarseIndex, build_ivf_index
 from repro.serve.snapshot import EmbeddingSnapshot
@@ -111,45 +112,34 @@ class RecommendService:
         ``store.load_latest()``).
     retrieval:
         ``"exact"`` (score every item) or ``"ivf"``.
-    block_size:
-        Users scored per block; bounds the score-buffer memory and is
-        the coalescing unit for batched requests.  Must be positive.
     nprobe:
         Cells probed per user in ``"ivf"`` mode.  Must be positive.
     num_cells:
         Index-build knob forwarded to :func:`build_ivf_index`
         (``None`` → ``≈ sqrt(n)``).
-    mask_train:
-        Exclude each user's train items from results (standard).
     model:
         Optional live model for the exact cold-start path
         (:func:`repro.models.coldstart.embed_cold_user`); without it
         cold users fall back to :func:`cold_user_embedding`.
-    cold_dispatch:
-        Auto-route users with social ties but no train interactions
-        through the cold path.  Disable to score everyone against the
-        snapshot's user embeddings regardless.
+    seed:
+        Index-build seed forwarded to :func:`build_ivf_index`.
+
+    Each user's train items are excluded from their results, and users
+    with social ties but no train interactions go through the cold path.
     """
 
     def __init__(self, snapshot: EmbeddingSnapshot, retrieval: str = "exact",
-                 block_size: int = 256, nprobe: int = 8,
-                 num_cells: Optional[int] = None,
-                 mask_train: bool = True, model=None,
-                 cold_dispatch: bool = True, seed: int = 0):
+                 nprobe: int = 8, num_cells: Optional[int] = None,
+                 model=None, seed: int = 0):
         if retrieval not in RETRIEVAL_MODES:
             raise ValueError(f"retrieval must be one of {RETRIEVAL_MODES}, "
                              f"got {retrieval!r}")
-        if block_size <= 0:
-            raise ValueError(f"block_size must be positive, got {block_size}")
         if nprobe <= 0:
             raise ValueError(f"nprobe must be positive, got {nprobe}")
         self.retrieval = retrieval
-        self.block_size = int(block_size)
         self.nprobe = int(nprobe)
         self.num_cells = num_cells
-        self.mask_train = bool(mask_train)
         self.model = model
-        self.cold_dispatch = bool(cold_dispatch)
         self.seed = int(seed)
         self._lock = threading.Lock()
         self.stats: Dict[str, int] = {"requests": 0, "users": 0,
@@ -208,43 +198,36 @@ class RecommendService:
     def recommend(self, user_ids: Sequence[int], k: int = 10) -> np.ndarray:
         """Top-``k`` item ids per user, ``(len(user_ids), k)``, best first.
 
-        Warm users are scored in ``block_size`` blocks through the
-        configured retrieval mode; cold users (social ties, no train
-        interactions) are embedded via the cold path and exact-scored.
+        Warm users are scored through the configured retrieval mode;
+        cold users (social ties, no train interactions) are embedded via
+        the cold path and exact-scored.  Raises ``ValueError`` for a user
+        id outside ``[0, num_users)`` and for ``k`` below 1.
         """
         state = self._state
         snapshot = state.snapshot
         user_ids = np.asarray(user_ids, dtype=np.int64)
         if user_ids.ndim != 1:
             raise ValueError("user_ids must be 1-D")
-        if user_ids.size and (user_ids.min() < 0
-                              or user_ids.max() >= snapshot.num_users):
-            raise ValueError("user id out of range")
+        cold = snapshot.cold_user_mask(user_ids)
         k = min(int(k), snapshot.num_items)
         if k <= 0:
             raise ValueError("k must be positive")
         results = np.empty((len(user_ids), k), dtype=np.int64)
-        if len(user_ids) == 0:
-            return results
-
-        if self.cold_dispatch:
-            cold = snapshot.cold_user_mask(user_ids)
-        else:
-            cold = np.zeros(len(user_ids), dtype=bool)
         warm_pos = np.flatnonzero(~cold)
         cold_pos = np.flatnonzero(cold)
 
         fallback_rows = 0
-        for start in range(0, len(warm_pos), self.block_size):
-            block_pos = warm_pos[start:start + self.block_size]
-            block_users = user_ids[block_pos]
-            if state.index is None:
-                block_top = self._recommend_exact(state, block_users, k)
-            else:
-                block_top, fallback = self._recommend_ann(state, block_users,
-                                                          k)
+        if state.index is None:
+            results[warm_pos] = self._recommend_exact(state,
+                                                      user_ids[warm_pos], k)
+        else:
+            step = full_ranking.BLOCK_USERS
+            for start in range(0, len(warm_pos), step):
+                block_pos = warm_pos[start:start + step]
+                block_top, fallback = self._recommend_ann(
+                    state, user_ids[block_pos], k)
+                results[block_pos] = block_top
                 fallback_rows += fallback
-            results[block_pos] = block_top
         if cold_pos.size:
             results[cold_pos] = self._recommend_cold(state,
                                                      user_ids[cold_pos], k)
@@ -272,18 +255,13 @@ class RecommendService:
         return top_k_indices(scores, k)
 
     # -- scoring paths -------------------------------------------------
-    def _recommend_exact(self, state: _ServingState, block_users: np.ndarray,
+    def _recommend_exact(self, state: _ServingState, users: np.ndarray,
                          k: int) -> np.ndarray:
-        """Exact top-``k`` for one block: ``full_ranking_topk``'s own steps."""
+        """Exact top-``k``: ``full_ranking.exact_topk`` over the snapshot."""
         snapshot = state.snapshot
-        scores = _score_block(snapshot.user_emb, snapshot.item_emb,
-                              block_users)
-        if self.mask_train:
-            _mask_train_items(scores, block_users, snapshot.train_indptr,
-                              snapshot.train_indices)
-        top = top_k_indices(scores, k)
-        arena.release(scores)
-        return top
+        return full_ranking.exact_topk(
+            snapshot.user_emb, snapshot.item_emb, users,
+            snapshot.train_indptr, snapshot.train_indices, k)
 
     def _recommend_ann(self, state: _ServingState, block_users: np.ndarray,
                        k: int) -> Tuple[np.ndarray, int]:
@@ -329,7 +307,7 @@ class RecommendService:
             arena.release(cand_scores)
             arena.release(cand_ids)
             return self._recommend_exact(state, block_users, k), b
-        if self.mask_train and state.train_keys.size:
+        if state.train_keys.size:
             keys = block_users[:, None] * snapshot.num_items + flat_ids
             pos = np.clip(np.searchsorted(state.train_keys, keys), 0,
                           state.train_keys.size - 1)
@@ -377,5 +355,4 @@ class RecommendService:
     def __repr__(self) -> str:
         state = self._state
         return (f"RecommendService(retrieval={self.retrieval!r}, "
-                f"snapshot={state.snapshot.version!r}, "
-                f"block_size={self.block_size}, stats={self.stats})")
+                f"snapshot={state.snapshot.version!r}, stats={self.stats})")

@@ -50,6 +50,7 @@ import numpy as np
 
 from repro.data.split import Split
 from repro.engine.precision import index_dtype_for
+from repro.engine.propagate import check_ids
 
 FORMAT_VERSION = 1
 
@@ -106,19 +107,21 @@ class EmbeddingSnapshot:
     def embed_dim(self) -> int:
         return int(self.user_emb.shape[1])
 
-    def train_row(self, user: int) -> np.ndarray:
-        """Train-item ids of one user (sorted, possibly empty)."""
-        return self.train_indices[self.train_indptr[user]:
-                                  self.train_indptr[user + 1]]
-
     def social_row(self, user: int) -> np.ndarray:
-        """Friend ids of one user (sorted, possibly empty)."""
+        """Friend ids of one user (sorted, possibly empty).
+
+        Raises ``ValueError`` for a user id outside ``[0, num_users)``.
+        """
+        user = int(check_ids(user, self.num_users, "user"))
         return self.social_indices[self.social_indptr[user]:
                                    self.social_indptr[user + 1]]
 
     def cold_user_mask(self, users: np.ndarray) -> np.ndarray:
-        """True for users with social edges but no train interactions."""
-        users = np.asarray(users, dtype=np.int64)
+        """True for users with social edges but no train interactions.
+
+        Raises ``ValueError`` for a user id outside ``[0, num_users)``.
+        """
+        users = check_ids(users, self.num_users, "user")
         no_train = (self.train_indptr[users + 1]
                     == self.train_indptr[users])
         has_social = (self.social_indptr[users + 1]
@@ -247,11 +250,12 @@ class SnapshotStore:
           v000002/  ...
           LATEST    ("v000002\\n")
 
-    ``publish`` assigns the next version number, materializes the
-    snapshot under a temp name, renames it into place and then moves
-    ``LATEST`` — each step atomic, so concurrent readers always see a
-    complete snapshot.  ``load_latest`` follows the pointer;
-    ``load`` opens any retained version (instant rollback).
+    ``publish`` materializes the snapshot under a temp name, renames it
+    to the next free version number and then moves ``LATEST`` — each
+    step atomic, so concurrent readers always see a complete snapshot
+    and concurrent publishers get distinct versions.  ``load_latest``
+    follows the pointer; ``load`` opens any retained version (instant
+    rollback).
     """
 
     def __init__(self, root):
@@ -291,25 +295,38 @@ class SnapshotStore:
             if not np.isfinite(getattr(snapshot, name)).all():
                 raise SnapshotIntegrityError(
                     f"refusing to publish: {name} has non-finite values")
-        versions = self.versions()
-        next_number = (int(versions[-1][1:]) + 1) if versions else 1
-        while True:
-            name = f"v{next_number:06d}"
-            final = self.root / name
-            if not final.exists():
-                break
-            next_number += 1
-        staging = Path(tempfile.mkdtemp(prefix=f".staging-{name}-",
-                                        dir=self.root))
+        staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=self.root))
         try:
             snapshot.write_to(staging)
-            os.rename(staging, final)
+            name = self._rename_to_next_version(staging)
         except BaseException:
             shutil.rmtree(staging, ignore_errors=True)
             raise
         self._point_latest(name)
         snapshot.version = name
         return name
+
+    def _rename_to_next_version(self, staging: Path) -> str:
+        """Rename ``staging`` to the first free version name after the
+        newest, and return that name.
+
+        A concurrent publisher can take a name between the existence
+        check and ``os.rename``; the rename then fails onto its
+        non-empty directory, and the next name is tried.
+        """
+        versions = self.versions()
+        number = (int(versions[-1][1:]) + 1) if versions else 1
+        while True:
+            name = f"v{number:06d}"
+            final = self.root / name
+            if not final.exists():
+                try:
+                    os.rename(staging, final)
+                    return name
+                except OSError:
+                    if not final.exists():
+                        raise
+            number += 1
 
     def _point_latest(self, name: str) -> None:
         fd, tmp = tempfile.mkstemp(prefix=".latest-", dir=self.root)

@@ -1,10 +1,11 @@
-"""Serving-facing full-ranking contracts: ties, masking, subsampling."""
+"""Serving-facing full-ranking contracts: ties, masking, blocking."""
 
 import numpy as np
 import pytest
 
-from repro.eval.full_ranking import (evaluate_full_ranking, full_ranking_ranks,
-                                     full_ranking_topk)
+from repro.eval import full_ranking
+from repro.eval.full_ranking import (evaluate_full_ranking, exact_topk,
+                                     full_ranking_ranks, full_ranking_topk)
 from repro.eval.metrics import top_k_indices
 from repro.models.lightgcn import LightGCN
 
@@ -55,17 +56,8 @@ class TestTrainMasking:
                                      train.indptr[user + 1]].tolist())
             assert not seen & set(top[row].tolist())
 
-    def test_unmasked_can_return_train_items(self, model, tiny_split):
-        users = tiny_split.test_users
-        masked = full_ranking_topk(model, tiny_split, users=users, top_n=20)
-        unmasked = full_ranking_topk(model, tiny_split, users=users,
-                                     top_n=20, mask_train=False)
-        assert not np.array_equal(masked, unmasked)
-
 
 @pytest.mark.parametrize("make_kwargs, message", [
-    pytest.param(lambda n: dict(users=[-1], mask_train=False),
-                 "user id out of range", id="negative-user-unmasked"),
     pytest.param(lambda n: dict(users=[-1]), "user id out of range",
                  id="negative-user-masked"),
     pytest.param(lambda n: dict(users=[n]), "user id out of range",
@@ -76,8 +68,6 @@ class TestTrainMasking:
                  "top_n must be positive", id="negative-top-n"),
     pytest.param(lambda n: dict(users=[0, 1], top_n=0),
                  "top_n must be positive", id="zero-top-n"),
-    pytest.param(lambda n: dict(users=[0, 1], batch_size=0),
-                 "batch_size must be positive", id="zero-batch-size"),
 ])
 def test_topk_rejects_invalid_arguments(model, tiny_split, make_kwargs,
                                         message):
@@ -86,21 +76,49 @@ def test_topk_rejects_invalid_arguments(model, tiny_split, make_kwargs,
         full_ranking_topk(model, tiny_split, **kwargs)
 
 
-@pytest.mark.parametrize("batch_size", [0, -1])
-def test_ranks_reject_non_positive_batch_size(model, tiny_split, batch_size):
-    with pytest.raises(ValueError, match="batch_size must be positive"):
-        full_ranking_ranks(model, tiny_split, batch_size=batch_size)
-    with pytest.raises(ValueError, match="batch_size must be positive"):
-        evaluate_full_ranking(model, tiny_split, batch_size=batch_size)
+class TestExactTopk:
+    def test_block_size_does_not_change_results(self, model, tiny_split,
+                                                monkeypatch):
+        users = tiny_split.test_users
+        top = full_ranking_topk(model, tiny_split, users=users, top_n=20)
+        ranks = full_ranking_ranks(model, tiny_split)
+        metrics = evaluate_full_ranking(model, tiny_split)
+        # 7 leaves a ragged last block.
+        monkeypatch.setattr(full_ranking, "BLOCK_USERS", 7)
+        np.testing.assert_array_equal(
+            full_ranking_topk(model, tiny_split, users=users, top_n=20), top)
+        np.testing.assert_array_equal(full_ranking_ranks(model, tiny_split),
+                                      ranks)
+        assert evaluate_full_ranking(model, tiny_split) == metrics
 
+    def test_matches_unblocked_masked_scores(self, model, tiny_split):
+        user_emb, item_emb = model.final_embeddings()
+        train = tiny_split.train_matrix().tocsr()
+        users = tiny_split.test_users[:40]
+        scores = user_emb[users] @ item_emb.T
+        for row, user in enumerate(users):
+            scores[row, train.indices[train.indptr[user]:
+                                      train.indptr[user + 1]]] = -np.inf
+        np.testing.assert_array_equal(
+            exact_topk(user_emb, item_emb, users, train.indptr,
+                       train.indices, 15),
+            top_k_indices(scores, 15))
 
-class TestMaxUsersDeterminism:
-    def test_same_seed_same_subsample(self, model, tiny_split):
-        a = full_ranking_ranks(model, tiny_split, max_users=10, seed=3)
-        b = full_ranking_ranks(model, tiny_split, max_users=10, seed=3)
-        np.testing.assert_array_equal(a, b)
+    def test_k_clamped_to_catalogue_and_no_users(self, model, tiny_split):
+        user_emb, item_emb = model.final_embeddings()
+        train = tiny_split.train_matrix().tocsr()
+        num_items = item_emb.shape[0]
+        top = exact_topk(user_emb, item_emb, [0], train.indptr,
+                         train.indices, num_items + 5)
+        assert top.shape == (1, num_items)
+        empty = exact_topk(user_emb, item_emb, [], train.indptr,
+                           train.indices, 5)
+        assert empty.shape == (0, 5) and empty.dtype == np.int64
 
-    def test_different_seed_different_subsample(self, model, tiny_split):
-        a = full_ranking_ranks(model, tiny_split, max_users=10, seed=3)
-        b = full_ranking_ranks(model, tiny_split, max_users=10, seed=4)
-        assert not np.array_equal(a, b)
+    @pytest.mark.parametrize("k", [0, -2])
+    def test_rejects_non_positive_k(self, model, tiny_split, k):
+        user_emb, item_emb = model.final_embeddings()
+        train = tiny_split.train_matrix().tocsr()
+        with pytest.raises(ValueError, match="k must be positive"):
+            exact_topk(user_emb, item_emb, [0], train.indptr, train.indices,
+                       k)

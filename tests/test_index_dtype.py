@@ -30,6 +30,7 @@ from repro.engine.precision import (
     use_index_dtype,
 )
 from repro.graph import CollaborativeHeteroGraph
+from repro.engine.adjcache import cached_transpose
 from repro.graph.adjacency import as_csr64, assert_csr64
 from repro.graph.sampling import sample_subgraph_view
 
@@ -102,6 +103,20 @@ class TestAdjacencyCanonicalization:
             assert canonical.indices.dtype == np.int64
             assert canonical.indptr.dtype == np.int64
             assert_csr64(canonical)
+
+    @pytest.mark.parametrize("index_dtype", ["int32", "int64"])
+    def test_cached_transpose_keeps_policy(self, index_dtype):
+        """Regression: the transpose memo used scipy's constructor, which
+        downcast int64 indices back to int32."""
+        with use_index_dtype(index_dtype):
+            canonical = as_csr64(self._matrix())
+            transpose = cached_transpose(canonical)
+            assert transpose.indices.dtype == np.dtype(index_dtype)
+            assert transpose.indptr.dtype == np.dtype(index_dtype)
+            assert transpose.has_sorted_indices
+            assert_csr64(transpose)
+            np.testing.assert_array_equal(transpose.toarray(),
+                                          canonical.toarray().T)
 
     def test_assert_csr64_rejects_wrong_index_dtype(self):
         with use_index_dtype("int64"):

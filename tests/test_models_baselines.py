@@ -97,8 +97,11 @@ class TestScoringContract:
     def test_most_popular_orders_by_count(self, tiny_graph):
         model = create_model("most-popular", tiny_graph)
         counts = np.asarray(tiny_graph.interaction.sum(axis=0)).reshape(-1)
-        top = model.recommend(0, top_n=5, exclude_train=False)
-        assert counts[top[0]] == counts.max()
+        unseen = np.ones(len(counts), dtype=bool)
+        unseen[tiny_graph.interaction[0].indices] = False
+        top = model.recommend(0, top_n=5)
+        assert unseen[top].all()
+        assert counts[top[0]] == counts[unseen].max()
 
     @pytest.mark.parametrize("user", [-1, "past-end"])
     def test_recommend_rejects_out_of_range_user(self, user, tiny_graph):

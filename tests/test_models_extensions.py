@@ -230,14 +230,14 @@ class TestFullRanking:
         # ranking against all items can never be easier than against 50
         assert full["full-hr@10"] <= sampled["hr@10"] + 1e-9
 
-    def test_max_users_subsamples(self, trained_dgnn, tiny_split):
-        ranks = full_ranking_ranks(trained_dgnn, tiny_split, max_users=10)
-        assert len(ranks) == 10
+    def test_batching_consistent(self, trained_dgnn, tiny_split,
+                                 monkeypatch):
+        from repro.eval import full_ranking
 
-    def test_batching_consistent(self, trained_dgnn, tiny_split):
-        a = full_ranking_ranks(trained_dgnn, tiny_split, batch_size=7)
-        b = full_ranking_ranks(trained_dgnn, tiny_split, batch_size=1000)
-        np.testing.assert_allclose(a, b)
+        default = full_ranking_ranks(trained_dgnn, tiny_split)
+        monkeypatch.setattr(full_ranking, "BLOCK_USERS", 7)
+        np.testing.assert_array_equal(
+            full_ranking_ranks(trained_dgnn, tiny_split), default)
 
 
 class TestAnalysis:
@@ -307,7 +307,7 @@ class TestAnalysis:
 
         users = tiny_split.test_users[:5]
         masked = full_ranking_topk(trained_dgnn, tiny_split, users=users,
-                                   top_n=10, mask_train=True)
+                                   top_n=10)
         train = tiny_split.train_matrix().tocsr()
         for row, user in enumerate(users):
             seen = set(train[int(user)].indices)

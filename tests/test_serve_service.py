@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.engine.precision import use_dtype
+from repro.eval import full_ranking
 from repro.models.lightgcn import LightGCN
 from repro.serve import (
     EmbeddingSnapshot,
@@ -48,8 +49,10 @@ class TestRetrievalModes:
         users = tiny_split.test_users
         top = service.recommend(users, 10)
         assert top.shape == (len(users), 10)
+        train = tiny_split.train_matrix().tocsr()
         for row, user in enumerate(users):
-            seen = set(snapshot.train_row(user).tolist())
+            seen = set(train.indices[train.indptr[user]:
+                                     train.indptr[user + 1]].tolist())
             assert not seen & set(top[row].tolist())
 
     @pytest.mark.parametrize("retrieval", ["ivf"])
@@ -67,14 +70,17 @@ class TestRetrievalModes:
                                    nprobe=6)
         np.testing.assert_array_equal(service.recommend(users, 10), exact)
 
-    def test_blocking_invariant(self, snapshot, tiny_split):
+    def test_blocking_invariant(self, snapshot, tiny_split, monkeypatch):
         users = tiny_split.test_users
-        small = RecommendService(snapshot, retrieval="ivf", block_size=7,
-                                 nprobe=4, num_cells=8)
-        large = RecommendService(snapshot, retrieval="ivf", block_size=1000,
-                                 nprobe=4, num_cells=8)
-        np.testing.assert_array_equal(small.recommend(users, 5),
-                                      large.recommend(users, 5))
+        services = [RecommendService(snapshot),
+                    RecommendService(snapshot, retrieval="ivf", nprobe=4,
+                                     num_cells=8)]
+        default = [service.recommend(users, 5) for service in services]
+        # 7 users per block leaves a ragged last block.
+        monkeypatch.setattr(full_ranking, "BLOCK_USERS", 7)
+        for service, expected in zip(services, default):
+            np.testing.assert_array_equal(service.recommend(users, 5),
+                                          expected)
 
     def test_fallback_covers_thin_buckets(self, snapshot, tiny_split):
         # 250 cells over 250 items: at most one item per cell, so two
@@ -99,16 +105,12 @@ class TestRetrievalModes:
         assert service.recommend([], 5).shape == (0, 5)
 
     @pytest.mark.parametrize("retrieval, kwargs", [
-        ("exact", {"block_size": -1}),
-        ("exact", {"block_size": 0}),
         ("ivf", {"nprobe": 0}),
         ("ivf", {"nprobe": -2}),
-    ], ids=["block_size=-1", "block_size=0", "nprobe=0", "nprobe=-2"])
+    ], ids=["nprobe=0", "nprobe=-2"])
     def test_non_positive_sizes_rejected_at_construction(self, snapshot,
                                                          retrieval, kwargs):
-        # A negative block_size used to skip the warm-user loop and
-        # return uninitialized item ids; zero sizes failed only at
-        # request time.
+        # Zero sizes used to fail only at request time.
         (name,) = kwargs
         with pytest.raises(ValueError, match=name):
             RecommendService(snapshot, retrieval=retrieval, **kwargs)
@@ -130,12 +132,6 @@ class TestColdDispatch:
         expected = np.argsort(-(cold_snapshot.item_emb @ vector),
                               kind="stable")[:10]
         np.testing.assert_array_equal(top[0], expected)
-
-    def test_dispatch_can_be_disabled(self, snapshot):
-        cold_snapshot = _make_cold(snapshot, user=2)
-        service = RecommendService(cold_snapshot, cold_dispatch=False)
-        service.recommend(np.array([2]), 10)
-        assert service.stats["cold_users"] == 0
 
     def test_tau_scaling_applied(self, snapshot):
         friends = np.array([0, 1])

@@ -3,6 +3,10 @@ the train_and_publish handoff."""
 
 import dataclasses
 import json
+import os
+import sys
+import tempfile
+import threading
 
 import numpy as np
 import pytest
@@ -89,6 +93,116 @@ class TestLifecycle:
                                     "v000004"]
 
 
+class TestConcurrentPublish:
+    """A rival publish lands while this one is in flight: both must get
+    distinct, complete versions instead of a bare ``OSError``."""
+
+    def _rival_after_first_call(self, monkeypatch, module, name, store,
+                                rival):
+        real = getattr(module, name)
+        published = []
+
+        def racing(*args, **kwargs):
+            if not published:
+                published.append(None)
+                published[0] = store.publish(rival)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, racing)
+        return published
+
+    def _assert_both_published(self, store, mine, rival, ours, theirs):
+        assert sorted([ours, theirs]) == ["v000001", "v000002"]
+        assert store.versions() == ["v000001", "v000002"]
+        for version, source in ((ours, mine), (theirs, rival)):
+            loaded = store.load(version)
+            np.testing.assert_array_equal(np.asarray(loaded.user_emb),
+                                          source.user_emb)
+        assert not [p for p in store.root.iterdir()
+                    if p.name.startswith(".staging-")]
+
+    def test_rival_publishes_while_staging(self, snapshot, tmp_path,
+                                           monkeypatch):
+        store = SnapshotStore(tmp_path)
+        rival = dataclasses.replace(snapshot, user_emb=snapshot.user_emb + 1)
+        published = self._rival_after_first_call(
+            monkeypatch, tempfile, "mkdtemp", store, rival)
+        ours = store.publish(snapshot)
+        self._assert_both_published(store, snapshot, rival, ours,
+                                    published[0])
+
+    def test_rival_takes_the_name_before_rename(self, snapshot, tmp_path,
+                                                monkeypatch):
+        store = SnapshotStore(tmp_path)
+        rival = dataclasses.replace(snapshot, user_emb=snapshot.user_emb + 1)
+        published = self._rival_after_first_call(
+            monkeypatch, os, "rename", store, rival)
+        ours = store.publish(snapshot)
+        assert (ours, published[0]) == ("v000002", "v000001")
+        self._assert_both_published(store, snapshot, rival, ours,
+                                    published[0])
+
+
+    def test_threads_publishing_at_once_get_distinct_versions(
+            self, snapshot, tmp_path):
+        store = SnapshotStore(tmp_path)
+        threads, each = 6, 3
+        start = threading.Barrier(threads)
+        names, errors = [], []
+
+        def publisher(offset):
+            start.wait()
+            for _ in range(each):
+                mine = dataclasses.replace(
+                    snapshot, user_emb=snapshot.user_emb + offset)
+                try:
+                    names.append((store.publish(mine), offset))
+                except Exception as error:  # noqa: BLE001 — the result
+                    errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=publisher, args=(offset,))
+                       for offset in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert errors == []
+        assert len({name for name, _ in names}) == threads * each
+        assert store.versions() == sorted(name for name, _ in names)
+        for name, offset in names:
+            np.testing.assert_array_equal(
+                np.asarray(store.load(name).user_emb),
+                snapshot.user_emb + offset)
+
+
+class TestIdChecks:
+    """Snapshot lookups reject ids outside ``[0, num_users)`` instead of
+    answering for the user a negative id wraps to."""
+
+    def test_social_row_rejects_out_of_range(self, snapshot):
+        assert snapshot.social_row(snapshot.num_users - 1).size > 0
+        for user in (-1, snapshot.num_users):
+            with pytest.raises(ValueError, match="out of range"):
+                snapshot.social_row(user)
+
+    @pytest.mark.parametrize("user", [-1, "past-end"])
+    def test_cold_user_mask_rejects_out_of_range(self, snapshot, user):
+        if user == "past-end":
+            user = snapshot.num_users
+        with pytest.raises(ValueError, match="out of range"):
+            snapshot.cold_user_mask([0, user])
+
+    def test_service_rejects_negative_user(self, snapshot):
+        with pytest.raises(ValueError, match="out of range"):
+            RecommendService(snapshot).recommend([-1], 5)
+
+
 class TestIntegrity:
     def test_corrupted_array_raises(self, snapshot, tmp_path):
         store = SnapshotStore(tmp_path)
@@ -170,10 +284,10 @@ class TestServingParity:
         store = SnapshotStore(tmp_path)
         store.publish(snapshot)
         served = store.load_latest()
-        service = RecommendService(served, retrieval="exact", block_size=256)
+        service = RecommendService(served, retrieval="exact")
         users = tiny_split.test_users
         expected = full_ranking_topk(model, tiny_split, users=users,
-                                     top_n=10, batch_size=256)
+                                     top_n=10)
         np.testing.assert_array_equal(service.recommend(users, 10), expected)
 
     def test_parity_holds_under_float32(self, tiny_graph, tiny_split,
@@ -186,11 +300,10 @@ class TestServingParity:
             store.publish(snapshot)
             served = store.load_latest()
             assert served.user_emb.dtype == np.float32
-            service = RecommendService(served, retrieval="exact",
-                                       block_size=256)
+            service = RecommendService(served, retrieval="exact")
             users = tiny_split.test_users
             expected = full_ranking_topk(model, tiny_split, users=users,
-                                         top_n=10, batch_size=256)
+                                         top_n=10)
             np.testing.assert_array_equal(service.recommend(users, 10),
                                           expected)
 
