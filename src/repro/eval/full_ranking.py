@@ -14,8 +14,7 @@ bitwise by construction.  All of them, and :func:`full_ranking_ranks`,
 walk users through one masked block loop:
 
 * **Blocks** — :data:`BLOCK_USERS` users at a time, so a call holds one
-  ``(BLOCK_USERS, num_items)`` score buffer, checked out of the engine's
-  buffer arena (:mod:`repro.engine.arena`) once per call.
+  ``(BLOCK_USERS, num_items)`` score buffer, allocated once per call.
 * **Precision** — each block is written via ``np.matmul(..., out=...)``
   into a buffer of the user table's dtype (float32 under the production
   policy), so an upcast operand cannot double the block's memory.
@@ -31,7 +30,6 @@ from typing import Dict, Iterator, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.data.split import Split
-from repro.engine import arena
 from repro.engine.ragged import gather_ragged_rows
 from repro.eval.metrics import hit_rate_at, mrr, ndcg_at, top_k_indices
 
@@ -53,8 +51,8 @@ def _masked_blocks(user_emb: np.ndarray, item_emb: np.ndarray,
     before it asks for the next.
     """
     step = BLOCK_USERS
-    buffer = arena.empty((min(step, len(users)), item_emb.shape[0]),
-                         user_emb.dtype)
+    buffer = np.empty((min(step, len(users)), item_emb.shape[0]),
+                      dtype=user_emb.dtype)
     for start in range(0, len(users), step):
         block_users = users[start:start + step]
         scores = np.matmul(user_emb[block_users], item_emb.T,
@@ -62,7 +60,6 @@ def _masked_blocks(user_emb: np.ndarray, item_emb: np.ndarray,
         gathered = gather_ragged_rows(indptr, block_users)
         scores[gathered.owners(), indices[gathered.positions]] = -np.inf
         yield slice(start, start + len(block_users)), scores
-    arena.release(buffer)
 
 
 def _train_csr(split: Split) -> Tuple[np.ndarray, np.ndarray]:

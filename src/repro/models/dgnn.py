@@ -14,7 +14,9 @@ The model follows Section IV end to end:
 3. **Stabilization** (Eq. 7): LayerNorm with learned scale/shift inside a
    LeakyReLU, plus a memory-encoded self-loop.
 4. **Cross-layer aggregation** (Eq. 8): concatenation of all layer
-   outputs followed by LayerNorm.
+   outputs followed by LayerNorm, for users and items.  No score reads
+   the relation nodes' concat, so it is never built, and the last
+   layer skips its relation update.
 5. **Social recalibration** (Eqs. 9–10): the scoring user vector is
    ``H*[u] + τ(H*[u])`` where ``τ`` averages the user's social
    neighbourhood (self included); folded into the returned user
@@ -134,17 +136,17 @@ class _DgnnLayer(Module):
     # -- full layer --------------------------------------------------------
     def forward(self, graph: CollaborativeHeteroGraph, users: Tensor,
                 items: Tensor, relations: Tensor,
-                rows: Optional[np.ndarray] = None,
+                rows: Optional[np.ndarray] = None, last: bool = False,
                 ) -> Tuple[Tensor, Tensor, Optional[Tensor]]:
-        """Eqs. 3–7 for every node set, or only for what a loss reads.
+        """Eqs. 3–7 for every node set, or only for what a score reads.
 
-        With ``rows`` (sorted, unique item ids) the item update runs only
-        at those rows and the relation update, which no score reads, is
-        skipped: the result is the full user table, the item table at
-        ``rows`` and ``None``.  Per row, the numbers are the full layer's.
-        Dropout masks are drawn at full shape either way (the skipped
-        relation mask included), so the dropout stream does not depend
-        on ``rows``.
+        With ``last`` the relation update, which only a later layer would
+        read, is skipped and the third result is ``None``.  With ``rows``
+        (sorted, unique item ids) the item update runs only at those rows
+        and the item result holds them alone; per row, the numbers are
+        the full layer's.  Dropout masks are drawn at full shape either
+        way (the skipped relation mask included), so the dropout stream
+        depends on neither argument.
         """
         # Users (Eq. 4): social message + interaction message under the
         # joint 1/(|N^S|+|N^Y|) normalization.  By default both use the
@@ -178,7 +180,7 @@ class _DgnnLayer(Module):
                                from_relations))
 
         # Relation nodes (Eq. 6): aggregated item messages, memory-gated.
-        if rows is not None:
+        if last:
             relation_message = None
         elif self.literal_eq4:
             relation_message = self._source_gated(
@@ -259,8 +261,8 @@ class DGNN(Recommender):
             for _ in range(self.num_layers)
         ])
         self.final_norm = LayerNorm(embed_dim * (self.num_layers + 1))
-        self._cached_layer_tables: Optional[
-            List[Tuple[np.ndarray, np.ndarray, np.ndarray]]] = None
+        self._cached_layer_tables: Optional[List[Tuple[
+            np.ndarray, np.ndarray, Optional[np.ndarray]]]] = None
 
     # ------------------------------------------------------------------
     def _stack(self) -> LayerStack:
@@ -274,96 +276,83 @@ class DGNN(Recommender):
         return (self.user_embedding.all(), self.item_embedding.all(),
                 self.relation_embedding.all())
 
-    def _step(self, graph: CollaborativeHeteroGraph):
-        """One ``LayerStack`` step: layer ``index``'s Eqs. 3–7 on ``graph``."""
-        def step(index, users, items, relations):
-            return self.layers[index](graph, users, items, relations)
-        return step
+    def _layers(self, graph: CollaborativeHeteroGraph,
+                initial: Tuple[Tensor, Tensor, Tensor],
+                rows: Optional[np.ndarray] = None,
+                ) -> List[Tuple[Tensor, Tensor, Optional[Tensor]]]:
+        """Eqs. 3–7 on ``graph``: the one loop that drives DGNN's layers.
 
-    def _run(self, graph: CollaborativeHeteroGraph,
-             initial: Tuple[Tensor, Tensor, Tensor],
-             tau: bool = True) -> Tuple[Tensor, Tensor, Tensor]:
-        """Eqs. 3–8 on ``graph``, then τ (Eqs. 9–10) unless ``tau`` is off."""
-        users, items, relations = self._stack().run(initial, self._step(graph))
-        if tau:
-            users = self._recalibrate(graph, users)
-        return users, items, relations
-
-    def _recalibrate(self, graph: CollaborativeHeteroGraph,
-                     users: Tensor) -> Tensor:
-        """τ (Eqs. 9–10), when on: ``H*[u] + τ(H*[u])``.
-
-        τ is the row-normalized ``S + I`` average of a user's social
-        neighbourhood including themselves, served as a cached graph
-        view so it is normalized once per graph, not per call.
+        Returns ``L + 1`` ``(users, items, relations)`` states: entry
+        ``l`` enters layer ``l`` (entry 0 is ``initial``) and entry ``L``
+        is the last layer's output.  The last layer skips its relation
+        update, which no score reads, so entry ``L``'s relations are
+        ``None``; with ``rows`` its item update runs only at those rows.
         """
-        if not self.use_tau:
-            return users
-        return ops.add(users, ops.spmm(graph.social_self_loop_mean, users))
-
-    def _propagate_rows(self, rows: np.ndarray) -> Tuple[Tensor, Tensor]:
-        """Final users (τ folded in) and final items at ``rows`` only.
-
-        The last layer runs its item update at ``rows`` alone and skips
-        its relation update; the earlier layers' item tables enter the
-        Eq. 8 concat gathered at ``rows``.  Row for row the result equals
-        :meth:`propagate`'s.
-        """
-        users, items, relations = self._tables()
-        user_layers, item_layers = [users], [items]
+        states = [tuple(initial)]
         for index, layer in enumerate(self.layers):
             last = index == self.num_layers - 1
-            users, items, relations = layer(self.graph, users, items,
-                                            relations, rows if last else None)
-            user_layers.append(users)
-            item_layers.append(items)
-        item_layers[:-1] = [ops.gather_rows(table, rows)
-                            for table in item_layers[:-1]]
+            states.append(layer(graph, *states[-1],
+                                rows=rows if last else None, last=last))
+        return states
+
+    def _finish(self, graph: CollaborativeHeteroGraph, states,
+                rows: Optional[np.ndarray] = None) -> Tuple[Tensor, Tensor]:
+        """Eq. 8 on the user and item states, then τ (Eqs. 9–10).
+
+        τ, when on, gives ``H*[u] + τ(H*[u])``: the row-normalized
+        ``S + I`` average of a user's social neighbourhood including
+        themselves, served as a cached graph view so it is normalized
+        once per graph, not per call.  With ``rows``, the last item
+        state covers those rows only, and the earlier item states enter
+        the concat gathered at them.
+        """
         stack = self._stack()
-        return (self._recalibrate(self.graph, stack.merge(user_layers)),
-                stack.merge(item_layers))
+        users = stack.merge([state[0] for state in states])
+        if self.use_tau:
+            users = ops.add(users, ops.spmm(graph.social_self_loop_mean, users))
+        items = [state[1] for state in states]
+        if rows is not None:
+            items[:-1] = [ops.gather_rows(table, rows) for table in items[:-1]]
+        return users, stack.merge(items)
 
     def invalidate_cache(self) -> None:
         """Drop the cached final embeddings and per-layer tables."""
         super().invalidate_cache()
         self._cached_layer_tables = None
 
-    def layer_tables(self) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    def layer_tables(self) -> List[Tuple[np.ndarray, np.ndarray,
+                                         Optional[np.ndarray]]]:
         """Inference-mode user / item / relation states entering each layer.
 
         Entry ``l`` holds the layer-``l`` tables (entry 0 is Eq. 1's
-        embeddings, entry ``L`` the last layer's output), computed once
-        with dropout off and no graph, and cached until
-        :meth:`invalidate_cache` — the neighbour rows cold-start
-        inference reads, so a cold embedding costs O(neighbours) instead
-        of a full propagation, and :meth:`memory_attention` reads its
-        gating tables.
+        embeddings), computed once with dropout off and no graph, and
+        cached until :meth:`invalidate_cache` — the neighbour rows
+        cold-start inference reads, so a cold embedding costs
+        O(neighbours) instead of a full propagation, and
+        :meth:`memory_attention` reads its gating tables.  Entry ``L``
+        holds the last layer's user and item outputs and ``None`` for
+        relations: the last relation update feeds no score, so it is
+        never computed.
         """
         if self._cached_layer_tables is None:
             was_training = self.training
             self.eval()  # message dropout off
             try:
                 with no_grad():
-                    step = self._step(self.graph)
-                    states = [self._tables()]
-                    for index in range(self.num_layers):
-                        states.append(step(index, *states[-1]))
+                    states = self._layers(self.graph, self._tables())
             finally:
                 if was_training:
                     self.train()
             self._cached_layer_tables = [
-                tuple(tensor.data.copy() for tensor in state)
+                tuple(None if tensor is None else tensor.data.copy()
+                      for tensor in state)
                 for state in states]
         return self._cached_layer_tables
 
-    def propagate_all(self) -> Tuple[Tensor, Tensor, Tensor]:
-        """Run Eqs. 3–8; return final user / item / relation embeddings."""
-        return self._run(self.graph, self._tables(), tau=False)
-
     def propagate(self) -> Tuple[Tensor, Tensor]:
         """Final embeddings with τ folded into the user side (Eq. 10)."""
-        users, items, _ = self._run(self.graph, self._tables())
-        return users, items
+        return self._finish(self.graph, self._layers(self.graph,
+                                                     self._tables()))
 
     def bpr_loss(self, users: np.ndarray, positives: np.ndarray,
                  negatives: np.ndarray, l2: float = 1e-4) -> Tensor:
@@ -381,10 +370,8 @@ class DGNN(Recommender):
 
         The loss equals :meth:`Recommender.bpr_loss` (the full-graph
         path) bitwise, and the dropout stream is consumed identically;
-        gradients agree up to summation order.  :meth:`propagate`,
-        :meth:`final_embeddings` and :meth:`layer_tables` stay
-        full-graph.  An id outside the user or item range raises
-        ``ValueError``.
+        gradients agree up to summation order.  An id outside the user
+        or item range raises ``ValueError``.
         """
         if not self.num_layers:
             return super().bpr_loss(users, positives, negatives, l2=l2)
@@ -392,7 +379,8 @@ class DGNN(Recommender):
                                                         negatives)
         rows = np.unique(np.concatenate([positives, negatives]))
         self.invalidate_cache()
-        user_emb, item_emb = self._propagate_rows(rows)
+        user_emb, item_emb = self._finish(
+            self.graph, self._layers(self.graph, self._tables(), rows), rows)
         return bpr_terms(user_emb, item_emb, users,
                          np.searchsorted(rows, positives),
                          np.searchsorted(rows, negatives), l2=l2)
@@ -421,8 +409,7 @@ class DGNN(Recommender):
             ops.gather_rows(self.user_embedding.weight, subgraph.user_ids),
             ops.gather_rows(self.item_embedding.weight, subgraph.item_ids),
             self.relation_embedding.all())
-        users, items, _ = self._run(subgraph, initial)
-        return users, items
+        return self._finish(subgraph, self._layers(subgraph, initial))
 
     # ------------------------------------------------------------------
     # Introspection for the case studies (Figs. 9-10)

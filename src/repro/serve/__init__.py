@@ -12,8 +12,8 @@ Propagation for Large-scale Social Recommendation"):
   (IVF coarse quantization) over the item embeddings;
 * :mod:`repro.serve.service` — :class:`RecommendService`, the batched
   ``recommend(user_ids, k)`` entry point with train-item masking,
-  arena-backed score blocks, exact/IVF retrieval and automatic
-  cold-user dispatch.
+  blocked exact scoring, exact/IVF retrieval and automatic cold-user
+  dispatch.
 """
 
 from repro.serve.ann import (

@@ -15,12 +15,13 @@
   :data:`~repro.eval.full_ranking.BLOCK_USERS`-user blocks, as exact
   scoring is;
 * users with social edges but no train interactions are auto-detected
-  from the snapshot CSRs and routed through the cold-start path
-  (:func:`repro.models.coldstart.embed_cold_user` when the live model
-  is attached, a snapshot-only social-mean approximation otherwise);
+  from the snapshot CSRs and embedded by :func:`cold_user_embedding`, a
+  social-mean approximation read from the snapshot alone (the exact
+  cold start, :mod:`repro.models.coldstart`, needs the live model);
 * :meth:`RecommendService.swap` atomically replaces the snapshot (and
   rebuilds the index) under a lock while in-flight requests keep
-  serving the version they started with.
+  serving the version they started with.  Every answer, cold ones
+  included, reads one snapshot and nothing else.
 
 In ``"exact"`` mode the results are *bitwise identical* to
 ``full_ranking_topk`` on the live model: one scorer, the snapshot
@@ -28,11 +29,8 @@ stores the embeddings uncast, and the mask content is the same CSR.
 The ANN modes are deterministic given the index's build seed but trade
 that exactness for sublinear cost (recall@20 against exact is gated by
 ``perfbench``).  Knobs: ``retrieval`` and the index parameters
-forwarded to :mod:`repro.serve.ann`.  The service never opens an arena
-scope itself, so ``REPRO_ENGINE_ARENA`` does not change its
-allocations; the pool's size knobs (``REPRO_ENGINE_ARENA_MB``/
-``_MIN_KB``) apply only inside a caller's scope — see
-``docs/operations.md``.
+forwarded to :mod:`repro.serve.ann`.  The request path allocates with
+plain numpy, so no engine environment variable changes it.
 """
 
 from __future__ import annotations
@@ -42,7 +40,6 @@ from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.engine import arena
 from repro.eval import full_ranking
 from repro.eval.metrics import top_k_indices
 from repro.serve.ann import CoarseIndex, build_ivf_index
@@ -55,9 +52,9 @@ def cold_user_embedding(snapshot: EmbeddingSnapshot,
                         friend_ids: Sequence[int]) -> np.ndarray:
     """Snapshot-only cold-user vector: the friends' final-embedding mean.
 
-    The model-attached path (:func:`repro.models.coldstart.embed_cold_user`)
-    re-runs the trained propagation operators and is exact; this
-    fallback needs nothing but the snapshot.  When the snapshot was
+    :func:`repro.models.coldstart.embed_cold_user` re-runs the trained
+    propagation operators and is exact, but needs the live model; this
+    approximation needs nothing but the snapshot.  When the snapshot was
     taken from a τ-recalibrated model the friends' final embeddings
     already include their own τ (which doubles their pre-τ state), so
     the mean is scaled by 1.5 to approximate ``state + τ/2`` — a
@@ -94,6 +91,20 @@ def topk_recall(approx: np.ndarray, exact: np.ndarray) -> float:
     return float(hits.sum() / exact.size)
 
 
+def _cold_topk(snapshot: EmbeddingSnapshot,
+               friend_lists: Sequence[Sequence[int]], k: int) -> np.ndarray:
+    """Top-``k`` per friend list: :func:`cold_user_embedding`, exact-scored
+    against ``snapshot``'s items with no train mask.
+
+    Always exact — an ANN index probed with an out-of-distribution
+    social-mean vector is the worst case for recall, and cold users are
+    rare enough that the full GEMM is cheap.
+    """
+    vectors = np.stack([cold_user_embedding(snapshot, friends)
+                        for friends in friend_lists])
+    return top_k_indices(vectors @ np.asarray(snapshot.item_emb).T, k)
+
+
 class _ServingState(NamedTuple):
     """Everything one request reads, swapped as a unit."""
 
@@ -117,20 +128,17 @@ class RecommendService:
     num_cells:
         Index-build knob forwarded to :func:`build_ivf_index`
         (``None`` → ``≈ sqrt(n)``).
-    model:
-        Optional live model for the exact cold-start path
-        (:func:`repro.models.coldstart.embed_cold_user`); without it
-        cold users fall back to :func:`cold_user_embedding`.
     seed:
         Index-build seed forwarded to :func:`build_ivf_index`.
 
     Each user's train items are excluded from their results, and users
-    with social ties but no train interactions go through the cold path.
+    with social ties but no train interactions are embedded by
+    :func:`cold_user_embedding`.
     """
 
     def __init__(self, snapshot: EmbeddingSnapshot, retrieval: str = "exact",
                  nprobe: int = 8, num_cells: Optional[int] = None,
-                 model=None, seed: int = 0):
+                 seed: int = 0):
         if retrieval not in RETRIEVAL_MODES:
             raise ValueError(f"retrieval must be one of {RETRIEVAL_MODES}, "
                              f"got {retrieval!r}")
@@ -139,7 +147,6 @@ class RecommendService:
         self.retrieval = retrieval
         self.nprobe = int(nprobe)
         self.num_cells = num_cells
-        self.model = model
         self.seed = int(seed)
         self._lock = threading.Lock()
         self.stats: Dict[str, int] = {"requests": 0, "users": 0,
@@ -229,8 +236,9 @@ class RecommendService:
                 results[block_pos] = block_top
                 fallback_rows += fallback
         if cold_pos.size:
-            results[cold_pos] = self._recommend_cold(state,
-                                                     user_ids[cold_pos], k)
+            results[cold_pos] = _cold_topk(
+                snapshot, [snapshot.social_row(user)
+                           for user in user_ids[cold_pos]], k)
         # Concurrent callers share ``stats``: one locked update per call.
         with self._lock:
             self.stats["requests"] += 1
@@ -243,16 +251,13 @@ class RecommendService:
                             k: int = 10) -> np.ndarray:
         """Top-``k`` for a brand-new user known only through friends.
 
-        With the live model attached this matches
-        :func:`repro.models.coldstart.recommend_cold_user` bitwise
-        (same embedding, same items, same tie-breaking); without it
-        the snapshot-only social-mean vector is used.
+        The same path as a cold user's answer in :meth:`recommend`: the
+        :func:`cold_user_embedding` of ``friend_ids``, exact-scored
+        against the served snapshot.
         """
-        state = self._state
-        vector = self._cold_vector(state, friend_ids)
-        scores = np.asarray(state.snapshot.item_emb) @ vector
-        k = min(int(k), state.snapshot.num_items)
-        return top_k_indices(scores, k)
+        snapshot = self._state.snapshot
+        return _cold_topk(snapshot, [friend_ids],
+                          min(int(k), snapshot.num_items))[0]
 
     # -- scoring paths -------------------------------------------------
     def _recommend_exact(self, state: _ServingState, users: np.ndarray,
@@ -274,11 +279,9 @@ class RecommendService:
         indptr = index.indptr
         max_len = int(np.diff(indptr)[probes].max())
 
-        dtype = snapshot.user_emb.dtype
-        cand_scores = arena.empty((b, nprobe, max_len), dtype)
-        cand_scores[...] = -np.inf
-        cand_ids = arena.empty((b, nprobe, max_len), np.int64)
-        cand_ids[...] = -1
+        cand_scores = np.full((b, nprobe, max_len), -np.inf,
+                              dtype=snapshot.user_emb.dtype)
+        cand_ids = np.full((b, nprobe, max_len), -1, dtype=np.int64)
 
         # Group (user, probe-slot) pairs by probed cell so each cell is
         # one contiguous-slice GEMM over every user that probes it.
@@ -304,8 +307,6 @@ class RecommendService:
         if flat_scores.shape[1] < k:
             # Probed cells cannot even hold k candidates (thin cells):
             # the whole block goes exact.
-            arena.release(cand_scores)
-            arena.release(cand_ids)
             return self._recommend_exact(state, block_users, k), b
         if state.train_keys.size:
             keys = block_users[:, None] * snapshot.num_items + flat_ids
@@ -317,8 +318,6 @@ class RecommendService:
         top = top_k_indices(flat_scores, k)
         top_ids = np.take_along_axis(flat_ids, top, axis=-1)
         top_scores = np.take_along_axis(flat_scores, top, axis=-1)
-        arena.release(cand_scores)
-        arena.release(cand_ids)
 
         # A -inf (or id -1) in the selection means the probed cells held
         # fewer than k unmasked candidates — rescore those rows exactly.
@@ -327,30 +326,6 @@ class RecommendService:
             top_ids[short] = self._recommend_exact(state, block_users[short],
                                                    k)
         return top_ids, int(short.sum())
-
-    # -- cold path -----------------------------------------------------
-    def _cold_vector(self, state: _ServingState,
-                     friend_ids: Sequence[int]) -> np.ndarray:
-        if self.model is not None:
-            from repro.models.coldstart import embed_cold_user
-
-            return embed_cold_user(self.model, friend_ids)
-        return cold_user_embedding(state.snapshot, friend_ids)
-
-    def _recommend_cold(self, state: _ServingState, cold_users: np.ndarray,
-                        k: int) -> np.ndarray:
-        """Cold users: embed from friends, exact-score, no train mask.
-
-        Always exact — an ANN index probed with an out-of-distribution
-        social-mean vector is the worst case for recall, and cold users
-        are rare enough that the full GEMM is cheap.
-        """
-        snapshot = state.snapshot
-        vectors = np.stack([
-            self._cold_vector(state, snapshot.social_row(user))
-            for user in cold_users])
-        scores = vectors @ np.asarray(snapshot.item_emb).T
-        return top_k_indices(scores, k)
 
     def __repr__(self) -> str:
         state = self._state

@@ -20,11 +20,12 @@ verifies the checksums before handing the snapshot out (opt out with
 detection).
 
 Publication is atomic: a snapshot is materialized under a temporary
-directory inside the store root, renamed to its final ``v<NNNNNN>``
-name in one ``os.rename``, and only then does the ``LATEST`` pointer
-move (written via temp-file + ``os.replace``).  A reader following
-``load_latest()`` therefore never observes a half-written snapshot,
-and a crashed publisher leaves at worst an orphaned temp directory.
+directory inside the store root and renamed to its final ``v<NNNNNN>``
+name in one ``os.rename``.  The newest complete version directory *is*
+the latest version — there is no separate pointer to fall out of step
+with it — so a reader of ``load_latest()`` never observes a
+half-written snapshot, and a crashed publisher leaves at worst an
+orphaned temp directory.
 Embedding tables with a NaN or infinity are refused before staging.
 
 Determinism: persistence is bytes-exact — a published-and-reloaded
@@ -57,8 +58,6 @@ FORMAT_VERSION = 1
 #: Array members persisted per snapshot, in a fixed order.
 ARRAY_NAMES = ("user_emb", "item_emb", "train_indptr", "train_indices",
                "social_indptr", "social_indices")
-
-_LATEST = "LATEST"
 
 
 class SnapshotIntegrityError(RuntimeError):
@@ -241,21 +240,19 @@ class EmbeddingSnapshot:
 
 
 class SnapshotStore:
-    """A directory of versioned snapshots with an atomic LATEST pointer.
+    """A directory of versioned snapshots; the newest one is the latest.
 
     Layout::
 
         root/
           v000001/  user_emb.bin item_emb.bin ... meta.json
           v000002/  ...
-          LATEST    ("v000002\\n")
 
-    ``publish`` materializes the snapshot under a temp name, renames it
-    to the next free version number and then moves ``LATEST`` — each
-    step atomic, so concurrent readers always see a complete snapshot
-    and concurrent publishers get distinct versions.  ``load_latest``
-    follows the pointer; ``load`` opens any retained version (instant
-    rollback).
+    ``publish`` materializes the snapshot under a temp name and renames
+    it to the next free version number in one atomic step, so concurrent
+    readers always see a complete snapshot and concurrent publishers get
+    distinct versions.  ``load_latest`` opens the newest version;
+    ``load`` opens any retained one (instant rollback).
     """
 
     def __init__(self, root):
@@ -273,18 +270,13 @@ class SnapshotStore:
         return sorted(found)
 
     def latest_version(self) -> Optional[str]:
-        """The version ``LATEST`` points at (None for an empty store)."""
-        pointer = self.root / _LATEST
-        if pointer.exists():
-            name = pointer.read_text().strip()
-            if (self.root / name / "meta.json").exists():
-                return name
+        """The newest published version (None for an empty store)."""
         versions = self.versions()
         return versions[-1] if versions else None
 
     # -- lifecycle ------------------------------------------------------
     def publish(self, snapshot: EmbeddingSnapshot) -> str:
-        """Persist ``snapshot`` as the next version and move LATEST.
+        """Persist ``snapshot`` as the next version.
 
         Returns the assigned version name (also set on the snapshot).
         Raises :class:`SnapshotIntegrityError` before writing anything if
@@ -302,7 +294,6 @@ class SnapshotStore:
         except BaseException:
             shutil.rmtree(staging, ignore_errors=True)
             raise
-        self._point_latest(name)
         snapshot.version = name
         return name
 
@@ -328,17 +319,6 @@ class SnapshotStore:
                         raise
             number += 1
 
-    def _point_latest(self, name: str) -> None:
-        fd, tmp = tempfile.mkstemp(prefix=".latest-", dir=self.root)
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(name + "\n")
-            os.replace(tmp, self.root / _LATEST)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
-
     def load(self, version: str, mmap: bool = True,
              validate: bool = True) -> EmbeddingSnapshot:
         """Open one retained version (checksum-validated by default)."""
@@ -347,7 +327,7 @@ class SnapshotStore:
 
     def load_latest(self, mmap: bool = True,
                     validate: bool = True) -> EmbeddingSnapshot:
-        """Open the snapshot ``LATEST`` points at."""
+        """Open the newest published version."""
         name = self.latest_version()
         if name is None:
             raise FileNotFoundError(f"no snapshots published under {self.root}")
@@ -356,15 +336,13 @@ class SnapshotStore:
     def prune(self, keep: int = 3) -> List[str]:
         """Delete all but the ``keep`` newest versions; returns deleted.
 
-        ``LATEST`` is never deleted.  Raises ``ValueError`` for ``keep``
-        below 0 (a negative slice bound would delete from the old end).
+        The newest version is never deleted, even with ``keep=0``.
+        Raises ``ValueError`` for ``keep`` below 0 (a negative slice
+        bound would delete from the old end).
         """
         if keep < 0:
             raise ValueError(f"keep must be >= 0, got {keep}")
-        versions = self.versions()
-        latest = self.latest_version()
-        deletable = [v for v in versions[:-keep] if v != latest] if keep else [
-            v for v in versions if v != latest]
+        deletable = self.versions()[:-max(keep, 1)]
         for name in deletable:
             shutil.rmtree(self.root / name, ignore_errors=True)
         return deletable

@@ -72,7 +72,7 @@ class TestPrunedLastLayer:
 
     def test_every_forward_has_a_backward(self, tiny_graph):
         # Paper settings (d=16, L=2, |M|=8): per step, 14 mixtures and
-        # 7 LayerNorms, each differentiated (the full graph runs 16 and 9).
+        # 7 LayerNorms, each differentiated.
         model = DGNN(tiny_graph, seed=0)
         rng = np.random.default_rng(1)
         steps = 3

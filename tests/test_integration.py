@@ -96,7 +96,11 @@ class TestAblationIntegrity:
             users, items = model.propagate()
         assert np.all(np.isfinite(users.data))
         # τ over an empty social graph is the identity mean (self only):
-        # final user embedding = 2 * pre-tau embedding.
+        # final user embedding = 2 * pre-tau embedding.  The same-seed
+        # "-τ" twin has the same parameters and gives the pre-τ users.
+        twin = DGNN(graph, embed_dim=8, num_memory_units=2, seed=0,
+                    use_tau=False)
+        twin.eval()
         with no_grad():
-            pre_tau, _, _ = model.propagate_all()
+            pre_tau, _ = twin.propagate()
         np.testing.assert_allclose(users.data, 2.0 * pre_tau.data, atol=1e-10)

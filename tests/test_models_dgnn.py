@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.autograd import no_grad
+from repro.autograd import Tensor, no_grad
+from repro.engine import instrument
 from repro.graph import CollaborativeHeteroGraph
 from repro.graph.adjacency import add_self_loops, row_normalize
+from repro.graph.sampling import sample_subgraph_view
 from repro.models.dgnn import DGNN
 
 
@@ -21,9 +23,16 @@ class TestShapes:
         assert users.shape == (tiny_graph.num_users, concat_dim)
         assert items.shape == (tiny_graph.num_items, concat_dim)
 
-    def test_propagate_all_returns_relations(self, model, tiny_graph):
-        users, items, relations = model.propagate_all()
-        assert relations.shape == (tiny_graph.num_relations, 8 * 3)
+    def test_layer_tables_hold_relation_states(self, model, tiny_graph):
+        # Relation states enter every layer; the last layer's relation
+        # update feeds no score, so it is never computed.
+        tables = model.layer_tables()
+        assert len(tables) == 3
+        assert [state[2].shape for state in tables[:-1]] == [
+            (tiny_graph.num_relations, 8)] * 2
+        assert tables[-1][2] is None
+        assert tables[-1][0].shape == (tiny_graph.num_users, 8)
+        assert tables[-1][1].shape == (tiny_graph.num_items, 8)
 
     def test_zero_layers(self, tiny_graph):
         model = DGNN(tiny_graph, embed_dim=8, num_layers=0, seed=0)
@@ -66,9 +75,13 @@ class TestDeterminism:
 class TestTauRecalibration:
     def test_tau_matches_manual_average(self, tiny_graph):
         model = DGNN(tiny_graph, embed_dim=8, num_layers=1, seed=0)
+        # Same seed, same parameters: the "-τ" twin gives pre-τ users.
+        twin = DGNN(tiny_graph, embed_dim=8, num_layers=1, seed=0,
+                    use_tau=False)
         model.eval()  # disable message dropout for exact comparison
+        twin.eval()
         with no_grad():
-            user_all, _, _ = model.propagate_all()
+            user_all, _ = twin.propagate()
             users_with_tau, _ = model.propagate()
         tau_matrix = row_normalize(add_self_loops(tiny_graph.social))
         expected = user_all.data + tau_matrix @ user_all.data
@@ -77,10 +90,53 @@ class TestTauRecalibration:
     def test_use_tau_false_skips(self, tiny_graph):
         model = DGNN(tiny_graph, embed_dim=8, num_layers=1, seed=0, use_tau=False)
         model.eval()  # disable message dropout for exact comparison
+        # Pre-τ users rebuilt from the layer tables: Eq. 8's concat + norm.
+        concat = np.concatenate([state[0] for state in model.layer_tables()],
+                                axis=1)
         with no_grad():
-            user_all, _, _ = model.propagate_all()
+            user_all = model.final_norm(Tensor(concat))
             users, _ = model.propagate()
         np.testing.assert_allclose(users.data, user_all.data)
+
+
+class TestOneLayerLoop:
+    """Every path drives the layers through one loop, which skips the
+    last layer's relation update and builds no relation concat.  At the
+    paper settings (d=16, L=2, |M|=8) a layer runs 8 mixtures and 3
+    LayerNorms; the skipped update saves 2 and 1, and Eq. 8 adds one
+    norm each for users and items."""
+
+    def test_final_embeddings_kernel_counts(self, tiny_graph):
+        model = DGNN(tiny_graph, seed=0)
+        with instrument.track() as used:
+            model.final_embeddings()
+        assert used["calls.memory_mixture"] == 14
+        assert used["calls.layer_norm"] == 7
+
+    def test_layer_tables_kernel_counts(self, tiny_graph):
+        model = DGNN(tiny_graph, seed=0)
+        with instrument.track() as used:
+            model.layer_tables()
+        assert used["calls.memory_mixture"] == 14
+        assert used["calls.layer_norm"] == 5
+
+    def test_minibatch_step_kernel_counts(self, tiny_graph):
+        model = DGNN(tiny_graph, seed=0)
+        rng = np.random.default_rng(3)
+        users = rng.integers(0, tiny_graph.num_users, 32)
+        positives = rng.integers(0, tiny_graph.num_items, 32)
+        negatives = rng.integers(0, tiny_graph.num_items, 32)
+        subgraph = sample_subgraph_view(
+            tiny_graph, users, np.concatenate([positives, negatives]),
+            hops=model.minibatch_hops(), fanout=10)
+        with instrument.track() as used:
+            loss = model.bpr_loss_on(subgraph, users, positives, negatives)
+            loss.backward()
+            del loss
+        assert used["calls.memory_mixture"] == 14
+        assert used["calls.memory_mixture_backward"] == 14
+        assert used["calls.layer_norm"] == 7
+        assert used["calls.layer_norm_backward"] == 7
 
 
 class TestAblationSwitches:

@@ -8,6 +8,7 @@ import pytest
 
 from repro.engine.precision import use_dtype
 from repro.eval import full_ranking
+from repro.eval.metrics import top_k_indices
 from repro.models.lightgcn import LightGCN
 from repro.serve import (
     EmbeddingSnapshot,
@@ -165,6 +166,24 @@ class TestSwap:
         users = tiny_split.test_users
         np.testing.assert_array_equal(service.recommend(users, 10),
                                       fresh.recommend(users, 10))
+
+
+    def test_cold_answers_follow_the_swap(self, model, tiny_split):
+        # Cold users are embedded from the served snapshot alone, so
+        # after a swap they are answered from the new one.
+        old = _make_cold(EmbeddingSnapshot.from_model(model, tiny_split), 2)
+        other = LightGCN(model.graph, embed_dim=16, num_layers=2, seed=9)
+        new = _make_cold(EmbeddingSnapshot.from_model(other, tiny_split), 2)
+        service = RecommendService(old)
+        service.swap(new)
+        friends = new.social_row(2)
+        vector = cold_user_embedding(new, friends)
+        expected = top_k_indices(
+            vector[None, :] @ np.asarray(new.item_emb).T, 10)[0]
+        np.testing.assert_array_equal(service.recommend([2], 10)[0], expected)
+        np.testing.assert_array_equal(service.recommend_cold_user(friends, 10),
+                                      expected)
+        assert service.stats["cold_users"] == 1
 
 
 class _YieldingDict(dict):

@@ -65,7 +65,9 @@ class TestLifecycle:
         store.publish(second)
         assert store.versions() == ["v000001", "v000002"]
         assert store.latest_version() == "v000002"
-        assert (tmp_path / "LATEST").read_text().strip() == "v000002"
+        # Nothing but the version directories: no pointer file to go stale.
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "v000001", "v000002"]
 
     def test_empty_store(self, tmp_path):
         store = SnapshotStore(tmp_path)
@@ -82,6 +84,14 @@ class TestLifecycle:
         assert deleted == ["v000001", "v000002"]
         assert store.versions() == ["v000003", "v000004"]
         assert store.load_latest().version == "v000004"
+
+    def test_prune_zero_keeps_the_newest(self, snapshot, tmp_path):
+        store = SnapshotStore(tmp_path)
+        for _ in range(3):
+            store.publish(snapshot)
+        assert store.prune(keep=0) == ["v000001", "v000002"]
+        assert store.versions() == ["v000003"]
+        assert store.load_latest().version == "v000003"
 
     def test_prune_rejects_negative_keep(self, snapshot, tmp_path):
         store = SnapshotStore(tmp_path)
@@ -142,6 +152,29 @@ class TestConcurrentPublish:
         self._assert_both_published(store, snapshot, rival, ours,
                                     published[0])
 
+    def test_rival_publishing_after_our_rename_is_latest(
+            self, snapshot, tmp_path, monkeypatch):
+        # The rival's whole publish lands between our rename and our
+        # return: the newer version must stay the latest.
+        store = SnapshotStore(tmp_path)
+        rival = dataclasses.replace(snapshot, user_emb=snapshot.user_emb + 1)
+        real = os.rename
+        published = []
+
+        def rename_then_rival(*args, **kwargs):
+            real(*args, **kwargs)
+            if not published:
+                published.append(None)
+                published[0] = store.publish(rival)
+
+        monkeypatch.setattr(os, "rename", rename_then_rival)
+        ours = store.publish(snapshot)
+        assert (ours, published[0]) == ("v000001", "v000002")
+        assert store.latest_version() == "v000002"
+        np.testing.assert_array_equal(
+            np.asarray(store.load_latest().user_emb), rival.user_emb)
+        self._assert_both_published(store, snapshot, rival, ours,
+                                    published[0])
 
     def test_threads_publishing_at_once_get_distinct_versions(
             self, snapshot, tmp_path):
@@ -308,8 +341,11 @@ class TestServingParity:
                                           expected)
 
     def test_cold_user_tau_parity(self, tiny_graph, tiny_split, tmp_path):
+        # A τ-recalibrated model's snapshot records τ, and the service's
+        # cold path scales the friends' mean by 1.5 from the snapshot
+        # alone; a new user and a cold dispatched user agree.
+        from repro.eval.metrics import top_k_indices
         from repro.models.dgnn import DGNN
-        from repro.models.coldstart import recommend_cold_user
 
         model = DGNN(tiny_graph, embed_dim=8, num_layers=1, seed=0)
         assert model.use_tau
@@ -317,11 +353,14 @@ class TestServingParity:
         assert snapshot.meta["tau"] is True
         store = SnapshotStore(tmp_path)
         store.publish(snapshot)
-        service = RecommendService(store.load_latest(), model=model)
+        served = store.load_latest()
+        service = RecommendService(served)
         friends = [0, 3, 7]
-        np.testing.assert_array_equal(
-            service.recommend_cold_user(friends, 10),
-            recommend_cold_user(model, friends, top_n=10))
+        vector = 1.5 * np.asarray(served.user_emb)[friends].mean(axis=0)
+        expected = top_k_indices(
+            vector[None, :] @ np.asarray(served.item_emb).T, 10)[0]
+        np.testing.assert_array_equal(service.recommend_cold_user(friends, 10),
+                                      expected)
 
 
 class TestTrainAndPublish:
