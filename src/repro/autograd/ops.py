@@ -357,11 +357,10 @@ def memory_mixture(embeddings, gates, transforms) -> Tensor:
     ``out[n] = Σ_m gates[n, m] · (embeddings[n] @ transforms[m])``.
 
     Equivalent to the unfused five-op composition (transpose → reshape →
-    matmul → mul → sum) but run as a single engine kernel: the forward
-    never materializes the ``(n, M, d)`` per-unit activations and the
-    backward is hand-written in :mod:`repro.engine.backends`, so the
-    hottest path in the DGNN memory encoder costs one graph node instead
-    of five.
+    matmul → mul → sum) but run as a single engine kernel: the graph
+    keeps no ``(n, M, d)`` per-unit activations for the backward, which
+    is hand-written in :mod:`repro.engine.backends`, so the hottest path
+    in the DGNN memory encoder costs one graph node instead of five.
     """
     embeddings = as_tensor(embeddings)
     gates = as_tensor(gates)
@@ -576,7 +575,7 @@ def relu(a) -> Tensor:
     """Rectified linear unit."""
     a = as_tensor(a)
     mask = a.data > 0
-    data = np.where(mask, a.data, 0.0)
+    data = backends.relu_select(a.data)
 
     def backward(out: Tensor):
         a._accumulate(out.grad * mask)
@@ -589,12 +588,10 @@ def leaky_relu(a, negative_slope: float = 0.2) -> Tensor:
     a = as_tensor(a)
     slope = float(negative_slope)
     mask = a.data > 0
-    data = np.where(mask, a.data, slope * a.data)
+    data = backends.leaky_select(a.data, slope)
 
     def backward(out: Tensor):
-        grad = out.grad
-        a._accumulate(np.where(mask, grad, grad * grad.dtype.type(slope)),
-                      owned=True)
+        a._accumulate(backends.leaky_grad(out.grad, mask, slope), owned=True)
 
     return Tensor._make(data, (a,), backward)
 

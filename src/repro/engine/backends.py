@@ -12,9 +12,14 @@ hand-written backward: Eq. 3's memory gates
 Eq. 7's dropout → LayerNorm → LeakyReLU (``layer_norm``, also every plain
 LayerNorm).  The kernels are vectorized: scipy's compiled CSR spmm,
 einsum gather+dot, scatter reductions as a one-hot CSR product (bitwise
-equal to ``np.add.at``), the mixture forward
-as ``|M|`` BLAS GEMMs with ``(n, d)`` temporaries only, and its backward
-as one stacked GEMM for the embedding and gate gradients.
+equal to ``np.add.at``), the mixture forward as one stacked
+``(n, d) @ (d, |M|·d)`` GEMM gated and summed by one einsum, and its
+backward as two stacked GEMMs through one ``(n, |M|·d)`` buffer: one for
+the embedding and gate gradients, one for all ``|M|`` transform
+gradients.  LeakyReLU and ReLU select without a branch
+(:func:`leaky_select`, :func:`leaky_grad`, :func:`relu_select`), byte
+for byte equal to the ``np.where`` forms they replaced, everywhere but
+the gates' backward.
 
 Every kernel allocates its own result; ``spmm``, ``gather_rows``,
 ``scatter_add_rows``, ``segment_sum`` and ``memory_mixture`` take it
@@ -57,6 +62,41 @@ try:  # pragma: no cover - import guard for exotic scipy builds
     from scipy.sparse import _sparsetools as _csr_tools
 except ImportError:  # pragma: no cover
     _csr_tools = None
+
+
+# -- branch-free selects -------------------------------------------------
+# ``np.where`` over a mask of random signs runs ~10x slower than a
+# maximum, minimum or product of the same arrays.  These helpers give the
+# same bytes as the ``np.where`` forms in their docstrings, for every
+# input including ±0, ±inf and NaN.
+def leaky_grad(grad: np.ndarray, mask: np.ndarray,
+               negative_slope: float) -> np.ndarray:
+    """``np.where(mask, grad, grad * negative_slope)``, as ``grad`` times
+    the two-entry table ``[negative_slope, 1]`` taken at ``mask``."""
+    return grad * np.array([negative_slope, 1], grad.dtype).take(mask)
+
+
+def leaky_select(x: np.ndarray, negative_slope: float) -> np.ndarray:
+    """LeakyReLU, ``np.where(x > 0, x, negative_slope * x)``.
+
+    ``max(x, s·x)`` for ``0 < s <= 1`` and ``min(x, s·x)`` for ``s > 1``.
+    At ``s = 0``, ``0·inf`` is NaN where ``np.where`` keeps ``+inf``, and
+    at ``s < 0`` the maximum would choose between ``+0`` and ``-0``; both
+    multiply by :func:`leaky_grad`'s table instead.
+    """
+    if negative_slope > 1:
+        return np.minimum(x, negative_slope * x)
+    if negative_slope > 0:
+        return np.maximum(x, negative_slope * x)
+    return leaky_grad(x, x > 0, negative_slope)
+
+
+def relu_select(x: np.ndarray) -> np.ndarray:
+    """ReLU, ``np.where(x > 0, x, 0.0)``: ``fmax`` maps NaN to ``0``, and
+    adding ``+0`` turns the ``-0`` that ``fmax`` may keep into ``+0``."""
+    out = np.fmax(x, 0.0)
+    out += 0.0
+    return out
 
 
 # -- kernels -------------------------------------------------------------
@@ -130,35 +170,40 @@ def _one_hot_sum(values, indices, num_rows) -> np.ndarray:
 
 
 def _memory_mixture(embeddings, gates, transforms) -> np.ndarray:
-    # |M| BLAS GEMMs with (n, d) temporaries only.  On this op shape
-    # (small d, M ~ 8) the loop-of-GEMMs beats a single einsum by an
-    # order of magnitude because einsum cannot route it through BLAS.
+    # One (n, d) @ (d, M·d) GEMM computes every unit's transform, and one
+    # einsum gates and sums them, adding the units in ascending order.
     dtype = np.result_type(embeddings.dtype, gates.dtype, transforms.dtype)
+    rows = embeddings.shape[0]
+    units, dim = transforms.shape[0], transforms.shape[1]
+    stacked = arena.empty((rows, units * dim), dtype)
+    np.matmul(embeddings,
+              transforms.transpose(1, 0, 2).reshape(dim, units * dim),
+              out=stacked)
     out = arena.empty(embeddings.shape, dtype)
-    tmp = arena.empty(embeddings.shape, dtype)
-    np.matmul(embeddings, transforms[0], out=tmp)
-    np.multiply(tmp, gates[:, 0:1], out=out)
-    for unit in range(1, transforms.shape[0]):
-        np.matmul(embeddings, transforms[unit], out=tmp)
-        tmp *= gates[:, unit:unit + 1]
-        out += tmp
-    arena.release(tmp)
+    np.einsum("nm,nmd->nd", gates, stacked.reshape(rows, units, dim),
+              out=out)
+    arena.release(stacked)
     return out
 
 
 def _memory_mixture_backward(grad_out, embeddings, gates, transforms, needs):
-    # One stacked GEMM gives every unit's ``grad_out @ W_m.T`` at once as
-    # G (n, M, d); the embedding and gate gradients are two contractions
-    # of it.  Only the transform gradient keeps the per-unit loop.
+    # One (n, M·d) buffer serves both halves.  First it holds every
+    # unit's ``grad_out @ W_m.T`` from one stacked GEMM; the embedding and
+    # gate gradients are two contractions of it.  Then it holds the
+    # feature-major operand ``gates[:, m] * embeddings[:, i]`` as
+    # (M, d, n), so all M transform gradients are one (M·d, n) @ (n, d)
+    # GEMM.  Reusing the buffer, rather than allocating the operand,
+    # spares the allocator a second (n, M·d) block of fresh pages a call.
     dtype = np.result_type(grad_out.dtype, embeddings.dtype,
                            gates.dtype, transforms.dtype)
+    rows = grad_out.shape[0]
     units, dim = transforms.shape[0], transforms.shape[1]
     grad_emb = grad_gates = grad_transforms = None
+    buffer = arena.empty((rows, units * dim), dtype)
     if needs[0] or needs[1]:
-        stacked = arena.empty((grad_out.shape[0], units * dim), dtype)
         np.matmul(grad_out, transforms.reshape(units * dim, dim).T,
-                  out=stacked)
-        per_unit = stacked.reshape(grad_out.shape[0], units, dim)
+                  out=buffer)
+        per_unit = buffer.reshape(rows, units, dim)
         if needs[0]:
             # A strided ``out=`` view would push matmul off its fast
             # batched path; the fresh (n, 1, d) result is reshaped instead.
@@ -167,26 +212,31 @@ def _memory_mixture_backward(grad_out, embeddings, gates, transforms, needs):
         if needs[1]:
             grad_gates = arena.empty(gates.shape, dtype)
             np.einsum("nmi,ni->nm", per_unit, embeddings, out=grad_gates)
-        arena.release(stacked)
     if needs[2]:
+        # Unit-stride (M, n) and (d, n) copies keep the broadcast
+        # multiply on contiguous rows; both are small next to the buffer.
+        operand = buffer.reshape(units, dim, rows)
+        np.multiply(np.ascontiguousarray(gates.T)[:, None, :],
+                    np.ascontiguousarray(embeddings.T)[None, :, :],
+                    out=operand)
         grad_transforms = arena.empty(transforms.shape, dtype)
-        scaled = arena.empty(embeddings.shape, dtype)
-        for unit in range(units):
-            np.multiply(embeddings, gates[:, unit:unit + 1], out=scaled)
-            np.matmul(scaled.T, grad_out, out=grad_transforms[unit])
-        arena.release(scaled)
+        np.matmul(operand.reshape(units * dim, rows), grad_out,
+                  out=grad_transforms.reshape(units * dim, dim))
+    arena.release(buffer)
     return grad_emb, grad_gates, grad_transforms
 
 
 def _memory_gates(embeddings, keys, bias, negative_slope) -> np.ndarray:
     raw = embeddings @ keys
     raw += bias
-    return np.where(raw > 0, raw, negative_slope * raw)
+    return leaky_select(raw, negative_slope)
 
 
 def _memory_gates_backward(grad_out, embeddings, keys, gates,
                            negative_slope, needs):
     # ``gates > 0`` exactly where the pre-activation is, for any slope >= 0.
+    # ``leaky_grad`` measured no faster here within a training epoch
+    # (DGNN on ``large``), so this select keeps ``np.where``.
     grad_raw = np.where(gates > 0, grad_out,
                         grad_out * grad_out.dtype.type(negative_slope))
     return (grad_raw @ keys.T if needs[0] else None,
@@ -208,7 +258,7 @@ def _layer_norm(x, scale, shift, eps, keep, negative_slope):
     out = normed * scale
     out += shift
     if negative_slope is not None:
-        out = np.where(out > 0, out, negative_slope * out)
+        out = leaky_select(out, negative_slope)
     return out, normed, std
 
 
@@ -216,8 +266,7 @@ def _layer_norm_backward(grad_out, out, normed, std, scale, keep,
                          negative_slope, needs):
     grad = grad_out
     if negative_slope is not None:
-        grad = np.where(out > 0, grad_out,
-                        grad_out * grad_out.dtype.type(negative_slope))
+        grad = leaky_grad(grad_out, out > 0, negative_slope)
     rows = tuple(range(grad.ndim - 1))
     grad_scale = (grad * normed).sum(axis=rows) if needs[1] else None
     grad_shift = grad.sum(axis=rows) if needs[2] else None
@@ -348,8 +397,9 @@ def memory_mixture(embeddings: np.ndarray, gates: np.ndarray,
 
     ``embeddings`` is ``(n, d)``, ``gates`` is ``(n, M)`` and
     ``transforms`` is ``(M, d, d)``; the result is
-    ``out[n] = Σ_m gates[n, m] · (embeddings[n] @ transforms[m])``,
-    computed without materializing ``(n, M, d)`` per-unit temporaries.
+    ``out[n] = Σ_m gates[n, m] · (embeddings[n] @ transforms[m])``.
+    The per-unit products live in one ``(n, M·d)`` temporary that is
+    freed before the call returns.
     """
     units, dim = transforms.shape[0], transforms.shape[1]
     return _run("memory_mixture", embeddings, gates, transforms,

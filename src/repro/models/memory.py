@@ -22,7 +22,9 @@ HGT-style per-edge attention — the property behind Table IV.
 
 The gates and the mixture each run as one engine op with a hand-written
 backward (``memory_gates`` and ``memory_mixture``: one graph node each,
-no ``(n, |M|, d)`` forward temporaries).
+keeping no ``(n, |M|, d)`` activations for the backward).  The mixture
+computes all ``|M|`` units in one stacked GEMM, forward and backward,
+and the gates' LeakyReLU selects without a branch.
 """
 
 from __future__ import annotations

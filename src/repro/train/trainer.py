@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import resource
 import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
@@ -74,6 +75,12 @@ class TrainingHistory:
     compute_seconds: List[float] = field(default_factory=list)
     eval_seconds: List[float] = field(default_factory=list)
     kernel_counters: List[Dict[str, float]] = field(default_factory=list)
+    #: Per-epoch ``getrusage`` deltas of the whole process: minor page
+    #: faults and system CPU seconds.  Together they show allocator
+    #: churn (fresh pages faulted in and zeroed by the kernel), which
+    #: neither wall time nor the kernel counters separate out.
+    minor_page_faults: List[int] = field(default_factory=list)
+    system_seconds: List[float] = field(default_factory=list)
     touched_row_fractions: List[float] = field(default_factory=list)
     best_epoch: int = -1
     best_metrics: Dict[str, float] = field(default_factory=dict)
@@ -276,6 +283,7 @@ class Trainer:
                 start = time.perf_counter()
                 self.model.train()
                 counters_before = instrument.snapshot()
+                usage_before = resource.getrusage(resource.RUSAGE_SELF)
                 with use_sparse_grads(self._sparse_grads):
                     (epoch_loss, sample_seconds, compute_seconds,
                      history.stop_reason) = self._train_epoch(epoch, batches)
@@ -290,6 +298,11 @@ class Trainer:
                     sum(self._epoch_touched) / max(len(self._epoch_touched), 1))
                 history.kernel_counters.append(
                     instrument.delta(counters_before, instrument.snapshot()))
+                usage = resource.getrusage(resource.RUSAGE_SELF)
+                history.minor_page_faults.append(
+                    usage.ru_minflt - usage_before.ru_minflt)
+                history.system_seconds.append(
+                    usage.ru_stime - usage_before.ru_stime)
 
                 if (epoch + 1) % config.eval_every == 0 or epoch == config.epochs - 1:
                     start = time.perf_counter()

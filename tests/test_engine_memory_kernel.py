@@ -9,16 +9,23 @@ Covers the tentpole guarantees:
 * the naive loop oracle and the engine kernel agree at both engine
   dtypes, to dtype-derived tolerances;
 * the fused path cuts the autograd graph down to one node per mixture
-  and shows up in kernel instrumentation.
+  and shows up in kernel instrumentation;
+* the stacked forward and backward agree with the loop oracle at DGNN's
+  shapes for 1 to 12001 rows and every ``needs`` combination, and the
+  backward allocates one ``(n, M·d)`` buffer, not two.
 """
+
+import functools
+import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro.autograd import Tensor, gradcheck, ops
-from repro.engine import instrument, tolerances, use_dtype
+from repro.engine import backends, instrument, tolerances, use_dtype
 from repro.models.memory import MemoryBank
-from tests.oracles import KERNEL_SETS, use_kernel_set
+from tests.oracles import KERNEL_SETS, naive, use_kernel_set
 
 
 def _inputs(rng, n=10, d=6, units=4, dtype=np.float64):
@@ -170,3 +177,101 @@ class TestMemoryBankAdoption:
         bank.encode_self(emb)
         stats = instrument.snapshot()
         assert stats["calls.memory_mixture"] == 1
+
+
+# -- the stacked kernels against the loop oracle, at production shapes ----
+MIX_DIM, MIX_UNITS = 16, 8
+MIX_ROWS = (1, 7, 1809, 12001)
+ALL_NEEDS = list(itertools.product((False, True), repeat=3))
+
+
+@functools.cache
+def _mixture_case(rows):
+    """Inputs at DGNN's d = 16, |M| = 8, with the loop oracle's forward
+    and backward on them.  The oracle runs in float64 for both engine
+    dtypes: its per-row float32 accumulation over 12k rows would carry
+    more rounding than the kernel under test."""
+    rng = np.random.default_rng(rows)
+    inputs = (rng.normal(size=(rows, MIX_DIM)),
+              rng.normal(size=(rows, MIX_UNITS)),
+              rng.normal(size=(MIX_UNITS, MIX_DIM, MIX_DIM)) / 4.0,
+              rng.normal(size=(rows, MIX_DIM)))
+    emb, gates, transforms, grad_out = inputs
+    return (inputs, naive.memory_mixture(emb, gates, transforms),
+            naive.memory_mixture_backward(grad_out, emb, gates, transforms,
+                                          (True, True, True)))
+
+
+def _assert_close_at(actual, reference, tol):
+    # float32 sums lose digits in proportion to the summands' size, so
+    # the absolute bound scales with the reference's largest entry.
+    scale = max(1.0, float(np.abs(reference).max(initial=0.0)))
+    np.testing.assert_allclose(actual, reference, rtol=tol.rtol,
+                               atol=tol.atol * scale)
+
+
+class TestStackedKernels:
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("rows", MIX_ROWS)
+    def test_forward_matches_loop_oracle(self, rows, dtype):
+        inputs, reference, _ = _mixture_case(rows)
+        emb, gates, transforms, _ = (a.astype(dtype) for a in inputs)
+        out = backends.memory_mixture(emb, gates, transforms)
+        assert out.dtype == np.dtype(dtype) and out.shape == (rows, MIX_DIM)
+        _assert_close_at(out, reference, tolerances(dtype))
+
+    @pytest.mark.parametrize("needs", ALL_NEEDS,
+                             ids=["".join("ETG"[i] if n else "-"
+                                          for i, n in enumerate(needs))
+                                  for needs in ALL_NEEDS])
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("rows", MIX_ROWS)
+    def test_backward_matches_loop_oracle(self, rows, dtype, needs):
+        inputs, _, references = _mixture_case(rows)
+        emb, gates, transforms, grad_out = (a.astype(dtype) for a in inputs)
+        grads = backends.memory_mixture_backward(grad_out, emb, gates,
+                                                 transforms, needs)
+        for need, grad, reference, source in zip(
+                needs, grads, references, (emb, gates, transforms)):
+            if not need:
+                assert grad is None
+                continue
+            assert grad.dtype == np.dtype(dtype)
+            assert grad.shape == source.shape
+            _assert_close_at(grad, reference, tolerances(dtype))
+
+    def test_backward_peak_is_one_stacked_buffer(self, rng):
+        """At n = 12000 the backward holds one (n, M·d) buffer, reused from
+        the stacked ``grad_out @ Wᵀ`` for the transform-gradient operand,
+        plus its outputs and two small transposed copies: a second
+        (n, M·d) allocation breaks the bound."""
+        rows = 12000
+        emb, gates, transforms = _inputs(rng, n=rows, d=MIX_DIM,
+                                         units=MIX_UNITS)
+        grad_out = rng.normal(size=(rows, MIX_DIM))
+        buffer_bytes = rows * MIX_UNITS * MIX_DIM * emb.itemsize
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            grads = backends.memory_mixture_backward(grad_out, emb, gates,
+                                                     transforms)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        outputs = sum(grad.nbytes for grad in grads)
+        assert peak >= buffer_bytes  # tracemalloc sees numpy's buffers
+        assert peak < buffer_bytes + outputs + buffer_bytes // 2
+
+    def test_forward_peak_is_one_stacked_buffer(self, rng):
+        rows = 12000
+        emb, gates, transforms = _inputs(rng, n=rows, d=MIX_DIM,
+                                         units=MIX_UNITS)
+        buffer_bytes = rows * MIX_UNITS * MIX_DIM * emb.itemsize
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = backends.memory_mixture(emb, gates, transforms)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert buffer_bytes <= peak < buffer_bytes + out.nbytes + buffer_bytes // 2

@@ -1,5 +1,7 @@
 """Tests for the trainer, config and early stopping."""
 
+import resource
+
 import numpy as np
 import pytest
 
@@ -180,6 +182,28 @@ class TestTrainer:
         history = Trainer(model, tiny_split, config, tiny_candidates).fit()
         assert history.mean_train_seconds() > 0
         assert history.mean_eval_seconds() > 0
+
+    def test_resource_usage_recorded_per_epoch(self, tiny_graph, tiny_split,
+                                               tiny_candidates):
+        """Minor page faults and system CPU seconds are per-epoch deltas
+        of the process's ``getrusage``, next to the kernel counters."""
+        model = create_model("dgnn", tiny_graph, embed_dim=8, seed=0)
+        config = TrainConfig(epochs=3, batch_size=64, batches_per_epoch=2,
+                             eval_every=3, patience=None)
+        trainer = Trainer(model, tiny_split, config, tiny_candidates)
+        before = resource.getrusage(resource.RUSAGE_SELF)
+        history = trainer.fit()
+        after = resource.getrusage(resource.RUSAGE_SELF)
+        assert (len(history.minor_page_faults) == len(history.system_seconds)
+                == len(history.kernel_counters) == 3)
+        assert all(isinstance(f, int) and f >= 0
+                   for f in history.minor_page_faults)
+        assert all(s >= 0.0 for s in history.system_seconds)
+        # Deltas, not running totals: the epochs sum to at most the run's.
+        assert (sum(history.minor_page_faults)
+                <= after.ru_minflt - before.ru_minflt)
+        assert (sum(history.system_seconds)
+                <= after.ru_stime - before.ru_stime + 1e-9)
 
 
 class TestNonFiniteStop:
